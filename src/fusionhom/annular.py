@@ -25,8 +25,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import SizeLimit
-from .exactarith import (RatFunc, RF_ONE, RF_ZERO, SparseMat, rank,
-                         kernel_basis, span_solve)
+from .exactarith import (Echelon, RatFunc, RF_ONE, RF_ZERO, SparseMat,
+                         clear_denominators, kernel_basis, rank, span_solve)
 
 
 class UnsupportedDegree(ValueError):
@@ -368,59 +368,22 @@ def h1_vanishing_check(K: int) -> dict:
     codomain = enumerate_diagrams(1, window)
     row_of = {d: i for i, d in enumerate(codomain)}
     matrix = boundary_matrix(2, window, window)
-    per_m = {}
-    all_contained = True
+    targets = []
     for m in range(K + 1):
         target = [RF_ZERO] * len(codomain)
         target[row_of[sigma(m)]] = RF_ONE
-        coeffs = span_solve(matrix, target)
+        targets.append(target)
+    per_m = {}
+    for m, coeffs in enumerate(span_solve(matrix, targets)):
         if coeffs is None:
-            all_contained = False
             per_m[m] = {"contained": False, "certificate": None}
             continue
         cert = [(domain[i].encode(), str(c))
                 for i, c in enumerate(coeffs) if c]
         per_m[m] = {"contained": True, "certificate": cert}
+    all_contained = all(entry["contained"] for entry in per_m.values())
     return {"contained": all_contained, "K": K, "window": window,
             "per_m": per_m}
-
-
-class _Echelon:
-    """Incremental exact echelon over the row-index space.
-
-    Pivot rows are kept with their leading (smallest) index normalized to
-    coefficient one and are never modified afterwards, so reductions can
-    be resumed as new pivots arrive.
-    """
-
-    def __init__(self):
-        self.pivots = {}
-
-    def reduce(self, vec: dict) -> dict:
-        """Reduce until zero or stuck at a leading index with no pivot."""
-        while vec:
-            lead = min(vec)
-            row = self.pivots.get(lead)
-            if row is None:
-                return vec
-            factor = vec[lead]
-            for idx, coeff in row.items():
-                val = vec.get(idx, RF_ZERO) - factor * coeff
-                if val:
-                    vec[idx] = val
-                elif idx in vec:
-                    del vec[idx]
-        return vec
-
-    def insert(self, vec: dict):
-        """Reduce and store; returns the new pivot index or None."""
-        vec = self.reduce(vec)
-        if not vec:
-            return None
-        lead = min(vec)
-        inv = RF_ONE / vec[lead]
-        self.pivots[lead] = {i: inv * c for i, c in vec.items()}
-        return lead
 
 
 def h2_vanishing_check(N: int, margin: int = 2, diagram_cap: int = 100000,
@@ -429,10 +392,13 @@ def h2_vanishing_check(N: int, margin: int = 2, diagram_cap: int = 100000,
 
     Kernel vectors of the degree-2 boundary are tested for membership in
     the span of degree-3 boundaries over diagrams with total <= N+margin.
-    The degree-3 columns are consumed in ascending total order and
-    insertion stops as soon as every kernel vector has reduced to zero.
-    generators overrides the degree-3 window (used to probe failure
-    reporting).
+    The degree-3 columns are inserted into one exactarith.Echelon in
+    ascending total order.  A kernel vector that stays nonzero after
+    reduction is stalled at its leading index and reduced again only when
+    a new pivot lands there; insertion stops as soon as every kernel
+    vector has reduced to zero, so columns_used does not depend on the
+    kernel basis.  generators overrides the degree-3 window (used to probe
+    failure reporting).
     """
     if N < 1 or margin < 0:
         raise ValueError("need N >= 1 and margin >= 0")
@@ -453,20 +419,25 @@ def h2_vanishing_check(N: int, margin: int = 2, diagram_cap: int = 100000,
     residuals = []
     supports = []
     for vec in kernel:
-        residuals.append({row_of[cols2_small[i]]: c
-                          for i, c in enumerate(vec) if c})
+        residuals.append(clear_denominators(
+            {row_of[cols2_small[i]]: c for i, c in enumerate(vec) if c}))
         supports.append(sorted(cols2_small[i].encode()
                                for i, c in enumerate(vec) if c))
 
-    ech = _Echelon()
-    unresolved = {i: vec for i, vec in enumerate(residuals)}
+    ech = Echelon()
+    unresolved = dict(enumerate(residuals))
     stalled = {}  # leading index -> list of residual ids
-    for rid in list(unresolved):
+
+    def settle(rid):
         vec = ech.reduce(unresolved[rid])
-        if not vec:
-            del unresolved[rid]
-        else:
+        if vec:
+            unresolved[rid] = vec
             stalled.setdefault(min(vec), []).append(rid)
+        else:
+            del unresolved[rid]
+
+    for rid in list(unresolved):
+        settle(rid)
 
     columns_used = 0
     for d in gen3:
@@ -477,18 +448,8 @@ def h2_vanishing_check(N: int, margin: int = 2, diagram_cap: int = 100000,
         for out_d, coeff in boundary(d).terms.items():
             idx = row_of[out_d]
             col[idx] = col.get(idx, RF_ZERO) + coeff
-        new_pivot = ech.insert(col)
-        while new_pivot is not None and new_pivot in stalled:
-            rids = stalled.pop(new_pivot)
-            new_pivot = None
-            for rid in rids:
-                if rid not in unresolved:
-                    continue
-                vec = ech.reduce(unresolved[rid])
-                if not vec:
-                    del unresolved[rid]
-                else:
-                    stalled.setdefault(min(vec), []).append(rid)
+        for rid in stalled.pop(ech.insert(clear_denominators(col)), ()):
+            settle(rid)
 
     failing = []
     for rid in sorted(unresolved):

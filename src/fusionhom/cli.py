@@ -368,7 +368,7 @@ def cmd_verify_all(args):
 # ---------------------------------------------------------------------------
 
 def _make_report(command, params, files, results, warnings, t0, extra_timing=None):
-    timing = {"runtime_ms": int((time.time() - t0) * 1000)}
+    timing = {"runtime_ms": int((time.perf_counter() - t0) * 1000)}
     if extra_timing:
         timing["per_criterion_ms"] = extra_timing
     return {
@@ -542,7 +542,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command = args.command
     params = _params_of(args, COMMAND_PARAMS[command])
-    t0 = time.time()
+    t0 = time.perf_counter()
     files = {}
     extra_timing = None
     exit_code = 0

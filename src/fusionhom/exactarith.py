@@ -2,19 +2,19 @@
 
 Scalars are rational functions in one formal variable delta with integer
 coefficients (`RatFunc`), stored in a reduced canonical form so that equal
-values always have equal representations.  Plain rationals are handled by
-the standard library `Fraction` (aliased `BigRat`) and embed as constant
-rational functions.
+values always have equal representations.  Plain rationals embed as
+constant rational functions (`RatFunc.from_fraction`).
 
-The elimination routines (`rank`, `kernel_basis`, `in_span`, `span_solve`)
-work on sparse matrices over these scalars and never leave exact
-arithmetic: rows are cleared to integer-coefficient polynomials and updated
-by cross-multiplication with per-row content stripping, so no fractions
-appear during elimination.  The pivot rule is deterministic: among all
-candidate entries, the one with the smallest (max degree, column index,
-row index) is chosen first, which keeps intermediate degrees low.
+One elimination engine, `Echelon`, backs `rank`, `kernel_basis`,
+`span_solve` and the annular homology checks.  Vectors are sparse dicts
+index -> integer polynomial with denominators cleared; two vectors are
+combined by cross-multiplying with their entries at the cancelled index
+divided by the gcd of those entries, and the result is divided by its
+content, so no fractions appear during elimination.  A vector's leading
+index is its smallest index, so pivots follow column order and stored
+pivot vectors never change while vectors are inserted.
 
-Floating-point evaluation (`eval_float`, `float_rank`) is provided
+Floating-point evaluation (`RatFunc.eval_float`, `float_rank`) is provided
 separately as a cheap probabilistic cross-check of the exact results.
 """
 
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-BigRat = Fraction
 
 
 class PoleAtPoint(ZeroDivisionError):
@@ -349,23 +347,6 @@ RF_ZERO = RatFunc.zero()
 RF_ONE = RatFunc.one()
 
 
-def ratfunc_arith(a: RatFunc, b: RatFunc, op: str) -> RatFunc:
-    """Named-operation wrapper over the four field operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def eval_float(a: RatFunc, delta: float) -> float:
-    return a.eval_float(delta)
-
-
 # ---------------------------------------------------------------------------
 # Scalar parsing (for the text file formats)
 # ---------------------------------------------------------------------------
@@ -552,32 +533,19 @@ class SparseMat:
 # Fraction-free elimination
 # ---------------------------------------------------------------------------
 
-def _cleared_rows(m: SparseMat, extra_col=None):
-    """Rows of m as dicts col -> IntPoly, denominators cleared per row.
+def clear_denominators(vec: dict) -> dict:
+    """Sparse RatFunc vector as index -> IntPoly, content stripped.
 
-    extra_col, if given, is a dict row -> RatFunc appended as column index
-    m.cols (used for augmented systems).  Row scaling preserves rank,
-    kernels, and solution sets.
+    Multiplies by the lcm of the denominators, so the result is a nonzero
+    polynomial multiple of vec and spans the same line.
     """
-    rows = [dict() for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        rows[r][c] = v
-    if extra_col:
-        for r, v in extra_col.items():
-            if v:
-                rows[r][m.cols] = v
-    cleared = []
-    for row in rows:
-        if not row:
-            cleared.append({})
-            continue
-        lcm = ONE_POLY
-        for v in row.values():
-            g = poly_gcd(lcm, v.den)
-            lcm = lcm.divexact(g) * v.den
-        out = {c: v.num * lcm.divexact(v.den) for c, v in row.items()}
-        cleared.append(_strip_row_content(out))
-    return cleared
+    lcm = ONE_POLY
+    for v in vec.values():
+        if v.den != ONE_POLY:
+            lcm = lcm.divexact(poly_gcd(lcm, v.den)) * v.den
+    return _strip_row_content(
+        {c: v.num if v.den == lcm else v.num * lcm.divexact(v.den)
+         for c, v in vec.items() if v})
 
 
 def _strip_row_content(row: dict) -> dict:
@@ -594,99 +562,137 @@ def _strip_row_content(row: dict) -> dict:
     return {c: v.divexact(g) for c, v in row.items()}
 
 
-def _eliminate(rows, pivot_cols_allowed=None):
-    """Fraction-free Gauss-Jordan elimination in place.
+def _cancel(vec: dict, row: dict, idx) -> dict:
+    """Fraction-free combination of vec and row with entry idx cancelled.
 
-    Pivot rule: smallest (max degree of entry, column index, row index)
-    first.  After each step the pivot column is zeroed in every other row,
-    so at the end each pivot column is supported on its pivot row alone.
-    Returns the list of (row index, pivot column) pairs.
+    Returns b/g * vec - a/g * row with a = vec[idx], b = row[idx] and
+    g = gcd(a, b), content stripped.  Neither argument is modified.
     """
-    pivots = []
-    pivoted_rows = set()
-    while True:
-        best = None
-        for r, row in enumerate(rows):
-            if r in pivoted_rows:
-                continue
-            for c, v in row.items():
-                if pivot_cols_allowed is not None and c not in pivot_cols_allowed:
-                    continue
-                key = (v.degree, c, r)
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-        if best is None:
-            break
-        _, pr, pc = best
-        pivot_row = rows[pr]
-        pval = pivot_row[pc]
-        for r, row in enumerate(rows):
-            if r == pr:
-                continue
-            coef = row.get(pc)
-            if coef is None:
-                continue
-            new = {}
-            for c, v in row.items():
-                if c == pc:
-                    continue
-                new[c] = v * pval
-            for c, v in pivot_row.items():
-                if c == pc:
-                    continue
-                term = v * coef
-                cur = new.get(c)
-                total = (cur - term) if cur is not None else -term
-                if total:
-                    new[c] = total
-                elif cur is not None:
-                    del new[c]
-            rows[r] = _strip_row_content(new)
-        pivots.append((pr, pc))
-        pivoted_rows.add(pr)
-    return pivots
+    a, b = vec[idx], row[idx]
+    g = poly_gcd(a, b)
+    if g != ONE_POLY:
+        a, b = a.divexact(g), b.divexact(g)
+    if b == ONE_POLY:
+        out = {c: v for c, v in vec.items() if c != idx}
+    else:
+        out = {c: v * b for c, v in vec.items() if c != idx}
+    for c, v in row.items():
+        if c == idx:
+            continue
+        term = v * a
+        cur = out.get(c)
+        total = (cur - term) if cur is not None else -term
+        if total:
+            out[c] = total
+        elif cur is not None:
+            del out[c]
+    return _strip_row_content(out)
+
+
+class Echelon:
+    """Incremental fraction-free row echelon over Z[delta].
+
+    Vectors are dicts index -> IntPoly with denominators cleared.  The
+    leading index of a vector is its smallest index, and at most one
+    stored pivot vector leads at each index.  Pivot vectors are never
+    changed by insert or reduce, so reductions can resume as new pivots
+    arrive.  back_substitute replaces each pivot vector by a combination
+    with the same leading index and the same span.
+    """
+
+    def __init__(self):
+        self.pivots = {}  # leading index -> pivot vector
+
+    def reduce(self, vec: dict) -> dict:
+        """vec reduced until zero or led by an index with no pivot.
+
+        The result spans the same line as vec modulo the pivots; the
+        argument is not modified.
+        """
+        while vec:
+            lead = min(vec)
+            row = self.pivots.get(lead)
+            if row is None:
+                return vec
+            vec = _cancel(vec, row, lead)
+        return vec
+
+    def insert(self, vec: dict):
+        """Reduce and store; returns the new pivot index or None."""
+        vec = self.reduce(vec)
+        if not vec:
+            return None
+        lead = min(vec)
+        self.pivots[lead] = vec
+        return lead
+
+    def back_substitute(self):
+        """Clear every pivot index from all other pivot vectors.
+
+        Afterwards the pivot vector leading at p is the only one with a
+        nonzero entry at p (reduced echelon form).  Leading indices are
+        unchanged, so insertion may continue.
+        """
+        for lead in sorted(self.pivots, reverse=True):
+            row = self.pivots[lead]
+            for idx in sorted(i for i in row if i != lead and i in self.pivots):
+                if idx in row:
+                    row = _cancel(row, self.pivots[idx], idx)
+            self.pivots[lead] = row
+
+
+def _echelon_of_rows(m: SparseMat, targets=()) -> Echelon:
+    """Echelon of the cleared rows of m, augmented by the targets.
+
+    Target t occupies column m.cols + t.  Row scaling preserves rank,
+    kernels and solution sets.
+    """
+    rows = [dict() for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        rows[r][c] = v
+    for t, target in enumerate(targets):
+        for r, v in enumerate(target):
+            if v:
+                rows[r][m.cols + t] = v
+    ech = Echelon()
+    for row in rows:
+        if row:
+            ech.insert(clear_denominators(row))
+    return ech
 
 
 def rank(m: SparseMat) -> int:
     """Rank over Q(delta) by fraction-free elimination."""
-    rows = _cleared_rows(m)
-    return len(_eliminate(rows))
+    return len(_echelon_of_rows(m).pivots)
 
 
 def kernel_basis(m: SparseMat):
-    """Basis of the right kernel of m over Q(delta).
+    """Basis of the right kernel of m over Q(delta), one vector per free
+    column.
 
     Each vector is returned as a dense list of RatFunc with polynomial
     entries (denominators cleared), common content stripped, and the first
     nonzero entry having a positive leading coefficient.
     """
-    rows = _cleared_rows(m)
-    pivots = _eliminate(rows)
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
+    ech = _echelon_of_rows(m)
+    ech.back_substitute()
     basis = []
-    for f in free_cols:
+    for f in range(m.cols):
+        if f in ech.pivots:
+            continue
         vec = {f: RF_ONE}
-        for r, p in pivots:
-            val = rows[r].get(f)
+        for p, row in ech.pivots.items():
+            val = row.get(f)
             if val:
-                vec[p] = RatFunc(-val, rows[r][p])
+                vec[p] = RatFunc(-val, row[p])
         basis.append(_clear_vector(vec, m.cols))
     return basis
 
 
 def _clear_vector(vec: dict, length: int):
-    """Dense RatFunc vector with denominators cleared and content 1."""
-    lcm = ONE_POLY
-    for v in vec.values():
-        g = poly_gcd(lcm, v.den)
-        lcm = lcm.divexact(g) * v.den
-    cleared = {c: v.num * lcm.divexact(v.den) for c, v in vec.items()}
-    g = ZERO_POLY
-    for v in cleared.values():
-        g = poly_gcd(g, v)
-    if g and (g.degree > 0 or g.leading > 1):
-        cleared = {c: v.divexact(g) for c, v in cleared.items()}
+    """Dense RatFunc vector with denominators cleared, content 1 and a
+    positive leading coefficient on the first nonzero entry."""
+    cleared = clear_denominators(vec)
     first = min(cleared) if cleared else None
     if first is not None and cleared[first].leading < 0:
         cleared = {c: -v for c, v in cleared.items()}
@@ -696,43 +702,39 @@ def _clear_vector(vec: dict, length: int):
     return out
 
 
-def in_span(v, columns: SparseMat) -> bool:
-    """True iff vector v (length columns.rows) lies in the column span."""
-    v = list(v)
-    if len(v) != columns.rows:
-        raise DimensionMismatch(
-            f"vector length {len(v)} vs {columns.rows} rows")
-    base = rank(columns)
-    aug = SparseMat(columns.rows, columns.cols + 1, dict(columns.entries))
-    for r, val in enumerate(v):
-        if val:
-            aug[r, columns.cols] = val
-    return rank(aug) == base
+def span_solve(columns: SparseMat, targets) -> list:
+    """Solve columns . x = v exactly for every target v in one elimination.
 
-
-def span_solve(columns: SparseMat, v):
-    """Solve columns . x = v exactly; returns list of RatFunc or None.
-
-    Unlike in_span this produces an explicit coefficient certificate.
+    Returns one entry per target: the list of RatFunc coefficients x (zero
+    on the non-pivot columns), or None when v is not in the column span.
+    Target t is inconsistent exactly when some echelon vector that vanishes
+    on every column of the matrix has a nonzero entry at its augmented
+    index columns.cols + t.
     """
-    v = list(v)
-    if len(v) != columns.rows:
-        raise DimensionMismatch(
-            f"vector length {len(v)} vs {columns.rows} rows")
-    extra = {r: val for r, val in enumerate(v) if val}
-    rows = _cleared_rows(columns, extra_col=extra)
-    pivots = _eliminate(rows, pivot_cols_allowed=set(range(columns.cols)))
-    aug = columns.cols
-    pivot_rows = {r for r, _ in pivots}
-    for r, row in enumerate(rows):
-        if r not in pivot_rows and row.get(aug):
-            return None
-    x = [RF_ZERO] * columns.cols
-    for r, p in pivots:
-        val = rows[r].get(aug)
-        if val:
-            x[p] = RatFunc(val, rows[r][p])
-    return x
+    targets = [list(v) for v in targets]
+    for v in targets:
+        if len(v) != columns.rows:
+            raise DimensionMismatch(
+                f"vector length {len(v)} vs {columns.rows} rows")
+    ech = _echelon_of_rows(columns, targets)
+    ech.back_substitute()
+    n = columns.cols
+    inconsistent = set()
+    for lead, row in ech.pivots.items():
+        if lead >= n:
+            inconsistent.update(c - n for c in row)
+    out = []
+    for t in range(len(targets)):
+        if t in inconsistent:
+            out.append(None)
+            continue
+        x = [RF_ZERO] * n
+        for p, row in ech.pivots.items():
+            val = row.get(n + t)
+            if p < n and val:
+                x[p] = RatFunc(val, row[p])
+        out.append(x)
+    return out
 
 
 def float_rank(m: SparseMat, delta: float) -> int:

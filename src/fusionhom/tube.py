@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import SizeLimit, ParseError, InvariantViolation
 from .exactarith import (RatFunc, RF_ONE, RF_ZERO, SparseMat, rank,
-                         kernel_basis, parse_scalar)
+                         parse_scalar)
 from .groups import Group, NotAGroup
 
 

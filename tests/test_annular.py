@@ -154,10 +154,13 @@ def test_h1_certificates_rebuild_the_cycle():
 
 
 def test_h2_window_contains_kernel():
-    report = h2_vanishing_check(4)
-    assert report["contained"]
-    assert not report["failing_vectors"]
-    assert report["kernel_dim"] > 0
+    # kernel_dim and columns_used do not depend on the kernel basis or the
+    # pivot order, so they are pinned
+    for n, pinned in ((3, (16, 69)), (4, (30, 170))):
+        report = h2_vanishing_check(n)
+        assert report["contained"]
+        assert not report["failing_vectors"]
+        assert (report["kernel_dim"], report["columns_used"]) == pinned
 
 
 def test_h2_with_no_generators_fails_honestly():

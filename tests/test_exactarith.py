@@ -20,15 +20,12 @@ from fusionhom.exactarith import (
     PoleAtPoint,
     RatFunc,
     SparseMat,
-    eval_float,
     float_rank,
-    in_span,
     kernel_basis,
     mat_vec,
     parse_scalar,
     poly_gcd,
     rank,
-    ratfunc_arith,
     span_solve,
 )
 
@@ -64,40 +61,40 @@ def test_poly_gcd_common_factor():
 
 
 def test_mul_monomials():
-    assert ratfunc_arith(DELTA, DELTA, "mul") == RatFunc.delta_power(2)
+    assert DELTA * DELTA == RatFunc.delta_power(2)
 
 
 def test_div_cancels_factor():
     num = RatFunc(IntPoly([-1, 0, 1]))
     den = RatFunc(IntPoly([-1, 1]))
-    assert ratfunc_arith(num, den, "div") == DELTA + RF_ONE
+    assert num / den == DELTA + RF_ONE
 
 
 def test_reduce_then_add():
     # (delta^2 + delta)/delta + 1 = delta + 2, which is 5 at delta=3
     q = RatFunc(IntPoly([0, 1, 1]), IntPoly([0, 1]))
-    total = ratfunc_arith(q, RF_ONE, "add")
+    total = q + RF_ONE
     assert total == DELTA + RatFunc.from_int(2)
     assert total.eval_float(3.0) == 5.0
 
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        ratfunc_arith(RF_ONE, RF_ZERO, "div")
+        RF_ONE / RF_ZERO
 
 
 def test_eval_float_square():
-    assert eval_float(RatFunc.delta_power(2), 2.0) == 4.0
+    assert RatFunc.delta_power(2).eval_float(2.0) == 4.0
 
 
 def test_eval_float_pole():
     recip = RF_ONE / (DELTA - RF_ONE)
     with pytest.raises(PoleAtPoint):
-        eval_float(recip, 1.0)
+        recip.eval_float(1.0)
 
 
 def test_eval_float_irrational_point():
-    val = eval_float(DELTA + RF_ONE, math.sqrt(2))
+    val = (DELTA + RF_ONE).eval_float(math.sqrt(2))
     assert abs(val - 2.41421356) < 1e-8
 
 
@@ -139,19 +136,21 @@ def test_kernel_of_row_vector():
 def test_in_span_first_column():
     m = _mat([["delta", 1], [0, "delta^2"], [1, 0]])
     first = [m[r, 0] for r in range(3)]
-    assert in_span(first, m)
+    assert span_solve(m, [first])[0] is not None
 
 
 def test_in_span_rejects_new_direction():
     m = _mat([[1, 0], [0, 1], [0, 0]])
     v = [RF_ZERO, RF_ZERO, RF_ONE]
-    assert not in_span(v, m)
+    assert span_solve(m, [v]) == [None]
 
 
 def test_in_span_dimension_mismatch():
     m = _mat([[1, 0], [0, 1]])
     with pytest.raises(DimensionMismatch):
-        in_span([RF_ONE], m)
+        span_solve(m, [[RF_ONE]])
+    with pytest.raises(DimensionMismatch):
+        span_solve(m, [[RF_ONE, RF_ZERO], [RF_ONE, RF_ZERO, RF_ZERO]])
 
 
 def test_span_solve_reproduces_combination():
@@ -159,8 +158,26 @@ def test_span_solve_reproduces_combination():
     col0 = [m[r, 0] for r in range(3)]
     col1 = [m[r, 1] for r in range(3)]
     target = [DELTA * a - b for a, b in zip(col0, col1)]
-    coeffs = span_solve(m, target)
-    assert coeffs == [DELTA, -RF_ONE]
+    assert span_solve(m, [target]) == [[DELTA, -RF_ONE]]
+
+
+def test_span_solve_mixed_targets_in_one_call():
+    m = _mat([["delta", 1], [1, 0], [0, "delta"], [0, 0]])
+    consistent = [DELTA * DELTA - RF_ONE, DELTA, -DELTA, RF_ZERO]
+    inconsistent = [RF_ZERO, RF_ZERO, RF_ZERO, RF_ONE]
+    zero = [RF_ZERO] * 4
+    x, bad, z = span_solve(m, [consistent, inconsistent, zero])
+    assert x == [DELTA, -RF_ONE]
+    assert mat_vec(m, x) == consistent
+    assert bad is None
+    assert z == [RF_ZERO, RF_ZERO]
+
+
+def test_span_solve_inconsistency_off_the_leading_index():
+    # both targets are inconsistent, but elimination leaves one echelon
+    # vector that leads at the first target's index only
+    m = _mat([[1], [1]])
+    assert span_solve(m, [[RF_ONE, RF_ZERO], [RF_ZERO, RF_ONE]]) == [None, None]
 
 
 def _random_matrix(rng, rows, cols, degree=3):
@@ -251,3 +268,8 @@ def test_rank_invariant_under_permutation_and_scaling(seed):
     scaled = SparseMat(4, 4, {(r, c): v * DELTA if r == 0 else v
                               for (r, c), v in m.entries.items()})
     assert rank(scaled) == base
+    cperm = list(range(4))
+    rng.shuffle(cperm)
+    permuted = SparseMat(4, 4, {(r, cperm[c]): v
+                                for (r, c), v in m.entries.items()})
+    assert rank(permuted) == base
