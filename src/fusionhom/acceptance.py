@@ -272,13 +272,13 @@ def crit_amenability(cfg):
                                   "f1")
     _check(k3["stable"] and k3["amenable"] is False,
            f"delta=3 kesten {k3}")
-    g2 = amenability.from_fusion_ring(fusion.tlj_ladder(160, delta=2.0),
+    g2 = amenability.from_fusion_ring(amenability.tlj_kesten_window(160, 2.0),
                                       generators=["f1"])
     rep2 = amenability.folner_search(g2, epsilon=0.05, max_size=200)
     _check(rep2.found, f"delta=2 folner best {rep2.best_ratio}")
     mu_bd, mu_f = amenability.boundary_measure(g2, rep2.set)
     _check(mu_bd / mu_f == rep2.ratio, "certificate did not re-verify")
-    g3 = amenability.from_fusion_ring(fusion.tlj_ladder(224, delta=3.0),
+    g3 = amenability.from_fusion_ring(amenability.tlj_kesten_window(224, 3.0),
                                       generators=["f1"])
     rep3 = amenability.folner_search(g3, epsilon=0.05, max_size=200)
     _check(not rep3.found and rep3.best_ratio > 0.05,

@@ -93,10 +93,12 @@ def from_fusion_ring(ring: FusionRing, generators=None, weights=None,
             raise ValueError("ring carries no float dims; pass weights")
         weights = {l: ring.dims[l] ** 2 for l in ring.labels}
     adjacency = {l: set() for l in ring.labels}
-    for (g, a, b), v in ring.N.items():
-        if g in gen_set and v > 0 and a != b:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
+    for g in gen_set:
+        for a in ring.labels:
+            for b, v in ring.row(g, a).items():
+                if v > 0 and a != b:
+                    adjacency[a].add(b)
+                    adjacency[b].add(a)
     return WeightedFusionGraph(ring.labels, weights, sorted(gen_set, key=str),
                                adjacency, truncated=ring.truncated,
                                frontier=ring.frontier,
@@ -152,25 +154,6 @@ def graph_from_text(text: str) -> WeightedFusionGraph:
     return WeightedFusionGraph(vertices, weight, generators, adjacency,
                                truncated=truncated, frontier=frontier,
                                name="from-file")
-
-
-def graph_to_text(g: WeightedFusionGraph) -> str:
-    for v in g.vertices:
-        if not str(v) or any(ch.isspace() for ch in str(v)):
-            raise ValueError(
-                f"vertex {v!r} is not a single token; relabel the ring first")
-    lines = [f"vertex: {v} {g.weight[v]!r}" for v in g.vertices]
-    lines.append("generators: " + " ".join(str(x) for x in g.generators))
-    seen = set()
-    for v in g.vertices:
-        for w in g.adjacency[v]:
-            if (w, v) not in seen:
-                seen.add((v, w))
-                lines.append(f"edge: {v} {w}")
-    if g.truncated:
-        lines.append("truncated: " + " ".join(
-            sorted((str(f) for f in g.frontier))))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +296,8 @@ def tlj_kesten_window(width: int, delta: float) -> FusionRing:
     fusion table (f1 . f_k = f_{k-1} + f_{k+1}); the full table grows
     as width^3 and is far too large at the window sizes the Kesten
     tolerance needs.  The f1 rows are exact for every window label, so
-    the generator matrix and its norm are unaffected.  The result is
+    the generator matrix, its norm and the f1 graph (from_fusion_ring
+    with generators ["f1"]) are those of the full ladder.  The result is
     not a complete fusion table: keep it away from verify_axioms.
     """
     if width < 2:
@@ -321,12 +305,9 @@ def tlj_kesten_window(width: int, delta: float) -> FusionRing:
     labels = tuple(f"f{i}" for i in range(width))
     N = {}
     for i in range(width):
-        N[labels[0], labels[i], labels[i]] = 1
-        N[labels[i], labels[0], labels[i]] = 1
-        for k in (i - 1, i + 1):
-            if 0 <= k < width:
-                N[labels[1], labels[i], labels[k]] = 1
-                N[labels[i], labels[1], labels[k]] = 1
+        N[labels[0], labels[i]] = N[labels[i], labels[0]] = {labels[i]: 1}
+        row = {labels[k]: 1 for k in (i - 1, i + 1) if 0 <= k < width}
+        N[labels[1], labels[i]] = N[labels[i], labels[1]] = row
     dual = {lab: lab for lab in labels}
     vals = [1.0, float(delta)]
     while len(vals) < width:
@@ -341,9 +322,10 @@ def _fusion_matrix(ring: FusionRing, generator, labels):
     import numpy as np
     idx = {l: i for i, l in enumerate(labels)}
     m = np.zeros((len(labels), len(labels)))
-    for (g, a, b), v in ring.N.items():
-        if g == generator and a in idx and b in idx:
-            m[idx[a], idx[b]] = v
+    for a in labels:
+        for b, v in ring.row(generator, a).items():
+            if b in idx:
+                m[idx[a], idx[b]] = v
     return m
 
 

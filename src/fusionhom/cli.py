@@ -108,16 +108,20 @@ def _inputs_block(params: dict, files: dict | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 def _build_ring(args, files):
-    chosen = [k for k in ("tlj", "group", "ladder", "ring") if getattr(args, k)]
+    chosen = [k for k in ("tlj", "group", "ladder", "ring")
+              if getattr(args, k) is not None]
     if len(chosen) != 1:
         raise InputError("choose exactly one of --tlj/--group/--ladder/--ring")
     kind = chosen[0]
-    if kind == "tlj":
-        return fusion.tlj_even(args.tlj)
     if kind == "group":
         return fusion.relabel(fusion.from_group(_group_by_name(args.group)))
-    if kind == "ladder":
-        return fusion.tlj_ladder(args.ladder, delta=args.delta)
+    try:
+        if kind == "tlj":
+            return fusion.tlj_even(args.tlj)
+        if kind == "ladder":
+            return fusion.tlj_ladder(args.ladder, delta=args.delta)
+    except ValueError as exc:
+        raise InputError(f"--{kind} {getattr(args, kind)}: {exc}")
     text = _read_file(args.ring)
     files[args.ring] = text
     try:
@@ -270,12 +274,18 @@ def cmd_betti(args):
     return results, list(profile.warnings), {}
 
 
+def _ladder_window(width, delta, flag):
+    if width < 2:
+        raise InputError(f"{flag} {width}: the ladder window needs width >= 2")
+    return amenability.tlj_kesten_window(width, delta)
+
+
 def cmd_amenability(args):
     files = {}
     warnings = []
     results = {}
     if args.graph:
-        if args.check in ("kesten", "both") and not args.ladder_delta:
+        if args.check in ("kesten", "both") and args.ladder_delta is None:
             raise InputError("kesten needs a fusion ring window; "
                              "use --ladder-delta or --check folner")
         text = _read_file(args.graph)
@@ -284,13 +294,16 @@ def cmd_amenability(args):
             graph = amenability.graph_from_text(text)
         except ValueError as exc:
             raise InputError(f"graph file rejected: {exc}")
-    elif args.ladder_delta:
+    elif args.ladder_delta is not None:
         graph = None
     else:
         raise InputError("choose --ladder-delta or --graph")
 
-    if args.check in ("kesten", "both") and args.ladder_delta:
-        window = amenability.tlj_kesten_window(args.window, args.ladder_delta)
+    if args.check in ("kesten", "both") and args.ladder_delta is not None:
+        window = _ladder_window(args.window, args.ladder_delta, "--window")
+        if args.generator not in window.index:
+            raise InputError(f"--generator {args.generator} is not a label "
+                             f"of the window f0..f{args.window - 1}")
         rep = amenability.kesten_check(window, args.generator)
         results["kesten"] = {
             "generator": args.generator,
@@ -305,9 +318,15 @@ def cmd_amenability(args):
                                results, warnings)
     if args.check in ("folner", "both"):
         if graph is None:
-            ladder = fusion.tlj_ladder(args.folner_window,
-                                       delta=args.ladder_delta)
-            graph = amenability.from_fusion_ring(ladder, generators=["f1"])
+            window = _ladder_window(args.folner_window, args.ladder_delta,
+                                    "--folner-window")
+            try:
+                graph = amenability.from_fusion_ring(window,
+                                                     generators=["f1"])
+            except ValueError as exc:  # a window dimension is not positive
+                raise InputError(f"--ladder-delta {args.ladder_delta}: {exc}")
+        if args.epsilon <= 0:
+            raise InputError(f"--epsilon {args.epsilon}: must be positive")
         try:
             rep = amenability.folner_search(graph, epsilon=args.epsilon,
                                             max_size=args.max_size,
@@ -527,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("balls", "greedy"),
                    default="balls")
     p.add_argument("--folner-window", type=_intarg, default=224,
-                   help="full-table window width for the Folner graph")
+                   help="ladder window width for the Folner graph")
 
     p = add_parser("verify-all", help="run the full acceptance matrix")
     p.add_argument("--chain-cap", type=_intarg)

@@ -680,26 +680,24 @@ def kernel_basis(m: SparseMat):
     for f in range(m.cols):
         if f in ech.pivots:
             continue
-        vec = {f: RF_ONE}
-        for p, row in ech.pivots.items():
-            val = row.get(f)
-            if val:
-                vec[p] = RatFunc(-val, row[p])
-        basis.append(_clear_vector(vec, m.cols))
+        # x_f = 1 and x_p = -row[f] / row[p], scaled by the lcm of the
+        # pivot entries involved so that every entry is a polynomial
+        involved = [(p, row) for p, row in ech.pivots.items() if row.get(f)]
+        lcm = ONE_POLY
+        for p, row in involved:
+            if row[p] != lcm:
+                lcm = lcm.divexact(poly_gcd(lcm, row[p])) * row[p]
+        vec = {f: lcm}
+        for p, row in involved:
+            vec[p] = -row[f] * lcm.divexact(row[p])
+        vec = _strip_row_content(vec)
+        if vec[min(vec)].leading < 0:
+            vec = {c: -v for c, v in vec.items()}
+        out = [RF_ZERO] * m.cols
+        for c, v in vec.items():
+            out[c] = RatFunc(v)
+        basis.append(out)
     return basis
-
-
-def _clear_vector(vec: dict, length: int):
-    """Dense RatFunc vector with denominators cleared, content 1 and a
-    positive leading coefficient on the first nonzero entry."""
-    cleared = clear_denominators(vec)
-    first = min(cleared) if cleared else None
-    if first is not None and cleared[first].leading < 0:
-        cleared = {c: -v for c, v in cleared.items()}
-    out = [RF_ZERO] * length
-    for c, v in cleared.items():
-        out[c] = RatFunc(v)
-    return out
 
 
 def span_solve(columns: SparseMat, targets) -> list:

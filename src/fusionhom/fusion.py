@@ -31,9 +31,10 @@ class InvalidRingFile(ValueError):
 class FusionRing:
     """Based ring with nonnegative structure constants.
 
-    N is a dict (a, b, c) -> positive int with zero entries omitted.
-    dims maps labels to positive floats; dims_exact (optional) maps labels
-    to RatFunc values in delta.
+    N holds one product row per pair: N[a, b] = {c: N(a, b, c)}, each row
+    in label order with zero entries and empty rows omitted.  dims maps
+    labels to positive floats; dims_exact (optional) maps labels to
+    RatFunc values in delta.
     """
 
     def __init__(self, labels, dual, N, dims=None, dims_exact=None,
@@ -41,7 +42,12 @@ class FusionRing:
         self.labels = tuple(labels)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.dual = dict(dual)
-        self.N = {k: v for k, v in N.items() if v}
+        order = self.index.__getitem__
+        self.N = {}
+        for pair, row in N.items():
+            row = {c: row[c] for c in sorted(row, key=order) if row[c]}
+            if row:
+                self.N[pair] = row
         self.dims = dict(dims) if dims else None
         self.dims_exact = dict(dims_exact) if dims_exact else None
         self.truncated = truncated
@@ -55,12 +61,16 @@ class FusionRing:
     def __len__(self):
         return len(self.labels)
 
+    def row(self, a, b) -> dict:
+        """{c: N(a, b, c)} over the labels in a . b, in label order."""
+        return self.N.get((a, b), {})
+
     def mult(self, a, b, c) -> int:
-        return self.N.get((a, b, c), 0)
+        return self.row(a, b).get(c, 0)
 
     def support(self, a, b):
         """Labels appearing in a . b, in label order."""
-        return [c for c in self.labels if (a, b, c) in self.N]
+        return list(self.row(a, b))
 
     def global_index(self) -> float:
         return sum(self.dims[a] ** 2 for a in self.labels)
@@ -79,18 +89,29 @@ class FusionRing:
         return f"FusionRing({tag})"
 
 
-def _checkable(ring: FusionRing, *labels) -> bool:
-    """A check may use these labels if no frontier label is involved and
-    no pairwise product among them is clipped at the frontier."""
+def _checker(ring: FusionRing):
+    """Predicate on labels: a check may use them if no frontier label is
+    involved and no pairwise product among them is clipped at the
+    frontier."""
     if not ring.truncated:
-        return True
-    if any(l in ring.frontier for l in labels):
-        return False
-    for a in labels:
-        for b in labels:
-            if any(c in ring.frontier for c in ring.support(a, b)):
-                return False
-    return True
+        return lambda *labels: True
+    frontier = ring.frontier
+    clipped = {pair for pair, row in ring.N.items()
+               if not frontier.isdisjoint(row)}
+
+    def checkable(*labels):
+        return frontier.isdisjoint(labels) and not any(
+            (a, b) in clipped for a in labels for b in labels)
+    return checkable
+
+
+def _combine(coeffs: dict, row_of) -> dict:
+    """sum_x coeffs[x] * row_of(x), as a sparse dict."""
+    out = {}
+    for x, k in coeffs.items():
+        for d, v in row_of(x).items():
+            out[d] = out.get(d, 0) + k * v
+    return out
 
 
 def verify_axioms(ring: FusionRing, dim_tol=1e-9):
@@ -104,6 +125,8 @@ def verify_axioms(ring: FusionRing, dim_tol=1e-9):
     failures = []
     labels = ring.labels
     unit = ring.unit
+    order = ring.index.__getitem__
+    checkable = _checker(ring)
 
     if ring.dual.get(unit) != unit:
         failures.append(f"dual(unit) = {ring.dual.get(unit)} != unit")
@@ -120,10 +143,10 @@ def verify_axioms(ring: FusionRing, dim_tol=1e-9):
             if ring.mult(b, unit, c) != want:
                 failures.append(f"unit law fails: N({b},unit,{c}) != {want}")
 
-    for (a, b, c), v in sorted(ring.N.items(), key=_key(ring)):
+    for a, b, c, v in _triples(ring):
         if v < 0:
             failures.append(f"negative multiplicity at ({a},{b},{c})")
-        if not _checkable(ring, a, b, c):
+        if not checkable(a, b, c):
             continue
         da, db, dc = ring.dual[a], ring.dual[b], ring.dual[c]
         if ring.mult(db, da, dc) != v:
@@ -135,29 +158,31 @@ def verify_axioms(ring: FusionRing, dim_tol=1e-9):
                 f"Frobenius fails: N({a},{b},{c})={v} but "
                 f"N({da},{c},{b})={ring.mult(da, c, b)}")
 
+    # (a . b) . g against a . (b . g), one product row per side
     for a in labels:
         for b in labels:
+            ab = ring.row(a, b)
             for g in labels:
-                if not _checkable(ring, a, b, g):
+                if not checkable(a, b, g):
                     continue
-                for d in labels:
-                    lhs = sum(ring.mult(a, b, x) * ring.mult(x, g, d)
-                              for x in ring.support(a, b))
-                    rhs = sum(ring.mult(b, g, y) * ring.mult(a, y, d)
-                              for y in ring.support(b, g))
-                    if lhs != rhs:
+                lhs = _combine(ab, lambda x: ring.row(x, g))
+                rhs = _combine(ring.row(b, g), lambda y: ring.row(a, y))
+                if lhs == rhs:
+                    continue
+                for d in sorted(lhs.keys() | rhs.keys(), key=order):
+                    left, right = lhs.get(d, 0), rhs.get(d, 0)
+                    if left != right:
                         failures.append(
                             f"associativity fails at ({a},{b},{g})->{d}: "
-                            f"{lhs} != {rhs}")
+                            f"{left} != {right}")
 
     if ring.dims is not None:
         for a in labels:
             for b in labels:
-                if not _checkable(ring, a, b):
+                if not checkable(a, b):
                     continue
                 lhs = ring.dims[a] * ring.dims[b]
-                rhs = sum(v * ring.dims[c] for (x, y, c), v in ring.N.items()
-                          if x == a and y == b)
+                rhs = sum(v * ring.dims[c] for c, v in ring.row(a, b).items())
                 if abs(lhs - rhs) > dim_tol * max(1.0, abs(lhs)):
                     failures.append(
                         f"dimension equation fails at ({a},{b}): "
@@ -165,21 +190,25 @@ def verify_axioms(ring: FusionRing, dim_tol=1e-9):
     if ring.dims_exact is not None:
         for a in labels:
             for b in labels:
-                if not _checkable(ring, a, b):
+                if not checkable(a, b):
                     continue
                 lhs = ring.dims_exact[a] * ring.dims_exact[b]
                 rhs = RF_ZERO
-                for c in ring.support(a, b):
-                    rhs = rhs + RatFunc.from_int(ring.mult(a, b, c)) * ring.dims_exact[c]
+                for c, v in ring.row(a, b).items():
+                    rhs = rhs + RatFunc.from_int(v) * ring.dims_exact[c]
                 if lhs != rhs:
                     failures.append(
                         f"exact dimension equation fails at ({a},{b})")
     return failures
 
 
-def _key(ring):
-    idx = ring.index
-    return lambda item: (idx[item[0][0]], idx[item[0][1]], idx[item[0][2]])
+def _triples(ring):
+    """(a, b, c, N(a, b, c)) for every stored entry, in label order."""
+    order = ring.index.__getitem__
+    for a, b in sorted(ring.N, key=lambda pair: (order(pair[0]),
+                                                 order(pair[1]))):
+        for c, v in ring.N[a, b].items():
+            yield a, b, c, v
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +220,7 @@ def from_group(group: Group) -> FusionRing:
     if not isinstance(group, Group):
         raise NotAGroup("expected a validated Group instance")
     labels = group.elements
-    N = {}
-    for g in labels:
-        for h in labels:
-            N[g, h, group.mul[g, h]] = 1
+    N = {(g, h): {group.mul[g, h]: 1} for g in labels for h in labels}
     dims = {g: 1.0 for g in labels}
     dims_exact = {g: RF_ONE for g in labels}
     return FusionRing(labels, dict(group.inv), N, dims, dims_exact,
@@ -218,8 +244,8 @@ def tlj_even(n: int) -> FusionRing:
         for j in range(half + 1):
             lo = abs(i - j)
             hi = min(i + j, (n - 1) - i - j)
-            for k in range(lo, hi + 1):
-                N[labels[i], labels[j], labels[k]] = 1
+            N[labels[i], labels[j]] = {labels[k]: 1
+                                       for k in range(lo, hi + 1)}
     q = math.pi / (n + 1)
     dims = {labels[i]: math.sin((2 * i + 1) * q) / math.sin(q)
             for i in range(half + 1)}
@@ -259,8 +285,9 @@ def tlj_ladder(width: int, delta: float | None = None) -> FusionRing:
     N = {}
     for i in range(width):
         for j in range(width):
-            for k in range(abs(i - j), min(i + j, width - 1) + 1, 2):
-                N[labels[i], labels[j], labels[k]] = 1
+            N[labels[i], labels[j]] = {
+                labels[k]: 1
+                for k in range(abs(i - j), min(i + j, width - 1) + 1, 2)}
     dual = {lab: lab for lab in labels}
     exact = dict(zip(labels, chebyshev_dims(width)))
     dims = None
@@ -275,29 +302,6 @@ def tlj_ladder(width: int, delta: float | None = None) -> FusionRing:
     return FusionRing(labels, dual, N, dims, exact,
                       truncated=True, frontier=frontier,
                       name=f"TLJ_ladder({width})")
-
-
-def product(r1: FusionRing, r2: FusionRing) -> FusionRing:
-    """Direct (Deligne-style) product: labels are pairs, N multiplies."""
-    labels = tuple((a, b) for a in r1.labels for b in r2.labels)
-    dual = {(a, b): (r1.dual[a], r2.dual[b]) for a, b in labels}
-    N = {}
-    for (a1, b1, c1), v1 in r1.N.items():
-        for (a2, b2, c2), v2 in r2.N.items():
-            N[(a1, a2), (b1, b2), (c1, c2)] = v1 * v2
-    dims = None
-    if r1.dims is not None and r2.dims is not None:
-        dims = {(a, b): r1.dims[a] * r2.dims[b] for a, b in labels}
-    dims_exact = None
-    if r1.dims_exact is not None and r2.dims_exact is not None:
-        dims_exact = {(a, b): r1.dims_exact[a] * r2.dims_exact[b]
-                      for a, b in labels}
-    frontier = {(a, b) for a, b in labels
-                if a in r1.frontier or b in r2.frontier}
-    return FusionRing(labels, dual, N, dims, dims_exact,
-                      truncated=r1.truncated or r2.truncated,
-                      frontier=frontier,
-                      name=f"{r1.name} x {r2.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +320,9 @@ def perron_dims(ring: FusionRing, max_iter=200000):
     n = len(ring.labels)
     idx = ring.index
     M = np.zeros((n, n))
-    for (a, b, c), v in ring.N.items():
-        M[idx[b], idx[c]] += v
+    for (a, b), row in ring.N.items():
+        for c, v in row.items():
+            M[idx[b], idx[c]] += v
 
     # connectivity of the undirected support graph
     adj = [set() for _ in range(n)]
@@ -437,8 +442,8 @@ def relabel(ring: FusionRing, mapping=None) -> FusionRing:
         mapping = {lab: f"x{i}" for i, lab in enumerate(ring.labels)}
     labels = tuple(mapping[l] for l in ring.labels)
     dual = {mapping[a]: mapping[b] for a, b in ring.dual.items()}
-    N = {(mapping[a], mapping[b], mapping[c]): v
-         for (a, b, c), v in ring.N.items()}
+    N = {(mapping[a], mapping[b]): {mapping[c]: v for c, v in row.items()}
+         for (a, b), row in ring.N.items()}
     dims = ({mapping[l]: v for l, v in ring.dims.items()}
             if ring.dims is not None else None)
     dims_exact = ({mapping[l]: v for l, v in ring.dims_exact.items()}
@@ -472,7 +477,7 @@ def ring_to_text(ring: FusionRing) -> str:
         lines.append("truncated: " + " ".join(
             str(l) for l in sorted(ring.frontier, key=ring.index.get)))
     lines.append("N:")
-    for (a, b, c), v in sorted(ring.N.items(), key=_key(ring)):
+    for a, b, c, v in _triples(ring):
         lines.append(f"{a} {b} {c} {v}")
     return "\n".join(lines) + "\n"
 
@@ -544,9 +549,10 @@ def ring_from_text(text: str) -> FusionRing:
             raise InvalidRingFile(f"bad multiplicity in line: {line!r}")
         if mult < 0:
             raise InvalidRingFile(f"negative multiplicity in line: {line!r}")
-        if (a, b, c) in N:
+        row = N.setdefault((a, b), {})
+        if c in row:
             raise InvalidRingFile(f"duplicate body line for ({a},{b},{c})")
-        N[a, b, c] = mult
+        row[c] = mult
     truncated = frontier_line is not None
     frontier = set()
     if truncated:

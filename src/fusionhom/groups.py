@@ -125,15 +125,3 @@ def symmetric(n: int) -> Group:
         inv[a] = tuple(ia)
     return Group(elems, mul, inv, name=f"S{n}")
 
-
-def conjugacy_classes(g: Group):
-    """Partition of the elements into conjugacy classes (sorted reps)."""
-    seen = set()
-    classes = []
-    for a in g.elements:
-        if a in seen:
-            continue
-        cls = {g.mul[g.mul[x, a], g.inv[x]] for x in g.elements}
-        seen |= cls
-        classes.append(sorted(cls, key=g.elements.index))
-    return classes

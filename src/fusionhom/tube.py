@@ -421,40 +421,8 @@ def fusion_corner(A: TubeAlgebra, ring, bijection=None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Center and bar homology
+# Bar homology
 # ---------------------------------------------------------------------------
-
-def center_dim(A: TubeAlgebra) -> int:
-    """Dimension of {z : za = az for all a}, by exact kernel computation."""
-    n = A.dim()
-    idx = A.index
-    rows = {}
-
-    def add(r, c, v):
-        key = (r, c)
-        cur = rows.get(key, RF_ZERO) + v
-        if cur:
-            rows[key] = cur
-        elif key in rows:
-            del rows[key]
-
-    # rows indexed by (test element a, output component y); cols by z-component x
-    row_of = {}
-    for ai, a in enumerate(A.basis):
-        for x in A.basis:
-            for y, coeff in A.mult_elems(x, a).items():
-                add(_row(row_of, (ai, y)), idx[x], coeff)
-            for y, coeff in A.mult_elems(a, x).items():
-                add(_row(row_of, (ai, y)), idx[x], -coeff)
-    m = SparseMat(len(row_of), n, rows)
-    return n - rank(m)
-
-
-def _row(table, key):
-    if key not in table:
-        table[key] = len(table)
-    return table[key]
-
 
 class HomologyReport:
     """Exact homology dimensions of the collapsed bar complex."""

@@ -5,10 +5,9 @@ import pytest
 from fusionhom.amenability import (TruncationInconclusive, WeightedFusionGraph,
                                    boundary_measure, folner_search,
                                    from_fusion_ring, graph_from_text,
-                                   graph_to_text, kesten_check,
-                                   tlj_kesten_window)
-from fusionhom.fusion import from_group, relabel, tlj_ladder
-from fusionhom.groups import cyclic, symmetric
+                                   kesten_check, tlj_kesten_window)
+from fusionhom.fusion import from_group, tlj_ladder
+from fusionhom.groups import cyclic
 
 
 def ladder_graph(width, delta):
@@ -87,6 +86,16 @@ def test_kesten_window_matches_full_ring():
     slim = kesten_check(tlj_kesten_window(64, 2.0), "f1")
     full = kesten_check(tlj_ladder(64, delta=2.0), "f1")
     assert slim["graph_norm"] == pytest.approx(full["graph_norm"], abs=1e-12)
+    # the f1 graph of the slim window is the f1 graph of the full ladder
+    for width, delta in ((64, 2.0), (64, 3.0), (2, 2.0)):
+        slim = from_fusion_ring(tlj_kesten_window(width, delta),
+                                generators=["f1"])
+        full = from_fusion_ring(tlj_ladder(width, delta=delta),
+                                generators=["f1"])
+        assert slim.vertices == full.vertices
+        assert slim.weight == full.weight
+        assert slim.adjacency == full.adjacency
+        assert slim.frontier == full.frontier
 
 
 def test_kesten_norms_increase_with_window():
@@ -118,19 +127,25 @@ def test_kesten_on_finite_group_ring():
 
 
 def test_graph_text_round_trip():
-    g = from_fusion_ring(relabel(from_group(symmetric(3))))
-    txt = graph_to_text(g)
-    h = graph_from_text(txt)
-    assert h.vertices == g.vertices
-    assert h.generators == g.generators
-    assert h.adjacency == g.adjacency
-    assert graph_to_text(h) == txt
-
-
-def test_graph_text_rejects_multiword_labels():
-    g = from_fusion_ring(from_group(symmetric(3)))
-    with pytest.raises(ValueError, match="token"):
-        graph_to_text(g)
+    # the graph of Z/3 with generators 1 and 2, written out by hand
+    h = graph_from_text(
+        "# Z3\n"
+        "vertex: x0 1.0\nvertex: x1 1.0\nvertex: x2 1.0\n"
+        "generators: x1 x2\n"
+        "edge: x0 x1\nedge: x0 x2\nedge: x1 x2\nedge: x1 x0\n")
+    g = from_fusion_ring(from_group(cyclic(3)))
+    assert h.vertices == ("x0", "x1", "x2")
+    assert h.generators == ("x1", "x2")
+    assert h.weight == {"x0": 1.0, "x1": 1.0, "x2": 1.0}
+    assert h.adjacency == {"x0": ("x1", "x2"), "x1": ("x0", "x2"),
+                           "x2": ("x0", "x1")}
+    assert not h.truncated
+    relabelled = {f"x{v}": tuple(f"x{w}" for w in nbrs)
+                  for v, nbrs in g.adjacency.items()}
+    assert h.adjacency == relabelled
+    window = graph_from_text("vertex: a 1.0\nvertex: b 4.0\n"
+                             "generators: b\nedge: a b\ntruncated: b\n")
+    assert window.truncated and window.frontier == frozenset({"b"})
 
 
 @pytest.mark.parametrize("text", [

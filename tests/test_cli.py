@@ -166,3 +166,25 @@ def test_fusion_ladder_summary():
     assert code == 0
     assert report["results"]["verified"]
     assert report["results"]["labels"] == 8
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("amenability", "--check", "kesten", "--ladder-delta", "2.0",
+      "--window", "1"), "--window 1"),
+    (("amenability", "--check", "kesten", "--ladder-delta", "2.0",
+      "--window", "8", "--generator", "f9999"), "--generator f9999"),
+    (("amenability", "--check", "folner", "--ladder-delta", "2.0",
+      "--folner-window", "0"), "--folner-window 0"),
+    (("amenability", "--check", "folner", "--ladder-delta", "1.0",
+      "--folner-window", "8"), "--ladder-delta 1.0"),
+    (("amenability", "--check", "folner", "--ladder-delta", "2.0",
+      "--folner-window", "8", "--epsilon", "0"), "--epsilon 0"),
+    (("fusion", "--ladder", "0"), "--ladder 0"),
+    (("fusion", "--tlj", "1"), "--tlj 1"),
+], ids=["kesten-window", "unknown-generator", "folner-window",
+        "nonpositive-weight", "epsilon", "ladder-zero", "tlj-one"])
+def test_out_of_range_flags_are_input_errors(argv, message):
+    code, report = run_json(*argv)
+    assert code == 1
+    assert report["error"]["type"] == "InputError"
+    assert message in report["error"]["message"]

@@ -7,8 +7,8 @@ import pytest
 from fusionhom.exactarith import RF_ONE, RatFunc
 from fusionhom.fusion import (FusionRing, InvalidRingFile, NotConnected,
                               beta0, chebyshev_dims, from_group,
-                              hochschild_h1_witness, perron_dims, product,
-                              relabel, ring_from_text, ring_to_text, tlj_even,
+                              hochschild_h1_witness, perron_dims, relabel,
+                              ring_from_text, ring_to_text, tlj_even,
                               tlj_global_index, tlj_ladder, verify_axioms)
 from fusionhom.groups import cyclic, dihedral, symmetric
 
@@ -61,15 +61,6 @@ def test_ladder_exact_dims_match_floats():
             ring.dims[lab], rel=1e-9)
 
 
-def test_product_ring_multiplies_index():
-    a = from_group(cyclic(2))
-    b = tlj_even(5)
-    prod = product(a, b)
-    assert verify_axioms(prod) == []
-    assert prod.global_index() == pytest.approx(
-        a.global_index() * b.global_index())
-
-
 def test_perron_matches_stored_dims():
     ring = tlj_even(7)
     computed = perron_dims(ring)
@@ -81,7 +72,7 @@ def test_perron_matches_stored_dims():
 
 def test_perron_rejects_disconnected():
     labels = ("e", "x")
-    N = {("e", "e", "e"): 1, ("e", "x", "x"): 1}
+    N = {("e", "e"): {"e": 1}, ("e", "x"): {"x": 1}}
     ring = FusionRing(labels, {"e": "e", "x": "x"}, N)
     with pytest.raises(NotConnected):
         perron_dims(ring)
@@ -136,6 +127,21 @@ def test_truncated_ring_file_keeps_dims_unset():
     assert loaded.dims is None
 
 
+def test_ladder_ring_text_is_pinned():
+    assert ring_to_text(tlj_ladder(4, delta=2.0)) == (
+        "labels: f0 f1 f2 f3\n"
+        "dual: f0 f1 f2 f3\n"
+        "dims: 1.0 2.0 3.0 4.0\n"
+        "dims-exact: 1 ; delta ; delta^2 - 1 ; delta^3 - 2*delta\n"
+        "truncated: f2 f3\n"
+        "N:\n"
+        "f0 f0 f0 1\nf0 f1 f1 1\nf0 f2 f2 1\nf0 f3 f3 1\n"
+        "f1 f0 f1 1\nf1 f1 f0 1\nf1 f1 f2 1\nf1 f2 f1 1\nf1 f2 f3 1\n"
+        "f1 f3 f2 1\nf2 f0 f2 1\nf2 f1 f1 1\nf2 f1 f3 1\nf2 f2 f0 1\n"
+        "f2 f2 f2 1\nf2 f3 f1 1\nf2 f3 f3 1\nf3 f0 f3 1\nf3 f1 f2 1\n"
+        "f3 f2 f1 1\nf3 f2 f3 1\nf3 f3 f0 1\nf3 f3 f2 1\n")
+
+
 def test_ring_to_text_rejects_spaced_labels():
     ring = from_group(symmetric(3))
     with pytest.raises(ValueError):
@@ -148,8 +154,26 @@ def test_ring_file_rejects_broken_associativity():
     # x1 * x1 = x2 in Z/3; retarget the product to x1
     bad = text.replace("x1 x1 x2 1", "x1 x1 x1 1")
     assert bad != text
-    with pytest.raises(InvalidRingFile):
+    with pytest.raises(InvalidRingFile, match=r"^Frobenius fails: "
+                       r"N\(x1,x1,x1\)=1 but N\(x2,x2,x2\)=0$"):
         ring_from_text(bad)
+    N = dict(ring.N)
+    N["x1", "x1"] = {"x1": 1}
+    broken = FusionRing(ring.labels, ring.dual, N, ring.dims, ring.dims_exact)
+    assert verify_axioms(broken) == [
+        "Frobenius fails: N(x1,x1,x1)=1 but N(x2,x2,x2)=0",
+        "Frobenius fails: N(x1,x1,x1)=1 but N(x2,x1,x1)=0",
+        "Frobenius fails: N(x2,x2,x1)=1 but N(x1,x1,x2)=0",
+        "Frobenius fails: N(x2,x2,x1)=1 but N(x1,x1,x2)=0",
+        "associativity fails at (x1,x1,x2)->x0: 1 != 0",
+        "associativity fails at (x1,x1,x2)->x1: 0 != 1",
+        "associativity fails at (x1,x2,x2)->x1: 0 != 1",
+        "associativity fails at (x1,x2,x2)->x2: 1 != 0",
+        "associativity fails at (x2,x1,x1)->x0: 0 != 1",
+        "associativity fails at (x2,x1,x1)->x1: 1 != 0",
+        "associativity fails at (x2,x2,x1)->x1: 1 != 0",
+        "associativity fails at (x2,x2,x1)->x2: 0 != 1",
+    ]
 
 
 def test_ring_file_rejects_junk():

@@ -2,8 +2,7 @@
 
 import pytest
 
-from fusionhom.groups import (Group, NotAGroup, conjugacy_classes, cyclic,
-                              dihedral, symmetric)
+from fusionhom.groups import Group, NotAGroup, cyclic, dihedral, symmetric
 
 
 def test_cyclic_orders():
@@ -53,15 +52,3 @@ def test_not_a_group_nonassociative():
     with pytest.raises(NotAGroup, match="associativity"):
         Group(elems, mul, inv, name="bent")
 
-
-def test_conjugacy_class_counts():
-    assert len(conjugacy_classes(cyclic(5))) == 5
-    assert len(conjugacy_classes(symmetric(3))) == 3
-    assert len(conjugacy_classes(dihedral(4))) == 5
-
-
-def test_conjugacy_classes_partition():
-    g = symmetric(3)
-    classes = conjugacy_classes(g)
-    seen = [x for cls in classes for x in cls]
-    assert sorted(seen) == sorted(g.elements)

@@ -6,7 +6,7 @@ from fusionhom.errors import InvariantViolation, ParseError, SizeLimit
 from fusionhom.exactarith import RatFunc
 from fusionhom.fusion import from_group
 from fusionhom.groups import cyclic, dihedral, symmetric
-from fusionhom.tube import (bar_boundary_matrix, bar_chain_basis, center_dim,
+from fusionhom.tube import (bar_boundary_matrix, bar_chain_basis,
                             fusion_corner, trivial_homology, tube_from_group,
                             tube_from_text, tube_to_text, verify_identities)
 
@@ -50,12 +50,6 @@ def test_corner_mismatch_is_reported():
     report = fusion_corner(tube_from_group(cyclic(2)), from_group(cyclic(3)))
     assert not report["isomorphic"]
     assert report["mismatch"]
-
-
-def test_center_dimension():
-    assert center_dim(tube_from_group(cyclic(2))) == 4
-    assert center_dim(tube_from_group(cyclic(3))) == 9
-    assert center_dim(tube_from_group(symmetric(3))) == 8
 
 
 def test_bar_chain_dims_are_powers():
