@@ -25,8 +25,9 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import SizeLimit
-from .exactarith import (Echelon, RatFunc, RF_ONE, RF_ZERO, SparseMat,
-                         clear_denominators, kernel_basis, rank, span_solve)
+from .exactarith import (Echelon, IntPoly, RatFunc, RF_ONE, RF_ZERO,
+                         SparseMat, ZERO_POLY, clear_denominators,
+                         kernel_basis, rank, span_solve)
 
 
 class UnsupportedDegree(ValueError):
@@ -229,13 +230,14 @@ def single(d: CircleDiagram, coeff=RF_ONE) -> ChainVector:
 # Puncture filling and the boundary
 # ---------------------------------------------------------------------------
 
-def fill_puncture(d: CircleDiagram, j: int) -> ChainVector:
+def fill_puncture(d: CircleDiagram, j: int) -> tuple[CircleDiagram, int]:
     """Fill puncture j (finite q_{j+1} for j < k, infinity for j = k).
 
-    Returns delta^(deleted circles) times the surviving diagram of degree
-    k-1.  Shading transport: finite fills keep the bit; filling infinity
-    flips it by the deleted-circle parity at degree 2 and by the total
-    multiplicity around the promoted puncture at degree 3.
+    Returns (surviving diagram of degree k-1, number of deleted circles);
+    the fill is delta^deleted times that diagram.  Shading transport:
+    finite fills keep the bit; filling infinity flips it by the
+    deleted-circle parity at degree 2 and by the total multiplicity around
+    the promoted puncture at degree 3.
     """
     k = d.degree
     if k < 1:
@@ -274,22 +276,22 @@ def fill_puncture(d: CircleDiagram, j: int) -> ChainVector:
             bit = d.shading ^ (deleted & 1)
         else:
             bit = d.shading ^ (flip & 1)
-    out = CircleDiagram(k - 1, new_blocks, bit)
-    return single(out, RatFunc.delta_power(deleted))
+    return CircleDiagram(k - 1, new_blocks, bit), deleted
 
 
-def boundary(x) -> ChainVector:
-    """Alternating sum of fill_puncture over all punctures; linear."""
-    if isinstance(x, CircleDiagram):
-        x = single(x)
-    if x.degree < 1:
-        raise UnsupportedDegree("boundary defined for degrees 1..3")
-    out = ChainVector(x.degree - 1)
-    for d, coeff in x.terms.items():
-        for j in range(d.degree + 1):
-            term = fill_puncture(d, j).scale(coeff)
-            out = out + (term if j % 2 == 0 else -term)
-    return out
+def boundary(d: CircleDiagram) -> ChainVector:
+    """Boundary of one diagram: sum over j of (-1)^j fill_puncture(d, j).
+
+    Every coefficient is an integer polynomial, a sum of +-delta^deleted
+    terms; it is summed per output diagram as an IntPoly and wrapped in a
+    RatFunc once.  Terms that cancel are dropped.
+    """
+    sums = {}
+    for j in range(d.degree + 1):
+        out, deleted = fill_puncture(d, j)
+        term = IntPoly((0,) * deleted + ((-1) ** j,))
+        sums[out] = sums.get(out, ZERO_POLY) + term
+    return ChainVector(d.degree - 1, {e: RatFunc(p) for e, p in sums.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +343,7 @@ def boundary_matrix(degree: int, t_dom: int, t_cod: int | None = None) -> Sparse
     m = SparseMat(len(codomain), len(domain))
     for col, d in enumerate(domain):
         for out_d, coeff in boundary(d).terms.items():
-            r = row_of[out_d]
-            m[r, col] = m[r, col] + coeff
+            m[row_of[out_d], col] = coeff
     return m
 
 
@@ -444,10 +445,7 @@ def h2_vanishing_check(N: int, margin: int = 2, diagram_cap: int = 100000,
         if not unresolved:
             break
         columns_used += 1
-        col = {}
-        for out_d, coeff in boundary(d).terms.items():
-            idx = row_of[out_d]
-            col[idx] = col.get(idx, RF_ZERO) + coeff
+        col = {row_of[e]: c for e, c in boundary(d).terms.items()}
         for rid in stalled.pop(ech.insert(clear_denominators(col)), ()):
             settle(rid)
 

@@ -182,9 +182,6 @@ class BettiProfile:
     def value(self, k: int) -> BettiValue:
         return self.values[k] if k < len(self.values) else ZERO
 
-    def floats(self):
-        return [v.to_float() for v in self.values]
-
     def __eq__(self, other):
         if not isinstance(other, BettiProfile):
             return NotImplemented

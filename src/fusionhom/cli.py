@@ -274,10 +274,19 @@ def cmd_betti(args):
     return results, list(profile.warnings), {}
 
 
-def _ladder_window(width, delta, flag):
+def _ladder_window(width, delta, flag, generator):
+    """Ladder window for both checks; it holds only the f1 rows, and its
+    verdicts need positive dimensions."""
     if width < 2:
         raise InputError(f"{flag} {width}: the ladder window needs width >= 2")
-    return amenability.tlj_kesten_window(width, delta)
+    if generator != "f1":
+        raise InputError(f"--generator {generator}: the ladder window "
+                         "holds only f1")
+    window = amenability.tlj_kesten_window(width, delta)
+    if any(v <= 0 for v in window.dims.values()):
+        raise InputError(f"--ladder-delta {delta}: the {flag} {width} "
+                         "window has a nonpositive dimension")
+    return window
 
 
 def cmd_amenability(args):
@@ -300,10 +309,8 @@ def cmd_amenability(args):
         raise InputError("choose --ladder-delta or --graph")
 
     if args.check in ("kesten", "both") and args.ladder_delta is not None:
-        window = _ladder_window(args.window, args.ladder_delta, "--window")
-        if args.generator not in window.index:
-            raise InputError(f"--generator {args.generator} is not a label "
-                             f"of the window f0..f{args.window - 1}")
+        window = _ladder_window(args.window, args.ladder_delta, "--window",
+                                args.generator)
         rep = amenability.kesten_check(window, args.generator)
         results["kesten"] = {
             "generator": args.generator,
@@ -319,12 +326,9 @@ def cmd_amenability(args):
     if args.check in ("folner", "both"):
         if graph is None:
             window = _ladder_window(args.folner_window, args.ladder_delta,
-                                    "--folner-window")
-            try:
-                graph = amenability.from_fusion_ring(window,
-                                                     generators=["f1"])
-            except ValueError as exc:  # a window dimension is not positive
-                raise InputError(f"--ladder-delta {args.ladder_delta}: {exc}")
+                                    "--folner-window", args.generator)
+            graph = amenability.from_fusion_ring(window,
+                                                 generators=[args.generator])
         if args.epsilon <= 0:
             raise InputError(f"--epsilon {args.epsilon}: must be positive")
         try:
@@ -537,7 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="loop parameter delta of the ladder window")
     p.add_argument("--window", type=_intarg, default=4096,
                    help="Kesten window width")
-    p.add_argument("--generator", default="f1")
+    p.add_argument("--generator", default="f1",
+                   help="ladder generator; the ladder window holds only f1")
     p.add_argument("--graph", help="graph file path (Folner only)")
     p.add_argument("--check", choices=("kesten", "folner", "both"),
                    default="both")

@@ -238,8 +238,9 @@ class RatFunc:
     def __init__(self, num: IntPoly, den: IntPoly = ONE_POLY):
         if not den:
             raise ZeroDivisionError("RatFunc with zero denominator")
-        if not num:
-            self.num, self.den = ZERO_POLY, ONE_POLY
+        if not num or den == ONE_POLY:
+            # already canonical: gcd(num, 1) = 1 and 1 has content 1
+            self.num, self.den = num, ONE_POLY
             return
         g = poly_gcd(num, den)
         if g.degree > 0 or g.leading > 1:
@@ -483,22 +484,6 @@ class SparseMat:
 
     def __getitem__(self, key) -> RatFunc:
         return self.entries.get(key, RF_ZERO)
-
-    @staticmethod
-    def from_dense(data) -> "SparseMat":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        m = SparseMat(rows, cols)
-        for r, row in enumerate(data):
-            if len(row) != cols:
-                raise DimensionMismatch("ragged dense data")
-            for c, v in enumerate(row):
-                if v:
-                    m.entries[r, c] = v
-        return m
-
-    def column(self, c: int) -> dict:
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -167,14 +167,6 @@ class IdentityReport:
                 return check, fails[0]
         return None
 
-    def summary(self) -> str:
-        lines = []
-        for check in self.failures:
-            status = "ok" if not self.failures[check] else \
-                f"{len(self.failures[check])} FAILED"
-            lines.append(f"{check}: {self.counts[check]} checked, {status}")
-        return "\n".join(lines)
-
 
 def verify_identities(A: TubeAlgebra, max_witnesses=5) -> IdentityReport:
     """Exhaustive exact verification of the tube-algebra identities.

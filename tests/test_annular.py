@@ -80,10 +80,9 @@ def test_enumeration_counts():
 def test_fill_puncture_counts_deleted_circles():
     d = CircleDiagram.parse("k=2; [1]^1 [1,2]^2; s=0")
     # filling puncture 1 merges the lone circle into the spanning ones
-    assert fill_puncture(d, 1) == single(CircleDiagram.parse("k=1; [1]^3; s=0"))
+    assert fill_puncture(d, 1) == (CircleDiagram.parse("k=1; [1]^3; s=0"), 0)
     # filling puncture 2 deletes two closed circles, each worth delta
-    assert fill_puncture(d, 2) == single(
-        CircleDiagram.parse("k=1; [1]^1; s=0"), dp(2))
+    assert fill_puncture(d, 2) == (CircleDiagram.parse("k=1; [1]^1; s=0"), 2)
 
 
 def test_sigma_is_a_cycle():

@@ -1,19 +1,26 @@
 """Command line interface: exit codes, JSON reports, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fusionhom
 from fusionhom.groups import cyclic
 from fusionhom.tube import tube_from_group, tube_to_text
 
+# the child runs the package these tests import, installed or not
+SRC = str(Path(fusionhom.__file__).resolve().parents[1])
+
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "fusionhom.cli", *args],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     return proc
 
 
@@ -181,8 +188,18 @@ def test_fusion_ladder_summary():
       "--folner-window", "8", "--epsilon", "0"), "--epsilon 0"),
     (("fusion", "--ladder", "0"), "--ladder 0"),
     (("fusion", "--tlj", "1"), "--tlj 1"),
+    (("amenability", "--check", "kesten", "--ladder-delta", "2.0",
+      "--window", "512", "--generator", "f2"), "--generator f2"),
+    (("amenability", "--check", "folner", "--ladder-delta", "2.0",
+      "--folner-window", "8", "--generator", "f9"), "--generator f9"),
+    (("amenability", "--check", "kesten", "--ladder-delta", "1.0",
+      "--window", "512"), "--ladder-delta 1.0"),
+    (("amenability", "--check", "kesten", "--ladder-delta", "0",
+      "--window", "512"), "--ladder-delta 0"),
 ], ids=["kesten-window", "unknown-generator", "folner-window",
-        "nonpositive-weight", "epsilon", "ladder-zero", "tlj-one"])
+        "nonpositive-weight", "epsilon", "ladder-zero", "tlj-one",
+        "kesten-generator-f2", "folner-generator-f9",
+        "kesten-nonpositive-dim", "kesten-delta-zero"])
 def test_out_of_range_flags_are_input_errors(argv, message):
     code, report = run_json(*argv)
     assert code == 1

@@ -112,7 +112,9 @@ def test_parse_scalar_reduces():
 def _mat(rows):
     data = [[parse_scalar(x) if isinstance(x, str) else RatFunc.from_int(x)
              for x in row] for row in rows]
-    return SparseMat.from_dense(data)
+    return SparseMat(len(data), len(data[0]),
+                     {(r, c): v for r, row in enumerate(data)
+                      for c, v in enumerate(row)})
 
 
 def test_rank_identity():
@@ -247,6 +249,13 @@ def test_multiplicative_inverse(a):
     if a == RF_ZERO:
         return
     assert a * (RF_ONE / a) == RF_ONE
+
+
+@given(small_polys, nonzero_polys)
+def test_unit_denominator_is_canonical(p, q):
+    # RatFunc(p) skips the gcd work; it must store what reducing p*q/q stores
+    a, b = RatFunc(p), RatFunc(p * q, q)
+    assert (a.num, a.den) == (b.num, b.den)
 
 
 @given(ratfuncs(), ratfuncs())
