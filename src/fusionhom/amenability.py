@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .fusion import FusionRing
+from .fusion import FusionRing, ladder_dims
 
 
 class TruncationInconclusive(RuntimeError):
@@ -38,8 +38,8 @@ class WeightedFusionGraph:
         self.name = name
         self.index = {v: i for i, v in enumerate(self.vertices)}
         for v in self.vertices:
-            if not (self.weight.get(v, 0) > 0):
-                raise ValueError(f"nonpositive weight at {v}")
+            if not 0 < self.weight.get(v, 0) < math.inf:
+                raise ValueError(f"weight at {v} is not finite and positive")
         for v, nbrs in self.adjacency.items():
             for w in nbrs:
                 if v not in self.adjacency[w]:
@@ -91,7 +91,10 @@ def from_fusion_ring(ring: FusionRing, generators=None, weights=None,
     if weights is None:
         if ring.dims is None:
             raise ValueError("ring carries no float dims; pass weights")
-        weights = {l: ring.dims[l] ** 2 for l in ring.labels}
+        try:
+            weights = {l: ring.dims[l] ** 2 for l in ring.labels}
+        except OverflowError:
+            raise ValueError("a squared dimension overflows") from None
     adjacency = {l: set() for l in ring.labels}
     for g in gen_set:
         for a in ring.labels:
@@ -309,84 +312,66 @@ def tlj_kesten_window(width: int, delta: float) -> FusionRing:
         row = {labels[k]: 1 for k in (i - 1, i + 1) if 0 <= k < width}
         N[labels[1], labels[i]] = N[labels[i], labels[1]] = row
     dual = {lab: lab for lab in labels}
-    vals = [1.0, float(delta)]
-    while len(vals) < width:
-        vals.append(delta * vals[-1] - vals[-2])
-    dims = dict(zip(labels, vals))
+    dims = dict(zip(labels, ladder_dims(width, delta)))
     return FusionRing(labels, dual, N, dims, None,
                       truncated=True, frontier=set(labels[-2:]),
                       name=f"TLJ_kesten_window({width})")
 
 
-def _fusion_matrix(ring: FusionRing, generator, labels):
-    import numpy as np
-    idx = {l: i for i, l in enumerate(labels)}
-    m = np.zeros((len(labels), len(labels)))
-    for a in labels:
-        for b, v in ring.row(generator, a).items():
-            if b in idx:
-                m[idx[a], idx[b]] = v
-    return m
+def _spectral_norms(ring: FusionRing, generator, sizes) -> list:
+    """Largest eigenvalue magnitude of the generator's fusion matrix
+    N(generator, a, b) on the first k labels, for each k in sizes.
 
-
-def _spectral_norm(m) -> float:
-    """Largest eigenvalue magnitude of a nonnegative fusion matrix.
-
-    The matrix of a self-dual generator on a path-like window is
-    bipartite, so plain power iteration oscillates; a dense or
-    tridiagonal symmetric eigensolver is used instead.
+    The entries are read once from the product rows.  A symmetric matrix
+    whose entries all lie on or next to the diagonal (a self-dual
+    generator on a path-like window, such as f1 on the ladder) is
+    bipartite, so plain power iteration oscillates; its two bands go to
+    the tridiagonal eigensolver, and each leading block is a slice of
+    them.  Any other matrix (the small group rings) is solved densely.
     """
     import numpy as np
-    n = m.shape[0]
-    if n == 0:
-        return 0.0
-    symmetric = np.array_equal(m, m.T)
-    if symmetric:
-        offdiag_rows, offdiag_cols = np.nonzero(m)
-        tridiagonal = np.all(np.abs(offdiag_rows - offdiag_cols) <= 1)
-        if tridiagonal and n >= 3:
-            from scipy.linalg import eigvalsh_tridiagonal
-            vals = eigvalsh_tridiagonal(np.diag(m).copy(),
-                                        np.diag(m, 1).copy(),
-                                        select="i",
-                                        select_range=(n - 1, n - 1))
-            return float(vals[0])
-        if n <= 2000:
-            return float(np.linalg.eigvalsh(m)[-1])
-        from scipy.sparse.linalg import eigsh
-        from scipy.sparse import csr_matrix
-        vals = eigsh(csr_matrix(m), k=1, which="LA",
-                     return_eigenvectors=False)
-        return float(vals[0])
-    return float(max(abs(np.linalg.eigvals(m))))
+    n = len(ring.labels)
+    entries = {(i, ring.index[b]): v for i, a in enumerate(ring.labels)
+               for b, v in ring.row(generator, a).items()}
+    if all(abs(i - j) <= 1 and entries.get((j, i)) == v
+           for (i, j), v in entries.items()):
+        from scipy.linalg import eigvalsh_tridiagonal
+        diag = np.array([entries.get((i, i), 0) for i in range(n)], float)
+        band = np.array([entries.get((i, i + 1), 0) for i in range(n - 1)],
+                        float)
+        return [float(eigvalsh_tridiagonal(
+            diag[:k], band[:k - 1], select="i", select_range=(k - 1, k - 1))[0])
+            for k in sizes]
+    m = np.zeros((n, n))
+    for (i, j), v in entries.items():
+        m[i, j] = v
+    return [float(max(abs(np.linalg.eigvals(m[:k, :k])))) for k in sizes]
 
 
 def kesten_check(ring_window: FusionRing, generator, tol=1e-6) -> dict:
     """Compare the generator's graph norm with its dimension.
 
-    For truncated windows the norm on the window and on the window less
-    its last label must agree within tol (stability); otherwise the
-    verdict is marked unstable and amenable is None.
+    The norm is read from the generator's product rows (_spectral_norms).
+    For a truncated window, of any width, the norm on the window and on
+    the window less its last label must agree within tol (stability);
+    otherwise the verdict is marked unstable and amenable is None.  This
+    holds at two labels too, where the smaller window is one label.
     """
     if generator not in ring_window.index:
         raise ValueError(f"unknown generator {generator}")
     if ring_window.dims is None:
         raise ValueError("ring carries no float dims")
-    labels = list(ring_window.labels)
-    norm = _spectral_norm(_fusion_matrix(ring_window, generator, labels))
-    stable = True
-    norm_prev = None
-    if ring_window.truncated and len(labels) > 2:
-        norm_prev = _spectral_norm(
-            _fusion_matrix(ring_window, generator, labels[:-1]))
-        stable = abs(norm - norm_prev) < tol
+    n = len(ring_window.labels)
+    sizes = (n, n - 1) if ring_window.truncated else (n,)
+    norm, *prev = _spectral_norms(ring_window, generator, sizes)
+    norm_prev = prev[0] if prev else None
+    stable = norm_prev is None or abs(norm - norm_prev) < tol
     dim = ring_window.dims[generator]
-    report = {
+    return {
         "graph_norm": norm,
         "dimension": dim,
-        "window": len(labels),
+        "window": n,
         "stable": stable,
         "norm_previous_window": norm_prev,
         "amenable": (abs(norm - dim) < tol) if stable else None,
     }
-    return report

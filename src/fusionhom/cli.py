@@ -283,9 +283,9 @@ def _ladder_window(width, delta, flag, generator):
         raise InputError(f"--generator {generator}: the ladder window "
                          "holds only f1")
     window = amenability.tlj_kesten_window(width, delta)
-    if any(v <= 0 for v in window.dims.values()):
+    if not all(v > 0 for v in window.dims.values()):
         raise InputError(f"--ladder-delta {delta}: the {flag} {width} "
-                         "window has a nonpositive dimension")
+                         "window has a dimension that is not positive")
     return window
 
 
@@ -327,8 +327,12 @@ def cmd_amenability(args):
         if graph is None:
             window = _ladder_window(args.folner_window, args.ladder_delta,
                                     "--folner-window", args.generator)
-            graph = amenability.from_fusion_ring(window,
-                                                 generators=[args.generator])
+            try:
+                graph = amenability.from_fusion_ring(
+                    window, generators=[args.generator])
+            except ValueError as exc:
+                raise InputError(f"--folner-window {args.folner_window}: "
+                                 f"{exc}")
         if args.epsilon <= 0:
             raise InputError(f"--epsilon {args.epsilon}: must be positive")
         try:

@@ -270,6 +270,20 @@ def chebyshev_dims(count: int):
     return out[:count]
 
 
+def ladder_dims(width: int, delta: float) -> list:
+    """Float dims d_0 .. d_{width-1} of the ladder at a loop value.
+
+    The three-term recurrence runs in float: evaluating the exact
+    coefficient form cancels catastrophically past degree ~60.  A value
+    past the float range is stored as +inf, never as nan.
+    """
+    vals = [1.0, float(delta)]
+    while len(vals) < width:
+        v = delta * vals[-1] - vals[-2]
+        vals.append(v if math.isfinite(v) else math.inf)
+    return vals[:width]
+
+
 def tlj_ladder(width: int, delta: float | None = None) -> FusionRing:
     """Window of the generic Temperley-Lieb ladder ring.
 
@@ -292,12 +306,7 @@ def tlj_ladder(width: int, delta: float | None = None) -> FusionRing:
     exact = dict(zip(labels, chebyshev_dims(width)))
     dims = None
     if delta is not None:
-        # Run the three-term recurrence in float: evaluating the exact
-        # coefficient form cancels catastrophically past degree ~60.
-        vals = [1.0, float(delta)]
-        while len(vals) < width:
-            vals.append(delta * vals[-1] - vals[-2])
-        dims = dict(zip(labels, vals[:width]))
+        dims = dict(zip(labels, ladder_dims(width, delta)))
     frontier = set(labels[-2:]) if width > 1 else set(labels)
     return FusionRing(labels, dual, N, dims, exact,
                       truncated=True, frontier=frontier,

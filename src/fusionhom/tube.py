@@ -14,8 +14,6 @@ elements starting and ending at the distinguished corner.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import SizeLimit, ParseError, InvariantViolation
 from .exactarith import (RatFunc, RF_ONE, RF_ZERO, SparseMat, rank,
                          parse_scalar)
@@ -172,10 +170,11 @@ def verify_identities(A: TubeAlgebra, max_witnesses=5) -> IdentityReport:
     """Exhaustive exact verification of the tube-algebra identities.
 
     Covers grading, projections, associativity, star involutivity and
-    anti-multiplicativity, trace symmetry, Gram positivity per corner
-    block (leading principal minors), the one-term orthonormal-basis sum
-    identity a . a* = p_src(a) (checked when the Gram blocks are
-    identities), and counit multiplicativity on the distinguished corner.
+    anti-multiplicativity, trace symmetry, Gram positive semidefiniteness
+    per corner block (symmetric elimination), the one-term
+    orthonormal-basis sum identity a . a* = p_src(a) (checked when the
+    Gram blocks are identities), and counit multiplicativity on the
+    distinguished corner.
     """
     rep = IdentityReport()
     basis = A.basis
@@ -293,12 +292,10 @@ def verify_identities(A: TubeAlgebra, max_witnesses=5) -> IdentityReport:
                 for b_idx, v in enumerate(row):
                     if v != (1 if a_idx == b_idx else 0):
                         gram_all_identity = False
-            for k in range(1, len(block) + 1):
-                n += 1
-                minor = _det_fraction([row[:k] for row in frac[:k]])
-                if minor < 0:
-                    fails.append(
-                        f"Gram leading minor {k} negative on corner ({i},{j})")
+            n += len(block)
+            bad = _psd_failure(frac)
+            if bad:
+                fails.append(f"Gram {bad} on corner ({i},{j})")
     rep.record("gram-psd", n, fails[:max_witnesses], notes)
 
     fails = []
@@ -344,30 +341,29 @@ def verify_identities(A: TubeAlgebra, max_witnesses=5) -> IdentityReport:
     return rep
 
 
-def _det_fraction(rows) -> Fraction:
-    """Exact determinant of a small matrix of Fractions."""
+def _psd_failure(rows):
+    """Why a symmetric matrix of Fractions is not positive semidefinite,
+    or None when it is.
+
+    Symmetric elimination: a positive pivot leaves a Schur complement
+    that is semidefinite exactly when the matrix is; a zero pivot needs
+    a zero row; a negative pivot refutes.  Leading minors alone do not
+    decide semidefiniteness ([[0, 0], [0, -1]] has minors 0 and 0).
+    """
     m = [list(r) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] / inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+    for k, row in enumerate(m):
+        piv = row[k]
+        if piv < 0:
+            return f"pivot {k + 1} negative"
+        if piv == 0:
+            if any(row[k + 1:]):
+                return f"pivot {k + 1} zero on a nonzero row"
+            continue
+        for r in m[k + 1:]:
+            f = r[k] / piv
+            for c in range(k + 1, len(m)):
+                r[c] -= f * row[c]
+    return None
 
 
 # ---------------------------------------------------------------------------

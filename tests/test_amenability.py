@@ -1,5 +1,7 @@
 """Folner sets and Kesten norms on weighted fusion graphs."""
 
+import math
+
 import pytest
 
 from fusionhom.amenability import (TruncationInconclusive, WeightedFusionGraph,
@@ -7,7 +9,7 @@ from fusionhom.amenability import (TruncationInconclusive, WeightedFusionGraph,
                                    from_fusion_ring, graph_from_text,
                                    kesten_check, tlj_kesten_window)
 from fusionhom.fusion import from_group, tlj_ladder
-from fusionhom.groups import cyclic
+from fusionhom.groups import cyclic, symmetric
 
 
 def ladder_graph(width, delta):
@@ -15,8 +17,9 @@ def ladder_graph(width, delta):
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError, match="weight"):
-        WeightedFusionGraph(("a",), {"a": -1.0}, ("a",), {"a": ("a",)})
+    for bad in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="weight"):
+            WeightedFusionGraph(("a",), {"a": bad}, ("a",), {"a": ("a",)})
     with pytest.raises(ValueError, match="symmetric"):
         WeightedFusionGraph(("a", "b"), {"a": 1.0, "b": 1.0}, ("a",),
                             {"a": ("b",), "b": ()})
@@ -120,6 +123,51 @@ def test_kesten_separates_flat_from_expanding():
     assert sharp["graph_norm"] < 2.0 < sharp["dimension"]
 
 
+def test_kesten_norms_are_pinned():
+    # f1's matrix does not depend on delta; only its dimension does
+    for width, norm in ((3, 1.4142135623730951), (512, 1.9999624972031043),
+                        (4096, 1.9999994120129025)):
+        for delta in (2.0, 3.0):
+            report = kesten_check(tlj_kesten_window(width, delta), "f1")
+            assert report["graph_norm"] == norm
+    report = kesten_check(tlj_kesten_window(4096, 2.0), "f1")
+    assert report["norm_previous_window"] == 1.9999994117257642
+
+
+def test_kesten_two_label_window_gives_no_verdict():
+    report = kesten_check(tlj_kesten_window(2, 2.0), "f1")
+    assert report["graph_norm"] == 0.9999999999999999
+    assert report["norm_previous_window"] == 0.0
+    assert not report["stable"]
+    assert report["amenable"] is None
+
+
+@pytest.mark.parametrize("grp, generator, symmetric_matrix", [
+    (symmetric(3), (1, 0, 2), True),
+    (cyclic(4), 1, False),
+], ids=["S3-transposition", "Z4-generator-1"])
+def test_kesten_dense_path_on_group_rings(grp, generator, symmetric_matrix):
+    ring = from_group(grp)
+    pos = {l: i for i, l in enumerate(ring.labels)}
+    entries = {(pos[a], pos[b]) for a in ring.labels
+               for b in ring.row(generator, a)}
+    # neither case is a symmetric tridiagonal matrix
+    assert any(abs(i - j) > 1 for i, j in entries)
+    assert symmetric_matrix == all((j, i) in entries for i, j in entries)
+    report = kesten_check(ring, generator)
+    assert report["graph_norm"] == pytest.approx(1.0, abs=1e-12)
+    assert report["stable"] and report["amenable"] is True
+
+
+def test_window_dimensions_overflow_to_inf_not_nan():
+    dims = tlj_kesten_window(4096, 3.0).dims
+    assert not any(math.isnan(v) for v in dims.values())
+    assert dims["f1"] == 3.0 and dims["f4095"] == math.inf
+    assert kesten_check(tlj_kesten_window(4096, 3.0), "f1")["amenable"] is False
+    with pytest.raises(ValueError, match="overflows"):
+        from_fusion_ring(tlj_kesten_window(400, 3.0), generators=["f1"])
+
+
 def test_kesten_on_finite_group_ring():
     report = kesten_check(from_group(cyclic(3)), 1)
     assert report["stable"] and report["amenable"] is True
@@ -154,8 +202,9 @@ def test_graph_text_round_trip():
     "vertex: a zero\ngenerators: a\n",
     "vertex: a -2\ngenerators: a\nedge: a a\n",
     "vertex: a 1.0\nvertex: a 2.0\ngenerators: a\n",
+    "vertex: a inf\ngenerators: a\n",
 ], ids=["junk", "unknown-edge-end", "nonnumeric-weight", "negative-weight",
-        "duplicate-vertex"])
+        "duplicate-vertex", "infinite-weight"])
 def test_malformed_graph_files_rejected(text):
     with pytest.raises(ValueError):
         graph_from_text(text)

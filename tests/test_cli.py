@@ -12,6 +12,8 @@ import fusionhom
 from fusionhom.groups import cyclic
 from fusionhom.tube import tube_from_group, tube_to_text
 
+from test_tube import NEGATIVE_TRACE
+
 # the child runs the package these tests import, installed or not
 SRC = str(Path(fusionhom.__file__).resolve().parents[1])
 
@@ -90,6 +92,14 @@ def test_verify_all_names_the_violation(broken_tube_file):
     assert "InvariantViolation" in proc.stdout
 
 
+def test_negative_trace_tube_file_fails_verification(tmp_path):
+    path = tmp_path / "negative-trace.tube"
+    path.write_text(NEGATIVE_TRACE)
+    code, report = run_json("tube", "--file", str(path), "--verify")
+    assert code == 2
+    assert report["results"]["identities"]["gram-psd"]["failures"]
+
+
 def test_unknown_group_is_an_input_error():
     proc = run_cli("tube", "--group", "Q8", "--verify")
     assert proc.returncode == 1
@@ -139,6 +149,23 @@ def test_amenability_unstable_window_is_inconclusive():
     proc = run_cli("amenability", "--check", "kesten",
                    "--ladder-delta", "2.0", "--window", "16")
     assert proc.returncode == 3
+
+
+def test_amenability_two_label_window_is_inconclusive():
+    code, report = run_json("amenability", "--check", "kesten",
+                            "--ladder-delta", "2.0", "--window", "2")
+    assert code == 3
+    assert report["results"]["kesten"]["stable"] is False
+    assert report["results"]["kesten"]["amenable"] is None
+
+
+def test_amenability_kesten_expanding_ladder_default_window():
+    # most window dimensions overflow to inf; only f1's is read
+    code, report = run_json("amenability", "--check", "kesten",
+                            "--ladder-delta", "3.0")
+    assert code == 0
+    assert report["results"]["kesten"]["window"] == 4096
+    assert report["results"]["kesten"]["amenable"] is False
 
 
 def test_amenability_folner_on_graph_file(tmp_path):
@@ -196,10 +223,13 @@ def test_fusion_ladder_summary():
       "--window", "512"), "--ladder-delta 1.0"),
     (("amenability", "--check", "kesten", "--ladder-delta", "0",
       "--window", "512"), "--ladder-delta 0"),
+    (("amenability", "--check", "folner", "--ladder-delta", "3.0",
+      "--folner-window", "400"), "--folner-window 400"),
 ], ids=["kesten-window", "unknown-generator", "folner-window",
         "nonpositive-weight", "epsilon", "ladder-zero", "tlj-one",
         "kesten-generator-f2", "folner-generator-f9",
-        "kesten-nonpositive-dim", "kesten-delta-zero"])
+        "kesten-nonpositive-dim", "kesten-delta-zero",
+        "folner-weight-overflow"])
 def test_out_of_range_flags_are_input_errors(argv, message):
     code, report = run_json(*argv)
     assert code == 1

@@ -141,3 +141,37 @@ def test_generic_trace_skips_minors_but_still_passes():
     assert rep.all_passed
     assert any("minors skipped" in note
                for notes in rep.notes.values() for note in notes)
+
+
+# one corner, unit a1, a0 . a0 = 0: the Gram block is [[0, 0], [0, -1]],
+# whose leading minors are 0 and 0
+NEGATIVE_TRACE = """tube-algebra
+corners: c0
+basis:
+a0 c0 c0
+a1 c0 c0
+units:
+c0 a1
+mult:
+a1 a1 a1 1
+a1 a0 a0 1
+a0 a1 a0 1
+star:
+a0 a0 1
+a1 a1 1
+trace:
+a1 -1
+counit:
+a1 1
+"""
+
+
+@pytest.mark.parametrize("text, witness", [
+    (NEGATIVE_TRACE, "pivot 2 negative"),
+    (NEGATIVE_TRACE.replace("a1 -1", "a0 1\na1 1"),
+     "pivot 1 zero on a nonzero row"),
+], ids=["negative-pivot", "zero-pivot-nonzero-row"])
+def test_gram_that_is_not_semidefinite_is_caught(text, witness):
+    with pytest.raises(InvariantViolation, match="gram-psd") as exc:
+        tube_from_text(text)
+    assert witness in str(exc.value)
