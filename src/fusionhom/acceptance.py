@@ -263,21 +263,27 @@ def _profiles_close(p, q, tol):
 
 def crit_amenability(cfg):
     """Kesten and Folner verdicts on the ladder windows and on finite
-    graphs."""
+    graphs.  The Kesten bounds are exact rationals, and the Folner
+    witness is re-verified over Fraction from the stored weights."""
     k2 = amenability.kesten_check(amenability.tlj_kesten_window(4096, 2.0),
                                   "f1")
-    _check(k2["stable"] and k2["amenable"] is True,
+    _check(k2["amenable"] is None
+           and k2["norm_lower"] <= 2 <= k2["norm_upper"],
            f"delta=2 kesten {k2}")
     k3 = amenability.kesten_check(amenability.tlj_kesten_window(512, 3.0),
                                   "f1")
-    _check(k3["stable"] and k3["amenable"] is False,
-           f"delta=3 kesten {k3}")
+    _check(k3["amenable"] is False, f"delta=3 kesten {k3}")
     g2 = amenability.from_fusion_ring(amenability.tlj_kesten_window(160, 2.0),
                                       generators=["f1"])
     rep2 = amenability.folner_search(g2, epsilon=0.05, max_size=200)
     _check(rep2.found, f"delta=2 folner best {rep2.best_ratio}")
-    mu_bd, mu_f = amenability.boundary_measure(g2, rep2.set)
-    _check(mu_bd / mu_f == rep2.ratio, "certificate did not re-verify")
+    F = set(rep2.set)
+    bd = amenability.boundary_set(g2, F)
+    _check(not (F | bd) & g2.frontier, "witness touches the window frontier")
+    mu_bd = sum(Fraction(g2.weight[v]) for v in bd)
+    mu_f = sum(Fraction(g2.weight[v]) for v in F)
+    _check(mu_bd < Fraction(rep2.epsilon) * mu_f,
+           f"witness did not re-verify: {mu_bd} vs {rep2.epsilon} * {mu_f}")
     g3 = amenability.from_fusion_ring(amenability.tlj_kesten_window(224, 3.0),
                                       generators=["f1"])
     rep3 = amenability.folner_search(g3, epsilon=0.05, max_size=200)
@@ -290,9 +296,10 @@ def crit_amenability(cfg):
         _check(fin.found and fin.ratio == 0.0, f"{grp.name} folner {fin}")
         kf = amenability.kesten_check(ring, ring.labels[1])
         _check(kf["amenable"] is True, f"{grp.name} kesten {kf}")
-    return (f"kesten: delta=2 norm {k2['graph_norm']:.9f} amenable, "
-            f"delta=3 norm {k3['graph_norm']:.6f} vs dim 3 not amenable; "
-            f"folner: witness |F|={len(rep2.set)} ratio {rep2.ratio:.4f}, "
+    return (f"kesten: delta=2 norm in [{k2['norm_lower']}, "
+            f"{k2['norm_upper']}] no verdict, delta=3 norm <= "
+            f"{k3['norm_upper']} < dim 3 not amenable; folner: witness "
+            f"|F|={len(F)} mu(bd F)={mu_bd} < 0.05 mu(F)={mu_f}, "
             f"delta=3 best {rep3.best_ratio:.3f}")
 
 

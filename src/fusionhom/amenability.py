@@ -7,14 +7,15 @@ boundary of a vertex set is two-sided (inner and outer); a candidate set
 touching the truncation frontier of a windowed infinite graph produces
 TruncationInconclusive rather than a verdict.
 
-The Kesten check compares the spectral norm of a generator's fusion
-matrix with the generator's dimension; equality (within tolerance, and
-stable under shrinking the window by one) is the amenability criterion.
+The Kesten check encloses a generator's graph norm in exact rational
+bounds and compares them with the generator's dimension; equality is
+the amenability criterion, decided with no eigen-solver or tolerance.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .fusion import FusionRing, ladder_dims
 
@@ -172,11 +173,11 @@ def boundary_set(g: WeightedFusionGraph, F) -> set:
     return inner | outer
 
 
-def boundary_measure(g: WeightedFusionGraph, F, allow_frontier=False):
-    """(mu(boundary F), mu(F)), exact float sums.
+def boundary_measure(g: WeightedFusionGraph, F):
+    """(mu(boundary F), mu(F)), float sums.
 
     Raises TruncationInconclusive when F or its boundary touches the
-    frontier of a windowed graph (unless explicitly allowed).
+    frontier of a windowed graph.
     """
     F = set(F)
     if not F:
@@ -185,7 +186,7 @@ def boundary_measure(g: WeightedFusionGraph, F, allow_frontier=False):
         if v not in g.index:
             raise ValueError(f"vertex {v} not in the graph")
     bd = boundary_set(g, F)
-    if g.truncated and not allow_frontier:
+    if g.truncated:
         touched = (F | bd) & g.frontier
         if touched:
             raise TruncationInconclusive(
@@ -297,9 +298,9 @@ def tlj_kesten_window(width: int, delta: float) -> FusionRing:
 
     Stores only the unit rows and the f1 multiplication rows of the
     fusion table (f1 . f_k = f_{k-1} + f_{k+1}); the full table grows
-    as width^3 and is far too large at the window sizes the Kesten
-    tolerance needs.  The f1 rows are exact for every window label, so
-    the generator matrix, its norm and the f1 graph (from_fusion_ring
+    as width^3 and is far too large at the wide windows the Kesten lower
+    bound uses.  The f1 rows are exact for every window label, so the
+    generator matrix, its norm bounds and the f1 graph (from_fusion_ring
     with generators ["f1"]) are those of the full ladder.  The result is
     not a complete fusion table: keep it away from verify_axioms.
     """
@@ -318,60 +319,42 @@ def tlj_kesten_window(width: int, delta: float) -> FusionRing:
                       name=f"TLJ_kesten_window({width})")
 
 
-def _spectral_norms(ring: FusionRing, generator, sizes) -> list:
-    """Largest eigenvalue magnitude of the generator's fusion matrix
-    N(generator, a, b) on the first k labels, for each k in sizes.
+def kesten_check(ring_window: FusionRing, generator) -> dict:
+    """Kesten's criterion from exact bounds lower <= ||A_g|| <= upper.
 
-    The entries are read once from the product rows.  A symmetric matrix
-    whose entries all lie on or next to the diagonal (a self-dual
-    generator on a path-like window, such as f1 on the ladder) is
-    bipartite, so plain power iteration oscillates; its two bands go to
-    the tridiagonal eigensolver, and each leading block is a slice of
-    them.  Any other matrix (the small group rings) is solved densely.
-    """
-    import numpy as np
-    n = len(ring.labels)
-    entries = {(i, ring.index[b]): v for i, a in enumerate(ring.labels)
-               for b, v in ring.row(generator, a).items()}
-    if all(abs(i - j) <= 1 and entries.get((j, i)) == v
-           for (i, j), v in entries.items()):
-        from scipy.linalg import eigvalsh_tridiagonal
-        diag = np.array([entries.get((i, i), 0) for i in range(n)], float)
-        band = np.array([entries.get((i, i + 1), 0) for i in range(n - 1)],
-                        float)
-        return [float(eigvalsh_tridiagonal(
-            diag[:k], band[:k - 1], select="i", select_range=(k - 1, k - 1))[0])
-            for k in sizes]
-    m = np.zeros((n, n))
-    for (i, j), v in entries.items():
-        m[i, j] = v
-    return [float(max(abs(np.linalg.eigvals(m[:k, :k])))) for k in sizes]
-
-
-def kesten_check(ring_window: FusionRing, generator, tol=1e-6) -> dict:
-    """Compare the generator's graph norm with its dimension.
-
-    The norm is read from the generator's product rows (_spectral_norms).
-    For a truncated window, of any width, the norm on the window and on
-    the window less its last label must agree within tol (stability);
-    otherwise the verdict is marked unstable and amenable is None.  This
-    holds at two labels too, where the smaller window is one label.
+    On a finite ring d is a positive eigenvector of A_g and of its
+    transpose A_{g*} (dimension equation, Frobenius reciprocity), so
+    ||A_g|| = d(g) and the ring is amenable.  A truncated ring must be a
+    ladder window read through f1: f1 . f_k = f_{k-1} + f_{k+1}.  Each
+    row of the infinite ladder sums to at most 2, so upper = 2 (Schur
+    test, constant vector), taken from the rule, not the clipped window
+    rows.  The window matrix is a compression of the infinite one, so
+    the Rayleigh quotient of v_i = (i+1)(w-i) on it is a lower bound.
+    The window is non-amenable when upper < d(g), and otherwise has no
+    verdict: Kesten alone never proves an infinite graph amenable.
+    d(g) is the exact value of the stored float dimension.
     """
     if generator not in ring_window.index:
         raise ValueError(f"unknown generator {generator}")
     if ring_window.dims is None:
         raise ValueError("ring carries no float dims")
-    n = len(ring_window.labels)
-    sizes = (n, n - 1) if ring_window.truncated else (n,)
-    norm, *prev = _spectral_norms(ring_window, generator, sizes)
-    norm_prev = prev[0] if prev else None
-    stable = norm_prev is None or abs(norm - norm_prev) < tol
-    dim = ring_window.dims[generator]
-    return {
-        "graph_norm": norm,
-        "dimension": dim,
-        "window": n,
-        "stable": stable,
-        "norm_previous_window": norm_prev,
-        "amenable": (abs(norm - dim) < tol) if stable else None,
-    }
+    labels, w = ring_window.labels, len(ring_window.labels)
+    dim = Fraction(ring_window.dims[generator])
+    lower = upper = dim
+    amenable = True
+    if ring_window.truncated:
+        if generator != "f1" or labels != tuple(f"f{i}" for i in range(w)):
+            raise ValueError("a truncated ring must be a TLJ ladder window "
+                             "read through f1")
+        for i, a in enumerate(labels):
+            if ring_window.row("f1", a) != {
+                    labels[k]: 1 for k in (i - 1, i + 1) if 0 <= k < w}:
+                raise ValueError(f"f1 row at {a} breaks the ladder rule")
+        v = [(i + 1) * (w - i) for i in range(w)]
+        lower = Fraction(2 * sum(x * y for x, y in zip(v, v[1:])),
+                         sum(x * x for x in v))
+        upper = Fraction(2)
+        amenable = False if upper < dim else None
+    return {"norm_lower": lower, "norm_upper": upper,
+            "dimension": ring_window.dims[generator], "window": w,
+            "amenable": amenable}

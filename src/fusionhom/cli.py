@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -40,10 +41,11 @@ class VerificationFailure(RuntimeError):
 class Inconclusive(RuntimeError):
     """Caps or truncation prevented a verdict."""
 
-    def __init__(self, message, results=None, warnings=()):
+    def __init__(self, message, results=None, warnings=(), files=None):
         super().__init__(message)
         self.results = results
         self.warnings = list(warnings)
+        self.files = files or {}
 
 
 def _group_by_name(name: str):
@@ -276,7 +278,9 @@ def cmd_betti(args):
 
 def _ladder_window(width, delta, flag, generator):
     """Ladder window for both checks; it holds only the f1 rows, and its
-    verdicts need positive dimensions."""
+    verdicts need a finite loop value and positive dimensions."""
+    if not math.isfinite(delta):
+        raise InputError(f"--ladder-delta {delta}: must be finite")
     if width < 2:
         raise InputError(f"{flag} {width}: the ladder window needs width >= 2")
     if generator != "f1":
@@ -315,14 +319,11 @@ def cmd_amenability(args):
         results["kesten"] = {
             "generator": args.generator,
             "window": rep["window"],
-            "graph_norm": rep["graph_norm"],
+            "norm_lower": str(rep["norm_lower"]),
+            "norm_upper": str(rep["norm_upper"]),
             "dimension": rep["dimension"],
-            "stable": rep["stable"],
             "amenable": rep["amenable"],
         }
-        if not rep["stable"]:
-            raise Inconclusive("kesten norm not stable at this window",
-                               results, warnings)
     if args.check in ("folner", "both"):
         if graph is None:
             window = _ladder_window(args.folner_window, args.ladder_delta,
@@ -340,7 +341,7 @@ def cmd_amenability(args):
                                             max_size=args.max_size,
                                             strategy=args.strategy)
         except amenability.TruncationInconclusive as exc:
-            raise Inconclusive(str(exc), results, warnings)
+            raise Inconclusive(str(exc), results, warnings, files)
         results["folner"] = {
             "strategy": rep.strategy,
             "epsilon": rep.epsilon,
@@ -353,6 +354,10 @@ def cmd_amenability(args):
         if not rep.found:
             warnings.append("no Folner witness within max_size; "
                             "best ratio reported")
+    if results.get("kesten", {}).get("amenable", False) is None:
+        raise Inconclusive("kesten norm bounds contain the dimension; Kesten "
+                           "alone cannot prove amenability", results, warnings,
+                           files)
     return results, warnings, files
 
 
@@ -544,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ladder-delta", type=float,
                    help="loop parameter delta of the ladder window")
     p.add_argument("--window", type=_intarg, default=4096,
-                   help="Kesten window width")
+                   help="window for the Kesten lower bound")
     p.add_argument("--generator", default="f1",
                    help="ladder generator; the ladder window holds only f1")
     p.add_argument("--graph", help="graph file path (Folner only)")
@@ -601,6 +606,7 @@ def main(argv=None) -> int:
             amenability.TruncationInconclusive) as exc:
         results = getattr(exc, "results", None) or {}
         warnings = list(getattr(exc, "warnings", []) or [])
+        files = getattr(exc, "files", files)
         report = _make_report(command, params, files, results,
                               warnings + [f"inconclusive: {exc}"], t0)
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}

@@ -114,12 +114,12 @@ def _combine(coeffs: dict, row_of) -> dict:
     return out
 
 
-def verify_axioms(ring: FusionRing, dim_tol=1e-9):
+def verify_axioms(ring: FusionRing):
     """Return a list of axiom failures (empty list means all pass).
 
     Checks the unit law, dual involutivity, Frobenius symmetry,
     associativity, and the dimension eigen-equation
-    d(a)d(b) = sum_c N(a,b,c) d(c) (float to dim_tol; exact when exact
+    d(a)d(b) = sum_c N(a,b,c) d(c) (float to relative 1e-9; exact when exact
     dims are stored).  Truncated rings skip triples touching the frontier.
     """
     failures = []
@@ -183,7 +183,7 @@ def verify_axioms(ring: FusionRing, dim_tol=1e-9):
                     continue
                 lhs = ring.dims[a] * ring.dims[b]
                 rhs = sum(v * ring.dims[c] for c, v in ring.row(a, b).items())
-                if abs(lhs - rhs) > dim_tol * max(1.0, abs(lhs)):
+                if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
                     failures.append(
                         f"dimension equation fails at ({a},{b}): "
                         f"{lhs} vs {rhs}")
@@ -317,7 +317,7 @@ def tlj_ladder(width: int, delta: float | None = None) -> FusionRing:
 # Perron-Frobenius dimensions and the zeroth Betti number
 # ---------------------------------------------------------------------------
 
-def perron_dims(ring: FusionRing, max_iter=200000):
+def perron_dims(ring: FusionRing):
     """Positive eigenvector of M = sum_alpha N(alpha, ., .), d(unit) = 1.
 
     Plain power iteration, run to relative sup-norm residual < 1e-12.
@@ -352,7 +352,7 @@ def perron_dims(ring: FusionRing, max_iter=200000):
 
     v = np.ones(n)
     lam = 1.0
-    for _ in range(max_iter):
+    for _ in range(200000):
         w = M @ v
         lam = float(w.max())
         w /= lam

@@ -19,6 +19,8 @@ from .exactarith import (RatFunc, RF_ONE, RF_ZERO, SparseMat, rank,
                          parse_scalar)
 from .groups import Group, NotAGroup
 
+MAX_WITNESSES = 5  # failures kept per identity channel
+
 
 class TubeAlgebra:
     """Structure-constant *-algebra graded over corner pairs.
@@ -166,7 +168,7 @@ class IdentityReport:
         return None
 
 
-def verify_identities(A: TubeAlgebra, max_witnesses=5) -> IdentityReport:
+def verify_identities(A: TubeAlgebra) -> IdentityReport:
     """Exhaustive exact verification of the tube-algebra identities.
 
     Covers grading, projections, associativity, star involutivity and
@@ -188,7 +190,7 @@ def verify_identities(A: TubeAlgebra, max_witnesses=5) -> IdentityReport:
         for c in comb:
             if A.src[c] != A.src[a] or A.tgt[c] != A.tgt[b]:
                 fails.append(f"product {a}*{b} leaves its corner block at {c}")
-    rep.record("grading", n, fails[:max_witnesses])
+    rep.record("grading", n, fails[:MAX_WITNESSES])
 
     fails = []
     n = 0
@@ -207,7 +209,7 @@ def verify_identities(A: TubeAlgebra, max_witnesses=5) -> IdentityReport:
             fails.append(f"left unit fails at {a}")
         if A.mult_elems(a, A.unit_of_corner[A.tgt[a]]) != {a: RF_ONE}:
             fails.append(f"right unit fails at {a}")
-    rep.record("projections", n, fails[:max_witnesses])
+    rep.record("projections", n, fails[:MAX_WITNESSES])
 
     fails = []
     n = 0
@@ -224,7 +226,7 @@ def verify_identities(A: TubeAlgebra, max_witnesses=5) -> IdentityReport:
                 right = A.mult_combs({a: RF_ONE}, A.mult_elems(b, c))
                 if left != right:
                     fails.append(f"associativity fails at ({a},{b},{c})")
-                    if len(fails) >= max_witnesses:
+                    if len(fails) >= MAX_WITNESSES:
                         break
             else:
                 continue
@@ -247,9 +249,9 @@ def verify_identities(A: TubeAlgebra, max_witnesses=5) -> IdentityReport:
             rhs = A.mult_combs(A.star[b], A.star[a])
             if lhs != rhs:
                 fails.append(f"star anti-multiplicativity fails at ({a},{b})")
-                if len(fails) >= max_witnesses:
+                if len(fails) >= MAX_WITNESSES:
                     break
-        if len(fails) >= max_witnesses:
+        if len(fails) >= MAX_WITNESSES:
             break
     rep.record("star", n, fails)
 
@@ -260,9 +262,9 @@ def verify_identities(A: TubeAlgebra, max_witnesses=5) -> IdentityReport:
             n += 1
             if A.trace_comb(A.mult_elems(a, b)) != A.trace_comb(A.mult_elems(b, a)):
                 fails.append(f"trace symmetry fails at ({a},{b})")
-                if len(fails) >= max_witnesses:
+                if len(fails) >= MAX_WITNESSES:
                     break
-        if len(fails) >= max_witnesses:
+        if len(fails) >= MAX_WITNESSES:
             break
     rep.record("trace-symmetry", n, fails)
 
@@ -296,7 +298,7 @@ def verify_identities(A: TubeAlgebra, max_witnesses=5) -> IdentityReport:
             bad = _psd_failure(frac)
             if bad:
                 fails.append(f"Gram {bad} on corner ({i},{j})")
-    rep.record("gram-psd", n, fails[:max_witnesses], notes)
+    rep.record("gram-psd", n, fails[:MAX_WITNESSES], notes)
 
     fails = []
     n = 0
@@ -308,7 +310,7 @@ def verify_identities(A: TubeAlgebra, max_witnesses=5) -> IdentityReport:
             prod = A.mult_combs({a: RF_ONE}, A.star[a])
             if prod != {A.unit_of_corner[A.src[a]]: RF_ONE}:
                 fails.append(f"onb sum identity fails at {a}")
-                if len(fails) >= max_witnesses:
+                if len(fails) >= MAX_WITNESSES:
                     break
     rep.record("onb-sum", n, fails)
 
@@ -332,9 +334,9 @@ def verify_identities(A: TubeAlgebra, max_witnesses=5) -> IdentityReport:
                    * A.counit_vec.get(b, RF_ZERO))
             if lhs != rhs:
                 fails.append(f"counit not multiplicative at ({a},{b})")
-                if len(fails) >= max_witnesses:
+                if len(fails) >= MAX_WITNESSES:
                     break
-        if len(fails) >= max_witnesses:
+        if len(fails) >= MAX_WITNESSES:
             break
     rep.record("counit", n, fails)
 

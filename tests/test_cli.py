@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,12 +19,15 @@ from test_tube import NEGATIVE_TRACE
 SRC = str(Path(fusionhom.__file__).resolve().parents[1])
 
 
-def run_cli(*args):
+def run_python(*args):
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "fusionhom.cli", *args],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
-    return proc
+
+
+def run_cli(*args):
+    return run_python("-m", "fusionhom.cli", *args)
 
 
 def run_json(*args):
@@ -139,33 +143,72 @@ def test_results_are_deterministic():
 
 
 def test_amenability_kesten_flat_ladder():
+    # Kesten alone cannot prove the infinite flat ladder amenable
     code, report = run_json("amenability", "--check", "kesten",
                             "--ladder-delta", "2.0", "--window", "4096")
-    assert code == 0
-    assert report["results"]["kesten"]["amenable"] is True
+    assert code == 3
+    kesten = report["results"]["kesten"]
+    assert kesten["amenable"] is None
+    assert (kesten["norm_lower"], kesten["norm_upper"]) == ("3357081/1678541",
+                                                            "2")
+
+
+def test_amenability_both_runs_folner_then_is_inconclusive(tmp_path):
+    path = tmp_path / "tri.graph"
+    path.write_text("vertex: a 1.0\nvertex: b 1.0\nvertex: c 1.0\n"
+                    "generators: b c\nedge: a b\nedge: b c\nedge: a c\n")
+    for source in (("--folner-window", "224"), ("--graph", str(path))):
+        code, report = run_json("amenability", "--check", "both",
+                                "--ladder-delta", "2.0", "--window", "64",
+                                "--epsilon", "0.5", *source)
+        assert code == 3
+        assert report["results"]["kesten"]["amenable"] is None
+        assert report["results"]["folner"]["found"]
+    # the exit-3 report still records the graph file it read
+    assert list(report["inputs"]["files"]) == [str(path)]
 
 
 def test_amenability_unstable_window_is_inconclusive():
-    proc = run_cli("amenability", "--check", "kesten",
-                   "--ladder-delta", "2.0", "--window", "16")
-    assert proc.returncode == 3
+    for width in ("16", "1000"):
+        code, report = run_json("amenability", "--check", "kesten",
+                                "--ladder-delta", "2.0", "--window", width)
+        assert code == 3
+        kesten = report["results"]["kesten"]
+        assert kesten["amenable"] is None
+        assert (Fraction(kesten["norm_lower"]) <= 2
+                <= Fraction(kesten["norm_upper"]))
 
 
 def test_amenability_two_label_window_is_inconclusive():
     code, report = run_json("amenability", "--check", "kesten",
                             "--ladder-delta", "2.0", "--window", "2")
     assert code == 3
-    assert report["results"]["kesten"]["stable"] is False
+    assert report["results"]["kesten"]["norm_lower"] == "1"
     assert report["results"]["kesten"]["amenable"] is None
 
 
 def test_amenability_kesten_expanding_ladder_default_window():
-    # most window dimensions overflow to inf; only f1's is read
-    code, report = run_json("amenability", "--check", "kesten",
-                            "--ladder-delta", "3.0")
-    assert code == 0
-    assert report["results"]["kesten"]["window"] == 4096
-    assert report["results"]["kesten"]["amenable"] is False
+    # at 3.0 most window dimensions overflow to inf; only f1's is read
+    for delta in ("3.0", "2.0000001"):
+        code, report = run_json("amenability", "--check", "kesten",
+                                "--ladder-delta", delta)
+        assert code == 0
+        assert report["results"]["kesten"]["window"] == 4096
+        assert report["results"]["kesten"]["norm_upper"] == "2"
+        assert report["results"]["kesten"]["amenable"] is False
+
+
+def test_amenability_loads_no_scipy():
+    # scipy is not a dependency: the criterion and the CLI check run
+    # without it in a fresh interpreter
+    proc = run_python("-c", (
+        "import sys\n"
+        "from fusionhom import acceptance, cli\n"
+        "assert acceptance.run_criterion('amenability')['status'] == 'PASS'\n"
+        "assert cli.main(['amenability', '--check', 'kesten',\n"
+        "                 '--ladder-delta', '3.0']) == 0\n"
+        "assert 'scipy' not in sys.modules\n"))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_amenability_folner_on_graph_file(tmp_path):
@@ -225,11 +268,15 @@ def test_fusion_ladder_summary():
       "--window", "512"), "--ladder-delta 0"),
     (("amenability", "--check", "folner", "--ladder-delta", "3.0",
       "--folner-window", "400"), "--folner-window 400"),
+    (("amenability", "--check", "kesten", "--ladder-delta", "inf"),
+     "--ladder-delta inf"),
+    (("amenability", "--check", "folner", "--ladder-delta", "inf"),
+     "--ladder-delta inf"),
 ], ids=["kesten-window", "unknown-generator", "folner-window",
         "nonpositive-weight", "epsilon", "ladder-zero", "tlj-one",
         "kesten-generator-f2", "folner-generator-f9",
         "kesten-nonpositive-dim", "kesten-delta-zero",
-        "folner-weight-overflow"])
+        "folner-weight-overflow", "kesten-delta-inf", "folner-delta-inf"])
 def test_out_of_range_flags_are_input_errors(argv, message):
     code, report = run_json(*argv)
     assert code == 1
