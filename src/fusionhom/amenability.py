@@ -75,13 +75,11 @@ class WeightedFusionGraph:
         return sum(self.weight[v] for v in F)
 
 
-def from_fusion_ring(ring: FusionRing, generators=None, weights=None,
-                     name="") -> WeightedFusionGraph:
-    """Graph of a fusion ring window.
+def from_fusion_ring(ring: FusionRing, generators=None) -> WeightedFusionGraph:
+    """Graph of a fusion ring window, weighted by squared dimensions.
 
     generators defaults to every non-unit label; the set must be closed
-    under the ring's dual.  weights default to squared dimensions, which
-    needs float dims on the ring.
+    under the ring's dual.  The ring needs float dims.
     """
     if generators is None:
         generators = [l for l in ring.labels if l != ring.unit]
@@ -89,13 +87,12 @@ def from_fusion_ring(ring: FusionRing, generators=None, weights=None,
     for g in gen_set:
         if ring.dual[g] not in gen_set:
             raise ValueError(f"generator set not symmetric: missing dual of {g}")
-    if weights is None:
-        if ring.dims is None:
-            raise ValueError("ring carries no float dims; pass weights")
-        try:
-            weights = {l: ring.dims[l] ** 2 for l in ring.labels}
-        except OverflowError:
-            raise ValueError("a squared dimension overflows") from None
+    if ring.dims is None:
+        raise ValueError("ring carries no float dims")
+    try:
+        weights = {l: ring.dims[l] ** 2 for l in ring.labels}
+    except OverflowError:
+        raise ValueError("a squared dimension overflows") from None
     adjacency = {l: set() for l in ring.labels}
     for g in gen_set:
         for a in ring.labels:
@@ -105,8 +102,7 @@ def from_fusion_ring(ring: FusionRing, generators=None, weights=None,
                     adjacency[b].add(a)
     return WeightedFusionGraph(ring.labels, weights, sorted(gen_set, key=str),
                                adjacency, truncated=ring.truncated,
-                               frontier=ring.frontier,
-                               name=name or ring.name)
+                               frontier=ring.frontier, name=ring.name)
 
 
 def graph_from_text(text: str) -> WeightedFusionGraph:

@@ -1,11 +1,11 @@
 """Closed-form L2-Betti profiles and their combinators.
 
-Values are kept in a two-layer exact form: a rational part plus an
-integer-indexed linear combination of the atoms SinSq(m) = 4 sin^2(pi/m)/m.
-Atoms with m in {2, 3, 4, 6} fold into the rational part (the only m for
-which sin^2(pi/m) is rational), and m = infinity folds to 0.  Products of
-two atoms have no closed form in this family; they degrade to a
-float-backed tail term that remembers its provenance.
+Values are exact: a rational linear combination of monomials in the atoms
+SinSq(m) = 4 sin^2(pi/m)/m.  Atoms with m in {1, 2, 3, 4, 6} fold into
+the rational coefficient (the only m for which sin^2(pi/m) is rational),
+and m = infinity folds to 0.  Every atom lies in a real cyclotomic field,
+so equality and sign are decided exactly in Q(zeta_L), L the lcm of the
+atoms involved.
 
 Profiles are finite sequences (beta_0, ..., beta_D) with everything above
 D declared zero.
@@ -13,127 +13,165 @@ D declared zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
+from .exactarith import ZERO_POLY, IntPoly, _pseudo_rem
+
 INF = math.inf
 
-# sin^2(pi/m) is rational exactly for these m (and m=1, which gives 0)
+# sin^2(pi/m) is rational exactly for these m; SinSq(inf) is the limit 0
 _FOLD = {1: Fraction(0), 2: Fraction(2), 3: Fraction(1),
-         4: Fraction(1, 2), 6: Fraction(1, 6)}
+         4: Fraction(1, 2), 6: Fraction(1, 6), INF: Fraction(0)}
+
+_SIGN_BOUND = 2.0 ** -40
 
 
 def _atom_float(m) -> float:
     return 4.0 * math.sin(math.pi / m) ** 2 / m
 
 
-class BettiValue:
-    """rational + sum of coeff*SinSq(m) + float tail with provenance.
+def _fold(pairs) -> dict:
+    """Merge (monomial, Fraction) pairs into sorted terms, zeros dropped."""
+    terms = {}
+    for mono, coeff in pairs:
+        for m in mono:
+            if m in _FOLD:
+                coeff *= _FOLD[m]
+        key = tuple(sorted(m for m in mono if m not in _FOLD))
+        terms[key] = terms[key] + coeff if key in terms else coeff
+    return {k: terms[k] for k in sorted(terms, key=lambda k: (len(k), k))
+            if terms[k]}
 
-    Atoms with equal m are merged and zero coefficients dropped, so equal
-    symbolic values compare equal.
+
+@functools.cache
+def _cyclotomic(n: int) -> IntPoly:
+    """Phi_n, dividing z^n - 1 by Phi_d for every proper divisor d."""
+    poly = IntPoly((-1,) + (0,) * (n - 1) + (1,))
+    for d in range(1, n):
+        if n % d == 0:
+            poly = poly.divexact(_cyclotomic(d))
+    return poly
+
+
+class BettiValue:
+    """An exact real: sum of coeff * SinSq(m1)*...*SinSq(mk).
+
+    `terms` maps a monomial (sorted tuple of atom indices, () for the
+    rational part) to a nonzero Fraction.  Products of atoms are
+    monomials, so sums and products stay exact.  Equal terms mean equal
+    values; unequal terms are compared by an exact zero test of the
+    difference, since the atoms are not independent over Q.
+
+    >>> BettiValue(0, [(2, 10), (-1, 5)]) == BettiValue(Fraction(-1, 5))
+    True
     """
 
-    def __init__(self, rational=0, atoms=None, tail=None):
-        self.rational = Fraction(rational)
-        merged = {}
-        for coeff, m in (atoms or ()):
-            coeff = Fraction(coeff)
-            if m == INF or m in _FOLD:
-                self.rational += coeff * _FOLD.get(m, Fraction(0))
-                continue
-            merged[m] = merged.get(m, Fraction(0)) + coeff
-        self.atoms = tuple(sorted((m, c) for m, c in merged.items() if c))
-        self.tail = tuple(sorted(tail or ()))  # (provenance, float value)
+    def __init__(self, rational=0, atoms=()):
+        if not all(m == INF or type(m) is int and m >= 1 for _, m in atoms):
+            raise ValueError("SinSq(m) needs an integer m >= 1 or infinity")
+        self.terms = _fold([((), Fraction(rational))]
+                           + [((m,), Fraction(c)) for c, m in atoms])
+
+    @classmethod
+    def _of(cls, pairs) -> "BettiValue":
+        value = cls.__new__(cls)
+        value.terms = _fold(pairs)
+        return value
 
     @staticmethod
     def sinsq(m) -> "BettiValue":
         """The atom 4 sin^2(pi/m)/m; rational when m in {2,3,4,6} or inf."""
-        return BettiValue(0, [(Fraction(1), m)])
+        return BettiValue(0, [(1, m)])
+
+    @property
+    def rational(self) -> Fraction:
+        return self.terms.get((), Fraction(0))
 
     def __add__(self, other):
         other = _coerce(other)
-        return BettiValue(
-            self.rational + other.rational,
-            [(c, m) for m, c in self.atoms] + [(c, m) for m, c in other.atoms],
-            _merge_tails(self.tail, other.tail))
+        return BettiValue._of([*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
-        return BettiValue(-self.rational,
-                          [(-c, m) for m, c in self.atoms],
-                          [(p, -v) for p, v in self.tail])
+        return BettiValue._of((mono, -c) for mono, c in self.terms.items())
 
     def __sub__(self, other):
         return self + (-_coerce(other))
 
     def __mul__(self, other):
         other = _coerce(other)
-        rational = self.rational * other.rational
-        atoms = []
-        tail = {}
-
-        def add_tail(prov, val):
-            tail[prov] = tail.get(prov, 0.0) + val
-
-        for m, c in self.atoms:
-            atoms.append((c * other.rational, m))
-        for m, c in other.atoms:
-            atoms.append((c * self.rational, m))
-        for m1, c1 in self.atoms:
-            for m2, c2 in other.atoms:
-                prov = f"SinSq({min(m1, m2)})*SinSq({max(m1, m2)})"
-                add_tail(prov, float(c1 * c2) * _atom_float(m1) * _atom_float(m2))
-        for p, v in self.tail:
-            add_tail(p, v * float(other.rational))
-            for m, c in other.atoms:
-                add_tail(f"({p})*SinSq({m})", v * float(c) * _atom_float(m))
-        for p, v in other.tail:
-            add_tail(p, v * float(self.rational))
-            for m, c in self.atoms:
-                add_tail(f"({p})*SinSq({m})", v * float(c) * _atom_float(m))
-        for p1, v1 in self.tail:
-            for p2, v2 in other.tail:
-                add_tail(f"({p1})*({p2})", v1 * v2)
-        tail_items = [(p, v) for p, v in tail.items() if v != 0.0]
-        return BettiValue(rational, atoms, tail_items)
+        return BettiValue._of((m1 + m2, c1 * c2)
+                              for m1, c1 in self.terms.items()
+                              for m2, c2 in other.terms.items())
 
     def __eq__(self, other):
         other = _coerce(other)
-        return (self.rational == other.rational
-                and self.atoms == other.atoms and self.tail == other.tail)
+        return self.terms == other.terms or not (self - other)
 
     def __bool__(self):
-        return bool(self.rational or self.atoms or self.tail)
+        value, scale = self._float_and_scale()
+        return abs(value) > _SIGN_BOUND * scale or not self._is_zero()
 
-    def is_exact(self) -> bool:
-        return not self.tail
+    def sign(self) -> int:
+        """-1, 0 or 1, never guessed.
+
+        The double value f^ decides when |f^| > 2^-40 * S^, S^ the double
+        sum of the absolute terms.  Proof, u = 2^-53, libm sin within one
+        ulp: pi/m is within 2u, and x cot x <= 1 keeps that through sin;
+        sin adds 2u, squaring doubles and adds u, /m adds u: each atom is
+        within 12u.  A degree-k term is within (13k + 1)u and a sum of T
+        terms adds (T - 1)u * S, so |f^ - f| <= (13k + T)u * S < 2^-41 * S^
+        while 13k + T < 4096 (k, T are a few dozen at most here).  Inside
+        the bound the exact zero test gives 0; a nonzero value raises.
+        """
+        value, scale = self._float_and_scale()
+        if abs(value) > _SIGN_BOUND * scale:
+            return 1 if value > 0 else -1
+        if self._is_zero():
+            return 0
+        raise ArithmeticError(f"sign of {self.exact_str()} is not decided "
+                              "by its double value")
+
+    def _float_and_scale(self):
+        value = scale = 0.0
+        for mono, c in self.terms.items():
+            term = float(c)
+            for m in mono:
+                term *= _atom_float(m)
+            value += term
+            scale += abs(term)
+        return value, scale
+
+    def _is_zero(self) -> bool:
+        """Exact zero test.  Every monomial is positive, so terms of one
+        sign decide alone.  Otherwise, with z a primitive L-th root of unity
+        (L the lcm of the atoms), SinSq(m) = (2 - z^(L/m) - z^(-L/m))/m and
+        the value is zero iff Phi_L divides the cleared expansion."""
+        if len({c > 0 for c in self.terms.values()}) < 2:
+            return not self.terms
+        n = math.lcm(*(m for mono in self.terms for m in mono))
+        clear = math.lcm(*(c.denominator * math.prod(mono)
+                           for mono, c in self.terms.items()))
+        total = ZERO_POLY
+        for mono, c in self.terms.items():
+            poly = IntPoly((c.numerator * clear
+                            // (c.denominator * math.prod(mono)),))
+            for m in mono:  # 2 - z^(n/m) - z^(n - n/m), z^n = 1
+                atom = [0] * n
+                atom[0], atom[n // m], atom[n - n // m] = 2, -1, -1
+                poly = poly * IntPoly(atom)
+            total = total + poly
+        return not _pseudo_rem(total, _cyclotomic(n))
 
     def to_float(self) -> float:
-        total = float(self.rational)
-        for m, c in self.atoms:
-            total += float(c) * _atom_float(m)
-        for _, v in self.tail:
-            total += v
-        return total
+        return self._float_and_scale()[0]
 
     def exact_str(self) -> str:
-        parts = []
-        if self.rational or not (self.atoms or self.tail):
-            parts.append(str(self.rational))
-        for m, c in self.atoms:
-            if c == 1:
-                term = f"SinSq({m})"
-            elif c == -1:
-                term = f"-SinSq({m})"
-            else:
-                term = f"{c}*SinSq({m})"
-            parts.append(term)
-        for p, v in self.tail:
-            parts.append(f"{v!r}[{p}]")
-        out = parts[0]
-        for term in parts[1:]:
-            out += " - " + term[1:] if term.startswith("-") else " + " + term
-        return out
+        parts = [str(c) if not mono else {1: "", -1: "-"}.get(c, f"{c}*")
+                 + "*".join(f"SinSq({m})" for m in mono)
+                 for mono, c in self.terms.items()]
+        return " + ".join(parts or ["0"]).replace(" + -", " - ")
 
     def __repr__(self):
         return f"BettiValue({self.exact_str()})"
@@ -145,13 +183,6 @@ def _coerce(x) -> BettiValue:
     return BettiValue(Fraction(x))
 
 
-def _merge_tails(t1, t2):
-    acc = {}
-    for p, v in list(t1) + list(t2):
-        acc[p] = acc.get(p, 0.0) + v
-    return [(p, v) for p, v in acc.items() if v != 0.0]
-
-
 ZERO = BettiValue(0)
 ONE = BettiValue(1)
 
@@ -159,7 +190,7 @@ ONE = BettiValue(1)
 class BettiProfile:
     """Finite sequence of BettiValue; degrees above the list are zero.
 
-    Constructor enforces nonnegativity (floats >= -1e-12) unless the
+    Constructor enforces nonnegativity (exact `sign() >= 0`) unless the
     profile carries warnings, which mark combinator outputs whose
     hypotheses were violated.
     """
@@ -171,7 +202,7 @@ class BettiProfile:
         self.warnings = tuple(warnings)
         if not self.warnings:
             for k, v in enumerate(self.values):
-                if v.to_float() < -1e-12:
+                if v.sign() < 0:
                     raise ValueError(
                         f"negative Betti number at degree {k}: {v.exact_str()}")
 
@@ -217,7 +248,7 @@ def free_product(p1: BettiProfile, p2: BettiProfile) -> BettiProfile:
     """
     warnings = list(p1.warnings) + list(p2.warnings)
     for tag, p in (("first", p1), ("second", p2)):
-        if p.value(0).to_float() >= 1.0 - 1e-12:
+        if (p.value(0) - ONE).sign() >= 0:
             warnings.append(
                 f"free_product: {tag} factor has beta0 >= 1 "
                 "(trivial factor violates the nontriviality hypothesis)")

@@ -41,11 +41,10 @@ class VerificationFailure(RuntimeError):
 class Inconclusive(RuntimeError):
     """Caps or truncation prevented a verdict."""
 
-    def __init__(self, message, results=None, warnings=(), files=None):
+    def __init__(self, message, results=None, warnings=()):
         super().__init__(message)
         self.results = results
         self.warnings = list(warnings)
-        self.files = files or {}
 
 
 def _group_by_name(name: str):
@@ -95,10 +94,10 @@ def _digest(payload: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _inputs_block(params: dict, files: dict | None = None) -> dict:
+def _inputs_block(params: dict, files: dict) -> dict:
     canon_params = {k: v for k, v in sorted(params.items()) if v is not None}
     file_digests = {path: _digest(text)
-                    for path, text in sorted((files or {}).items())}
+                    for path, text in sorted(files.items())}
     canon = json.dumps({"params": {k: str(v) for k, v in canon_params.items()},
                         "files": file_digests}, sort_keys=True)
     return {"params": canon_params, "files": file_digests,
@@ -106,7 +105,8 @@ def _inputs_block(params: dict, files: dict | None = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command bodies: each returns (results, warnings)
+# command bodies: each records the files it reads in `files` and returns
+# (results, warnings)
 # ---------------------------------------------------------------------------
 
 def _build_ring(args, files):
@@ -132,8 +132,7 @@ def _build_ring(args, files):
         raise InputError(f"ring file rejected: {exc}")
 
 
-def cmd_fusion(args):
-    files = {}
+def cmd_fusion(args, files):
     ring = _build_ring(args, files)
     warnings = []
     if ring.truncated:
@@ -157,7 +156,7 @@ def cmd_fusion(args):
         if failures:
             raise VerificationFailure(f"axioms fail: {failures[0]}",
                                       results, warnings)
-    return results, warnings, files
+    return results, warnings
 
 
 def _build_tube(args, files):
@@ -173,8 +172,7 @@ def _build_tube(args, files):
         raise InputError(f"tube file rejected: {exc}")
 
 
-def cmd_tube(args):
-    files = {}
+def cmd_tube(args, files):
     algebra = _build_tube(args, files)
     warnings = []
     results = {"name": algebra.name, "dim": algebra.dim(),
@@ -197,7 +195,7 @@ def cmd_tube(args):
     if args.homology is not None:
         results["homology"] = _tube_homology_block(algebra, args.homology,
                                                    args.chain_cap)
-    return results, warnings, files
+    return results, warnings
 
 
 def _tube_homology_block(algebra, degree, chain_cap):
@@ -208,16 +206,15 @@ def _tube_homology_block(algebra, degree, chain_cap):
             "dims": list(rep.dims), "chain_dims": list(rep.chain_dims)}
 
 
-def cmd_homology_tube(args):
-    files = {}
+def cmd_homology_tube(args, files):
     algebra = _build_tube(args, files)
     results = {"name": algebra.name,
                "homology": _tube_homology_block(algebra, args.degree,
                                                 args.chain_cap)}
-    return results, [], files
+    return results, []
 
 
-def cmd_homology_tlj(args):
+def cmd_homology_tlj(args, files):
     if args.mode != "unshaded":
         raise InputError("homology runs unshaded; shaded diagrams are a "
                          "display convention only")
@@ -254,26 +251,31 @@ def cmd_homology_tlj(args):
         if not rep["contained"]:
             raise VerificationFailure("h2 containment failed", results,
                                       warnings)
-    return results, warnings, {}
+    return results, warnings
 
 
-def cmd_betti(args):
-    chosen = [name for name in ("fuss_catalan", "tlj", "point")
-              if getattr(args, name)]
+def cmd_betti(args, files):
+    chosen = [name for name in ("fuss_catalan", "tlj")
+              if getattr(args, name) is not None] + ["point"] * args.point
     if len(chosen) != 1:
         raise InputError("choose exactly one of --fuss-catalan/--tlj/--point")
-    if args.fuss_catalan:
-        n, m = args.fuss_catalan
-        profile = betti.fuss_catalan(n, m)
-        provenance = f"fuss-catalan({n},{m})"
-    elif args.tlj:
-        profile = betti.tlj_profile(args.tlj)
-        provenance = f"tlj({args.tlj})"
-    else:
-        profile = betti.point_profile()
-        provenance = "point"
+    try:
+        if args.fuss_catalan is not None:
+            n, m = args.fuss_catalan
+            flag = f"--fuss-catalan {n} {m}"
+            profile = betti.fuss_catalan(n, m)
+            provenance = f"fuss-catalan({n},{m})"
+        elif args.tlj is not None:
+            flag = f"--tlj {args.tlj}"
+            profile = betti.tlj_profile(args.tlj)
+            provenance = f"tlj({args.tlj})"
+        else:
+            profile = betti.point_profile()
+            provenance = "point"
+    except ValueError as exc:
+        raise InputError(f"{flag}: {exc}")
     results = betti.profile_to_json(profile, provenance)
-    return results, list(profile.warnings), {}
+    return results, list(profile.warnings)
 
 
 def _ladder_window(width, delta, flag, generator):
@@ -293,8 +295,7 @@ def _ladder_window(width, delta, flag, generator):
     return window
 
 
-def cmd_amenability(args):
-    files = {}
+def cmd_amenability(args, files):
     warnings = []
     results = {}
     if args.graph:
@@ -341,7 +342,7 @@ def cmd_amenability(args):
                                             max_size=args.max_size,
                                             strategy=args.strategy)
         except amenability.TruncationInconclusive as exc:
-            raise Inconclusive(str(exc), results, warnings, files)
+            raise Inconclusive(str(exc), results, warnings)
         results["folner"] = {
             "strategy": rep.strategy,
             "epsilon": rep.epsilon,
@@ -356,13 +357,11 @@ def cmd_amenability(args):
                             "best ratio reported")
     if results.get("kesten", {}).get("amenable", False) is None:
         raise Inconclusive("kesten norm bounds contain the dimension; Kesten "
-                           "alone cannot prove amenability", results, warnings,
-                           files)
-    return results, warnings, files
+                           "alone cannot prove amenability", results, warnings)
+    return results, warnings
 
 
-def cmd_verify_all(args):
-    files = {}
+def cmd_verify_all(args, files):
     cfg = {}
     if args.chain_cap is not None:
         cfg["chain_cap"] = args.chain_cap
@@ -392,7 +391,7 @@ def cmd_verify_all(args):
         raise Inconclusive(
             f"{results['summary']['inconclusive']} criteria inconclusive",
             results, warnings)
-    return results, warnings, files, timing
+    return results, warnings, timing
 
 
 # ---------------------------------------------------------------------------
@@ -577,51 +576,32 @@ def main(argv=None) -> int:
     params = _params_of(args, COMMAND_PARAMS[command])
     t0 = time.perf_counter()
     files = {}
-    extra_timing = None
-    exit_code = 0
+    extra_timing = error = None
     try:
-        body = COMMAND_BODIES[command]
-        out = body(args)
+        out = COMMAND_BODIES[command](args, files)
         if command == "verify-all":
-            results, warnings, files, extra_timing = out
+            results, warnings, extra_timing = out
         else:
-            results, warnings, files = out
-    except InputError as exc:
-        report = _error_report(command, params, "InputError", str(exc), t0)
-        _emit(report, args)
-        return 1
-    except (ParseError, InvariantViolation) as exc:
-        report = _error_report(command, params, type(exc).__name__,
-                               str(exc), t0)
-        _emit(report, args)
-        return 1
+            results, warnings = out
+        code = 0
+    except (InputError, ParseError, InvariantViolation) as exc:
+        code, error, results, warnings = 1, exc, {}, []
     except VerificationFailure as exc:
-        report = _make_report(command, params, files, exc.results or {},
-                              exc.warnings + [f"verification failed: {exc}"],
-                              t0)
-        report["error"] = {"type": "VerificationFailure", "message": str(exc)}
-        _emit(report, args)
-        return 2
+        code, error, results = 2, exc, exc.results or {}
+        warnings = exc.warnings + [f"verification failed: {exc}"]
     except (Inconclusive, SizeLimit,
             amenability.TruncationInconclusive) as exc:
+        code, error = 3, exc
         results = getattr(exc, "results", None) or {}
-        warnings = list(getattr(exc, "warnings", []) or [])
-        files = getattr(exc, "files", files)
-        report = _make_report(command, params, files, results,
-                              warnings + [f"inconclusive: {exc}"], t0)
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        _emit(report, args)
-        return 3
+        warnings = getattr(exc, "warnings", []) + [f"inconclusive: {exc}"]
+    # every exit path reports the files the command read
     report = _make_report(command, params, files, results, warnings, t0,
                           extra_timing)
+    if error is not None:
+        report["error"] = {"type": type(error).__name__,
+                           "message": str(error)}
     _emit(report, args)
-    return exit_code
-
-
-def _error_report(command, params, err_type, message, t0):
-    report = _make_report(command, params, {}, {}, [], t0)
-    report["error"] = {"type": err_type, "message": message}
-    return report
+    return code
 
 
 def _emit(report, args):

@@ -34,6 +34,13 @@ def test_generators_must_be_dual_closed():
     assert g.generators == (1, 2)
 
 
+def test_graph_weights_need_float_dims():
+    ring = from_group(cyclic(3))
+    ring.dims = None
+    with pytest.raises(ValueError, match="^ring carries no float dims$"):
+        from_fusion_ring(ring)
+
+
 def test_group_graph_is_complete_and_amenable():
     g = from_fusion_ring(from_group(cyclic(3)))
     assert g.ball(1) == set(g.vertices)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fusionhom.betti import (INF, BettiProfile, BettiValue, free_product,
-                             fuss_catalan, point_profile, profile_to_json,
-                             tensor_product, tlj_profile)
+from fusionhom.betti import (INF, ONE, BettiProfile, BettiValue,
+                             free_product, fuss_catalan, point_profile,
+                             profile_to_json, tensor_product, tlj_profile)
 
 
 def test_sinsq_folds_special_angles():
@@ -23,9 +23,16 @@ def test_sinsq_folds_special_angles():
 def test_sinsq_generic_stays_symbolic():
     v = BettiValue.sinsq(5)
     assert v.rational == 0
-    assert v.atoms == ((5, Fraction(1)),)
-    assert v.is_exact()
+    assert v.terms == {(5,): Fraction(1)}
     assert v.exact_str() == "SinSq(5)"
+
+
+def test_sinsq_rejects_atoms_outside_the_cyclotomic_family():
+    # a negative atom would break the positivity the zero test relies on:
+    # SinSq(-5) + SinSq(5) is 0
+    for m in (-5, 0, 5.0, 2.5):
+        with pytest.raises(ValueError):
+            BettiValue.sinsq(m)
 
 
 def test_atoms_merge_and_cancel():
@@ -34,12 +41,41 @@ def test_atoms_merge_and_cancel():
     assert (v - BettiValue.sinsq(7)).to_float() == 0.0
 
 
-def test_atom_product_degrades_to_tagged_float():
+def test_atom_product_is_exact():
     v = BettiValue.sinsq(5) * BettiValue.sinsq(7)
-    assert not v.is_exact()
-    assert v.tail
-    provenance = v.tail[0][0]
-    assert "SinSq(5)" in provenance and "SinSq(7)" in provenance
+    assert v.terms == {(5, 7): Fraction(1)}
+    assert v.exact_str() == "SinSq(5)*SinSq(7)"
+    assert v == BettiValue.sinsq(7) * BettiValue.sinsq(5)
+    assert v != BettiValue.sinsq(5)
+
+
+def test_linearly_dependent_atoms_compare_equal():
+    # 2*SinSq(10) - SinSq(5) = -1/5: the atoms are not independent over Q
+    assert BettiValue(0, [(2, 10), (-1, 5)]) == BettiValue(Fraction(-1, 5))
+    assert BettiValue(0, [(2, 10), (-1, 5)]).sign() == -1
+    assert BettiValue(Fraction(1, 5), [(2, 10), (-1, 5)]).sign() == 0
+
+
+def test_atom_square_reduces_in_its_field():
+    s5 = BettiValue.sinsq(5)
+    assert s5 * s5 == s5 - Fraction(1, 5)
+    # 8*SinSq(8) - 2 = -sqrt(2)
+    root = BettiValue.sinsq(8) * 8 - 2
+    assert root * root == 2
+    assert root.sign() == -1
+    assert root != -1
+    # double angle: m*SinSq(m) = 4 - 4c^2 with c = cos(pi/m) = 1 - m*SinSq(2m)
+    for m in range(5, 30):
+        c = ONE - BettiValue.sinsq(2 * m) * m
+        assert BettiValue.sinsq(m) * m == (ONE - c * c) * 4
+
+
+def test_tiny_negative_value_is_negative():
+    tiny = BettiValue.sinsq(10**5)  # about 3.9e-14
+    with pytest.raises(ValueError):
+        BettiProfile([-tiny])
+    assert tiny.sign() == 1
+    assert (ONE - tiny - ONE).sign() == -1
 
 
 def test_point_profile_is_unit():
@@ -70,6 +106,11 @@ def test_free_product_flags_trivial_factor():
     assert "beta0 >= 1" in p.warnings[0]
 
 
+def test_free_product_accepts_beta0_just_below_one():
+    near_one = BettiProfile([ONE - BettiValue.sinsq(10**5)])
+    assert not free_product(near_one, tlj_profile(INF)).warnings
+
+
 def test_fuss_catalan_matches_free_product():
     for n in (3, 4, 7, 12, INF):
         for m in (3, 5, 20, INF):
@@ -98,12 +139,7 @@ def test_tensor_unit_and_commutativity():
     for p in probes:
         assert tensor_product(point_profile(), p) == p
         for q in probes:
-            left = tensor_product(p, q)
-            right = tensor_product(q, p)
-            top = max(len(left.values), len(right.values))
-            for k in range(top):
-                assert left.value(k).to_float() == pytest.approx(
-                    right.value(k).to_float(), abs=1e-12)
+            assert tensor_product(p, q) == tensor_product(q, p)
 
 
 def test_profile_rejects_negative_without_warnings():
@@ -125,8 +161,7 @@ def test_profile_to_json_shape():
 
 @given(st.integers(min_value=3, max_value=60), st.integers(min_value=3, max_value=60))
 def test_fuss_catalan_beta1_nonnegative(n, m):
-    v = fuss_catalan(n, m).value(1)
-    assert v.to_float() >= -1e-12
+    assert fuss_catalan(n, m).value(1).sign() >= 0
 
 
 @given(st.integers(min_value=2, max_value=40))

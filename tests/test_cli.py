@@ -1,5 +1,6 @@
 """Command line interface: exit codes, JSON reports, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -87,6 +88,34 @@ def test_tube_file_input(tube_file):
 def test_corrupt_tube_file_fails_verification(broken_tube_file):
     proc = run_cli("tube", "--file", broken_tube_file, "--verify")
     assert proc.returncode == 2
+
+
+def file_digests(path):
+    with open(path, encoding="utf-8") as handle:
+        return {path: hashlib.sha256(handle.read().encode()).hexdigest()}
+
+
+def test_failed_verification_report_keeps_the_file_digest(broken_tube_file):
+    code, report = run_json("tube", "--file", broken_tube_file, "--verify")
+    assert code == 2
+    assert report["inputs"]["files"] == file_digests(broken_tube_file)
+
+
+def test_capped_report_keeps_the_file_digest(tube_file):
+    code, report = run_json("homology-tube", "--file", tube_file,
+                            "--chain-cap", "1")
+    assert code == 3
+    assert report["error"]["type"] == "SizeLimit"
+    assert report["inputs"]["files"] == file_digests(tube_file)
+
+
+def test_rejected_file_report_keeps_the_file_digest(tmp_path):
+    path = tmp_path / "garbage.tube"
+    path.write_text("not a tube file\n")
+    code, report = run_json("tube", "--file", str(path))
+    assert code == 1
+    assert report["error"]["type"] == "InputError"
+    assert report["inputs"]["files"] == file_digests(str(path))
 
 
 def test_verify_all_names_the_violation(broken_tube_file):
@@ -272,11 +301,15 @@ def test_fusion_ladder_summary():
      "--ladder-delta inf"),
     (("amenability", "--check", "folner", "--ladder-delta", "inf"),
      "--ladder-delta inf"),
+    (("betti", "--tlj", "1"), "--tlj 1"),
+    (("betti", "--tlj", "0"), "--tlj 0"),
+    (("betti", "--fuss-catalan", "2", "5"), "--fuss-catalan 2 5"),
 ], ids=["kesten-window", "unknown-generator", "folner-window",
         "nonpositive-weight", "epsilon", "ladder-zero", "tlj-one",
         "kesten-generator-f2", "folner-generator-f9",
         "kesten-nonpositive-dim", "kesten-delta-zero",
-        "folner-weight-overflow", "kesten-delta-inf", "folner-delta-inf"])
+        "folner-weight-overflow", "kesten-delta-inf", "folner-delta-inf",
+        "betti-tlj-one", "betti-tlj-zero", "betti-fc-two"])
 def test_out_of_range_flags_are_input_errors(argv, message):
     code, report = run_json(*argv)
     assert code == 1
