@@ -18,6 +18,21 @@ transport rules reproduce the displayed shaded boundary values (the
 deleted-circle parity at degree 2 and the promoted-region parity at
 degree 3) but do not assemble into a chain complex, so all homology
 computations run unshaded.
+
+H2 containment (`h2_vanishing_check`) is certified from ranks over F_p
+and falls back to exact elimination over Z[delta] when the certificate
+does not close.  Write C_k(<=T) for the degree-k diagrams of total at
+most T; filling never raises the total, so each C(<=T) is a subcomplex.
+
+- Sending Z[delta] to F_p at a point delta0 is a ring map, so a rank
+  mod p never exceeds the rank over Q(delta).
+- Take degree-3 diagrams of total at most T and check d2(d3(d)) = 0 for
+  each of them exactly over Z.  Their boundaries lie in ker d2(<=T), and
+  if their mod-p rank reaches |C2(<=T)| - rank_p d2(<=T) they span it.
+- For N <= T <= N+margin, ker d2(<=N) lies in ker d2(<=T), so it lies in
+  the span of those boundaries: containment is proved.
+- kernel_dim = |C2(<=N)| - |C1(<=N)| is exact when rank_p d2(<=N) equals
+  the row count |C1(<=N)|.
 """
 
 from __future__ import annotations
@@ -25,8 +40,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import SizeLimit
-from .exactarith import (Echelon, IntPoly, RatFunc, RF_ONE, RF_ZERO,
-                         SparseMat, ZERO_POLY, clear_denominators,
+from .exactarith import (Echelon, IntPoly, ModpEchelon, RatFunc, RF_ONE,
+                         RF_ZERO, SparseMat, ZERO_POLY, clear_denominators,
                          kernel_basis, rank, span_solve)
 
 
@@ -279,6 +294,19 @@ def fill_puncture(d: CircleDiagram, j: int) -> tuple[CircleDiagram, int]:
     return CircleDiagram(k - 1, new_blocks, bit), deleted
 
 
+def _boundary_counts(d: CircleDiagram) -> dict:
+    """Boundary of d over Z: (diagram, deleted) -> signed count.
+
+    The coefficient of a diagram in boundary(d) is the sum of
+    count * delta^deleted over its entries.
+    """
+    counts = {}
+    for j in range(d.degree + 1):
+        key = fill_puncture(d, j)
+        counts[key] = counts.get(key, 0) + (-1) ** j
+    return counts
+
+
 def boundary(d: CircleDiagram) -> ChainVector:
     """Boundary of one diagram: sum over j of (-1)^j fill_puncture(d, j).
 
@@ -287,10 +315,8 @@ def boundary(d: CircleDiagram) -> ChainVector:
     RatFunc once.  Terms that cancel are dropped.
     """
     sums = {}
-    for j in range(d.degree + 1):
-        out, deleted = fill_puncture(d, j)
-        term = IntPoly((0,) * deleted + ((-1) ** j,))
-        sums[out] = sums.get(out, ZERO_POLY) + term
+    for (out, deleted), count in _boundary_counts(d).items():
+        sums[out] = sums.get(out, ZERO_POLY) + IntPoly((0,) * deleted + (count,))
     return ChainVector(d.degree - 1, {e: RatFunc(p) for e, p in sums.items()})
 
 
@@ -387,19 +413,34 @@ def h1_vanishing_check(K: int) -> dict:
             "per_m": per_m}
 
 
+# (prime < 2^31, point) pairs tried in turn by the mod-p certificate
+_MODP_PAIRS = ((2147483647, 1234567), (2147483629, 7654321),
+               (2147483587, 2718281))
+
+
 def h2_vanishing_check(N: int, margin: int = 2, diagram_cap: int = 100000,
                        generators=None) -> dict:
     """Check ker(boundary_2) on total <= N against the degree-3 image.
 
-    Kernel vectors of the degree-2 boundary are tested for membership in
-    the span of degree-3 boundaries over diagrams with total <= N+margin.
-    The degree-3 columns are inserted into one exactarith.Echelon in
-    ascending total order.  A kernel vector that stays nonzero after
-    reduction is stalled at its leading index and reduced again only when
-    a new pivot lands there; insertion stops as soon as every kernel
-    vector has reduced to zero, so columns_used does not depend on the
-    kernel basis.  generators overrides the degree-3 window (used to probe
-    failure reporting).
+    The degree-3 boundaries are taken over diagrams with total <= N+margin
+    in ascending order.  Containment is first certified over F_p (see the
+    module docstring): the columns are inserted into a ModpEchelon, each
+    after an exact check of d2(d3(d)) = 0 over Z, and insertion stops at
+    the first prefix whose mod-p rank reaches |C2(<=T)| - rank_p d2(<=T),
+    T the largest total inserted so far (at least N).  The proof needs no
+    kernel basis.  Inside C2(<=N) spanning ker d2 and containing it are
+    the same, so a certificate that closes with T = N and ranks at the
+    point equal to those over Q(delta) stops where the exact oracle does;
+    one that needs T > N may stop later.  Each (prime, point) of
+    _MODP_PAIRS is tried in turn, and when none closes the bound the
+    exact elimination `_h2_exact` decides and is the only source of
+    failing vectors.
+
+    The report's method is "modp" or "exact"; a modp report carries
+    "modp": the prime, the point, the attempt count, the certified
+    window T, rank_p d2(<=T) and the mod-p rank of the columns used.
+    generators overrides the degree-3 window (used to probe failure
+    reporting).
     """
     if N < 1 or margin < 0:
         raise ValueError("need N >= 1 and margin >= 0")
@@ -408,7 +449,104 @@ def h2_vanishing_check(N: int, margin: int = 2, diagram_cap: int = 100000,
     if len(gen3) > diagram_cap:
         raise SizeLimit(
             f"{len(gen3)} degree-3 diagrams exceed cap {diagram_cap}")
+    for attempt, (prime, point) in enumerate(_MODP_PAIRS, 1):
+        found = _h2_modp(N, window3, gen3, prime, point)
+        if found is not None:
+            kernel_dim, columns_used, modp = found
+            return {
+                "kernel_dim": kernel_dim,
+                "contained": True,
+                "failing_vectors": [],
+                "columns_available": len(gen3),
+                "columns_used": columns_used,
+                "window": window3,
+                "method": "modp",
+                "modp": {"prime": prime, "point": point, "attempts": attempt,
+                         **modp},
+            }
+    return {**_h2_exact(N, window3, gen3), "method": "exact"}
 
+
+def _column_mod_p(counts, row_of, prime, point) -> dict:
+    """Boundary counts with delta sent to point in F_prime, as a sparse
+    dict."""
+    col = {}
+    for (out, deleted), count in counts.items():
+        r = row_of[out]
+        col[r] = (col.get(r, 0) + count * pow(point, deleted, prime)) % prime
+    return {r: v for r, v in col.items() if v}
+
+
+def _dd_vanishes(counts, memo) -> bool:
+    """The boundary of the chain with these counts is zero, decided over
+    Z on (diagram, power) counts; memo caches the counts of the faces."""
+    total = {}
+    for (face, k), count in counts.items():
+        inner = memo.get(face)
+        if inner is None:
+            inner = memo[face] = _boundary_counts(face)
+        for (out, l), inner_count in inner.items():
+            key = out, k + l
+            total[key] = total.get(key, 0) + count * inner_count
+    return not any(total.values())
+
+
+def _h2_modp(N, window3, gen3, prime, point):
+    """The mod-p certificate at one (prime, point).
+
+    Returns (kernel_dim, columns_used, details), or None when the bound
+    does not close.
+    """
+    rows2 = enumerate_diagrams(2, window3)  # ascending total
+    rows1 = enumerate_diagrams(1, window3)
+    row2 = {d: i for i, d in enumerate(rows2)}
+    row1 = {d: i for i, d in enumerate(rows1)}
+    d2 = ModpEchelon(prime)
+    inserted2 = 0  # rows2[:inserted2] = C2(<=T) are in d2
+
+    def target(T):
+        """|C2(<=T)| - rank_p d2(<=T), an upper bound on dim ker d2(<=T)."""
+        nonlocal inserted2
+        while inserted2 < len(rows2) and rows2[inserted2].total() <= T:
+            d2.insert(_column_mod_p(_boundary_counts(rows2[inserted2]),
+                                    row1, prime, point))
+            inserted2 += 1
+        return inserted2 - len(d2.pivots)
+
+    kernel_dim = target(N)
+    if len(d2.pivots) < sum(1 for d in rows1 if d.total() <= N):
+        return None  # kernel_dim is not proved
+    cols = ModpEchelon(prime)
+    memo = {}
+    T = N
+    used = 0
+    while len(cols.pivots) < target(T):
+        if used == len(gen3):
+            return None
+        d = gen3[used]
+        used += 1
+        counts = _boundary_counts(d)
+        if not _dd_vanishes(counts, memo):
+            return None
+        # the column lies in C2(<=total) and, through row2, in C2(<=window3)
+        T = max(T, min(d.total(), window3))
+        cols.insert(_column_mod_p(counts, row2, prime, point))
+    return kernel_dim, used, {"certified_window": T,
+                              "rank_d2": len(d2.pivots),
+                              "rank_columns": len(cols.pivots)}
+
+
+def _h2_exact(N: int, window3: int, gen3) -> dict:
+    """The exact oracle for h2_vanishing_check, by fraction-free elimination.
+
+    Kernel vectors of the degree-2 boundary on total <= N are tested for
+    membership in the span of the boundaries of gen3.  The columns are
+    inserted into one exactarith.Echelon in order.  A kernel vector that
+    stays nonzero after reduction is stalled at its leading index and
+    reduced again only when a new pivot lands there; insertion stops as
+    soon as every kernel vector has reduced to zero, so columns_used does
+    not depend on the kernel basis.
+    """
     d2 = boundary_matrix(2, N, N)
     kernel = kernel_basis(d2)
 

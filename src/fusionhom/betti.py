@@ -106,6 +106,8 @@ class BettiValue:
                               for m2, c2 in other.terms.items())
 
     def __eq__(self, other):
+        if not isinstance(other, (BettiValue, int, Fraction)):
+            return NotImplemented
         other = _coerce(other)
         return self.terms == other.terms or not (self - other)
 

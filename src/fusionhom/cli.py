@@ -2,9 +2,10 @@
 
 Every command builds a JSON report with a stable field order:
 command, version, inputs (parameter echo plus file digests), results,
-warnings, timing.  The results block is deterministic for a fixed
-config; timing lives outside it.  Human-readable output is rendered
-from the finished report, never computed separately.
+diagnostics (only where a command reports how it reached its results),
+warnings, timing.  The results and diagnostics blocks are deterministic
+for a fixed config; timing lives outside them.  Human-readable output
+is rendered from the finished report, never computed separately.
 
 Exit codes: 0 success, 1 input error, 2 verification failure (an
 asserted identity failed), 3 inconclusive (caps or truncation).
@@ -220,6 +221,7 @@ def cmd_homology_tlj(args, files):
                          "display convention only")
     warnings = []
     results = {"mode": args.mode}
+    diagnostics = {}
     if args.h1 is None and args.h2 is None and args.h0 is None:
         args.h0 = 5
     if args.h0 is not None:
@@ -248,10 +250,11 @@ def cmd_homology_tlj(args, files):
             "columns_available": rep["columns_available"],
             "failing_vectors": rep["failing_vectors"],
         }
+        diagnostics["h2"] = {"method": rep["method"], **rep.get("modp", {})}
         if not rep["contained"]:
             raise VerificationFailure("h2 containment failed", results,
                                       warnings)
-    return results, warnings
+    return results, warnings, diagnostics
 
 
 def cmd_betti(args, files):
@@ -398,18 +401,22 @@ def cmd_verify_all(args, files):
 # report assembly and rendering
 # ---------------------------------------------------------------------------
 
-def _make_report(command, params, files, results, warnings, t0, extra_timing=None):
+def _make_report(command, params, files, results, warnings, t0,
+                 extra_timing=None, diagnostics=None):
     timing = {"runtime_ms": int((time.perf_counter() - t0) * 1000)}
     if extra_timing:
         timing["per_criterion_ms"] = extra_timing
-    return {
+    report = {
         "command": command,
         "version": __version__,
         "inputs": _inputs_block(params, files),
         "results": results,
-        "warnings": warnings,
-        "timing": timing,
     }
+    if diagnostics:
+        report["diagnostics"] = diagnostics
+    report["warnings"] = warnings
+    report["timing"] = timing
+    return report
 
 
 def _render(report) -> str:
@@ -576,11 +583,13 @@ def main(argv=None) -> int:
     params = _params_of(args, COMMAND_PARAMS[command])
     t0 = time.perf_counter()
     files = {}
-    extra_timing = error = None
+    extra_timing = diagnostics = error = None
     try:
         out = COMMAND_BODIES[command](args, files)
         if command == "verify-all":
             results, warnings, extra_timing = out
+        elif command == "homology-tlj":
+            results, warnings, diagnostics = out
         else:
             results, warnings = out
         code = 0
@@ -596,7 +605,7 @@ def main(argv=None) -> int:
         warnings = getattr(exc, "warnings", []) + [f"inconclusive: {exc}"]
     # every exit path reports the files the command read
     report = _make_report(command, params, files, results, warnings, t0,
-                          extra_timing)
+                          extra_timing, diagnostics)
     if error is not None:
         report["error"] = {"type": type(error).__name__,
                            "message": str(error)}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from fusionhom import annular
 from fusionhom.annular import (ChainVector, CircleDiagram, UnsupportedDegree,
                                boundary, boundary_matrix, diagram3,
                                enumerate_diagrams, fill_puncture, h0_report,
@@ -166,3 +167,87 @@ def test_h2_with_no_generators_fails_honestly():
     report = h2_vanishing_check(4, generators=[])
     assert not report["contained"]
     assert report["failing_vectors"]
+    # failing vectors come only from the exact oracle
+    assert report["method"] == "exact"
+
+
+def _verdict(report):
+    return report["kernel_dim"], report["columns_used"], report["contained"]
+
+
+@pytest.mark.parametrize("margin", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_h2_certificate_agrees_with_exact_oracle(n, margin):
+    report = h2_vanishing_check(n, margin=margin)
+    assert report["method"] == "modp"
+    exact = annular._h2_exact(n, n + margin, enumerate_diagrams(3, n + margin))
+    assert _verdict(report) == _verdict(exact)
+    assert report["columns_available"] == exact["columns_available"]
+    assert report["window"] == exact["window"]
+
+
+def test_h2_benchmark_size_is_certified():
+    report = h2_vanishing_check(8, margin=2)
+    assert report["contained"]
+    assert not report["failing_vectors"]
+    assert (report["kernel_dim"], report["columns_used"],
+            report["columns_available"], report["window"]) == (156, 2041, 5005, 10)
+    assert report["method"] == "modp"
+    assert report["modp"]["certified_window"] == 8
+    assert (report["modp"]["rank_d2"], report["modp"]["rank_columns"]) == (9, 156)
+
+
+def test_h2_retries_after_an_unlucky_pair(monkeypatch):
+    # over F_2 the bound does not close at N=4; the next pair certifies
+    good = annular._MODP_PAIRS[0]
+    monkeypatch.setattr(annular, "_MODP_PAIRS", ((2, 1), good))
+    report = h2_vanishing_check(4)
+    assert report["method"] == "modp"
+    assert report["modp"]["attempts"] == 2
+    assert (report["modp"]["prime"], report["modp"]["point"]) == good
+    assert _verdict(report) == (30, 170, True)
+
+
+def test_h2_falls_back_to_exact_when_no_pair_closes(monkeypatch):
+    certified = h2_vanishing_check(4)
+    monkeypatch.setattr(annular, "_MODP_PAIRS", ((2, 0), (2, 1)))
+    fallback = h2_vanishing_check(4)
+    assert fallback["method"] == "exact"
+    assert "modp" not in fallback
+    del certified["method"], certified["modp"], fallback["method"]
+    assert fallback == certified
+
+
+def test_h2_certificate_rejects_columns_that_are_not_cycles(monkeypatch):
+    # drop the face at infinity from every degree-3 boundary: d2 d3 != 0
+    counts_of = annular._boundary_counts
+
+    def broken(d):
+        counts = counts_of(d)
+        if d.degree == 3:
+            counts[fill_puncture(d, 3)] += 1
+        return counts
+
+    monkeypatch.setattr(annular, "_boundary_counts", broken)
+    assert h2_vanishing_check(3)["method"] == "exact"
+
+
+@pytest.mark.parametrize("k, contained", [(16, False), (20, True)])
+def test_h2_partial_generators_get_the_oracle_verdict(k, contained):
+    # total-3 columns only: their rank passes dim ker d2(<=2) before they
+    # contain it, and 20 of them contain it without spanning ker d2(<=3)
+    gens = [d for d in enumerate_diagrams(3, 3) if d.total() == 3][:k]
+    report = h2_vanishing_check(2, margin=1, generators=gens)
+    assert report["method"] == "exact"
+    assert report == {**annular._h2_exact(2, 3, gens), "method": "exact"}
+    assert report["contained"] is contained
+    assert bool(report["failing_vectors"]) is not contained
+
+
+def test_h2_certified_window_stays_inside_the_row_window():
+    # a total-4 generator whose faces all have total 3 ahead of the window
+    gens = [diagram3(a=1, b=1, c=1, abc=1)] + enumerate_diagrams(3, 3)
+    report = h2_vanishing_check(3, margin=0, generators=gens)
+    assert report["modp"]["certified_window"] == 3
+    exact = annular._h2_exact(3, 3, gens)
+    assert _verdict(report) == _verdict(exact) == (16, 70, True)

@@ -70,6 +70,15 @@ def test_atom_square_reduces_in_its_field():
         assert BettiValue.sinsq(m) * m == (ONE - c * c) * 4
 
 
+def test_comparison_with_a_non_number_is_false_not_an_error():
+    assert not BettiValue(1) == "x"
+    assert BettiValue(1) != "x"
+    assert BettiValue(1) in [None, BettiValue(1)]
+    assert BettiValue(0) not in [None, "0"]
+    assert BettiValue(Fraction(1, 2)) == Fraction(1, 2)
+    assert BettiValue(3) == 3
+
+
 def test_tiny_negative_value_is_negative():
     tiny = BettiValue.sinsq(10**5)  # about 3.9e-14
     with pytest.raises(ValueError):

@@ -155,6 +155,21 @@ def test_homology_tlj_example():
     assert code == 0
     assert report["results"]["h1"]["contained"]
     assert report["results"]["h2"]["contained"]
+    # how the verdict was reached sits next to results, not inside it
+    assert list(report)[3:5] == ["results", "diagnostics"]
+    assert "method" not in report["results"]["h2"]
+    diag = report["diagnostics"]["h2"]
+    assert diag["method"] == "modp"
+    assert diag["attempts"] == 1
+    assert diag["prime"] < 2 ** 31
+    assert (diag["certified_window"], diag["rank_d2"],
+            diag["rank_columns"]) == (4, 5, 30)
+
+
+def test_homology_tlj_without_h2_has_no_diagnostics():
+    code, report = run_json("homology-tlj", "--h1", "3")
+    assert code == 0
+    assert "diagnostics" not in report
 
 
 def test_flag_spellings_agree():
