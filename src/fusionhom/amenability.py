@@ -318,26 +318,28 @@ def tlj_kesten_window(width: int, delta: float) -> FusionRing:
 def kesten_check(ring_window: FusionRing, generator) -> dict:
     """Kesten's criterion from exact bounds lower <= ||A_g|| <= upper.
 
-    On a finite ring d is a positive eigenvector of A_g and of its
-    transpose A_{g*} (dimension equation, Frobenius reciprocity), so
-    ||A_g|| = d(g) and the ring is amenable.  A truncated ring must be a
-    ladder window read through f1: f1 . f_k = f_{k-1} + f_{k+1}.  Each
-    row of the infinite ladder sums to at most 2, so upper = 2 (Schur
-    test, constant vector), taken from the rule, not the clipped window
-    rows.  The window matrix is a compression of the infinite one, so
-    the Rayleigh quotient of v_i = (i+1)(w-i) on it is a lower bound.
-    The window is non-amenable when upper < d(g), and otherwise has no
-    verdict: Kesten alone never proves an infinite graph amenable.
-    d(g) is the exact value of the stored float dimension.
+    A_g is the matrix of left multiplication by g, (A_g)_ab = N(g, a, b).
+    On a finite ring the bounds come from its rows and the exact values d
+    of the stored float dimensions, with r_a = (A_g d)_a / d_a and
+    c_b = (A_g^T d)_b / d_b: lower = min r_a <= rho(A_g) <= ||A_g||
+    (Collatz-Wielandt), upper = max(max r, max c) >= sqrt(max r * max c)
+    >= ||A_g|| (Schur test).  When d satisfies the dimension equation,
+    both ends are d(g), and a finite ring is amenable either way.  A
+    truncated ring must be a ladder window read through f1:
+    f1 . f_k = f_{k-1} + f_{k+1}.  Each row of the infinite ladder sums
+    to at most 2, so upper = 2 (Schur test, constant vector), taken from
+    the rule, not the clipped window rows.  The window matrix is a
+    compression of the infinite one, so the Rayleigh quotient of
+    v_i = (i+1)(w-i) on it is a lower bound.  The window is non-amenable
+    when upper < d(g), and otherwise has no verdict: Kesten alone never
+    proves an infinite graph amenable.  d(g) is the exact value of the
+    stored float dimension.
     """
     if generator not in ring_window.index:
         raise ValueError(f"unknown generator {generator}")
     if ring_window.dims is None:
         raise ValueError("ring carries no float dims")
     labels, w = ring_window.labels, len(ring_window.labels)
-    dim = Fraction(ring_window.dims[generator])
-    lower = upper = dim
-    amenable = True
     if ring_window.truncated:
         if generator != "f1" or labels != tuple(f"f{i}" for i in range(w)):
             raise ValueError("a truncated ring must be a TLJ ladder window "
@@ -350,7 +352,23 @@ def kesten_check(ring_window: FusionRing, generator) -> dict:
         lower = Fraction(2 * sum(x * y for x, y in zip(v, v[1:])),
                          sum(x * x for x in v))
         upper = Fraction(2)
+        dim = Fraction(ring_window.dims[generator])
         amenable = False if upper < dim else None
+    else:
+        d = {a: Fraction(ring_window.dims[a]) for a in labels}
+        if min(d.values()) <= 0:
+            raise ValueError("a finite ring needs positive dims")
+        col = dict.fromkeys(labels, 0)  # (A_g^T d)_b
+        rows = []                       # r_a
+        for a in labels:
+            out = 0
+            for b, m in ring_window.row(generator, a).items():
+                out += m * d[b]
+                col[b] += m * d[a]
+            rows.append(out / d[a])
+        lower = min(rows)
+        upper = max(max(rows), max(col[b] / d[b] for b in labels))
+        amenable = True
     return {"norm_lower": lower, "norm_upper": upper,
             "dimension": ring_window.dims[generator], "window": w,
             "amenable": amenable}

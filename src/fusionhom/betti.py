@@ -164,7 +164,7 @@ class BettiValue:
                 atom[0], atom[n // m], atom[n - n // m] = 2, -1, -1
                 poly = poly * IntPoly(atom)
             total = total + poly
-        return not _pseudo_rem(total, _cyclotomic(n))
+        return not _pseudo_rem(total.coeffs, _cyclotomic(n).coeffs)
 
     def to_float(self) -> float:
         return self._float_and_scale()[0]

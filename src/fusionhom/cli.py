@@ -33,19 +33,21 @@ class InputError(ValueError):
 class VerificationFailure(RuntimeError):
     """An asserted identity failed; carries the partial results block."""
 
-    def __init__(self, message, results=None, warnings=()):
+    def __init__(self, message, results=None, warnings=(), timing=None):
         super().__init__(message)
         self.results = results
         self.warnings = list(warnings)
+        self.timing = timing
 
 
 class Inconclusive(RuntimeError):
     """Caps or truncation prevented a verdict."""
 
-    def __init__(self, message, results=None, warnings=()):
+    def __init__(self, message, results=None, warnings=(), timing=None):
         super().__init__(message)
         self.results = results
         self.warnings = list(warnings)
+        self.timing = timing
 
 
 def _group_by_name(name: str):
@@ -389,11 +391,12 @@ def cmd_verify_all(args, files):
     timing = {row["criterion"]: row["runtime_ms"] for row in rows}
     if results["summary"]["fail"]:
         raise VerificationFailure(
-            f"{results['summary']['fail']} criteria failed", results, warnings)
+            f"{results['summary']['fail']} criteria failed", results, warnings,
+            timing)
     if results["summary"]["inconclusive"]:
         raise Inconclusive(
             f"{results['summary']['inconclusive']} criteria inconclusive",
-            results, warnings)
+            results, warnings, timing)
     return results, warnings, timing
 
 
@@ -598,11 +601,13 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         code, error, results = 2, exc, exc.results or {}
         warnings = exc.warnings + [f"verification failed: {exc}"]
+        extra_timing = exc.timing
     except (Inconclusive, SizeLimit,
             amenability.TruncationInconclusive) as exc:
         code, error = 3, exc
         results = getattr(exc, "results", None) or {}
         warnings = getattr(exc, "warnings", []) + [f"inconclusive: {exc}"]
+        extra_timing = getattr(exc, "timing", None)
     # every exit path reports the files the command read
     report = _make_report(command, params, files, results, warnings, t0,
                           extra_timing, diagnostics)

@@ -5,6 +5,16 @@ coefficients (`RatFunc`), stored in a reduced canonical form so that equal
 values always have equal representations.  Plain rationals embed as
 constant rational functions (`RatFunc.from_fraction`).
 
+Every canonical form, and so every elimination step, goes through
+`poly_gcd`.  It runs the primitive polynomial remainder sequence on
+plain coefficient lists and builds an `IntPoly` only for the result.
+The gcd in Z[delta] is the content gcd times the primitive gcd with
+positive leading coefficient, so it is unique, and two exact shortcuts
+return it without running the sequence: a constant operand, or a
+nonzero constant remainder, leaves a primitive gcd of 1.  The same
+list remainder `_pseudo_rem` decides `betti`'s exact zero test modulo
+a cyclotomic polynomial.
+
 One elimination engine, `Echelon`, backs `rank`, `kernel_basis`,
 `span_solve` and the annular homology checks.  Vectors are sparse dicts
 index -> integer polynomial with denominators cleared; two vectors are
@@ -27,6 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 
 class PoleAtPoint(ZeroDivisionError):
@@ -89,12 +100,17 @@ class IntPoly:
         return IntPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-other)
+        return IntPoly([x - y for x, y in
+                        zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO_POLY
+        if len(b) == 1:
+            return self.scale(b[0])
+        if len(a) == 1:
+            return other.scale(a[0])
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -105,6 +121,8 @@ class IntPoly:
     def scale(self, k: int) -> "IntPoly":
         if k == 0:
             return ZERO_POLY
+        if k == 1:
+            return self
         return IntPoly(tuple(c * k for c in self.coeffs))
 
     def shift(self, k: int) -> "IntPoly":
@@ -116,22 +134,6 @@ class IntPoly:
     @property
     def leading(self):
         return self.coeffs[-1] if self.coeffs else 0
-
-    def content(self) -> int:
-        """Nonnegative gcd of the coefficients (0 for the zero polynomial)."""
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-            if g == 1:
-                break
-        return g
-
-    def primitive(self):
-        """Return (content, primitive part); the sign stays on the part."""
-        c = self.content()
-        if c in (0, 1):
-            return c, self
-        return c, IntPoly(tuple(x // c for x in self.coeffs))
 
     def divexact(self, other: "IntPoly") -> "IntPoly":
         """Exact division; raises ValueError if other does not divide self."""
@@ -191,34 +193,73 @@ ONE_POLY = IntPoly((1,))
 DELTA_POLY = IntPoly((0, 1))
 
 
-def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Fraction-free remainder of a by b (up to a nonzero integer factor)."""
-    lead_b = b.leading
-    r = a
-    while r and r.degree >= b.degree:
-        r = r.scale(lead_b) - b.scale(r.leading).shift(r.degree - b.degree)
-        _, r = r.primitive() if r else (0, r)
+def _pseudo_rem(a, b) -> list:
+    """Remainder of a by b up to a nonzero integer factor.
+
+    a and b are coefficient sequences (increasing degree, no trailing
+    zeros, b nonzero); the result is a new list.  Each step cancels the
+    leading term of r in one pass over r,
+        r <- (lead_b/g) r - (lead_r/g) delta^s b,   g = gcd(lead_b, lead_r),
+    and divides r by its content, so the coefficients stay as small as
+    the primitive PRS allows.  The remainder is empty exactly when b
+    divides a over Q, which is what `poly_gcd` and the zero test modulo
+    Phi_L in `betti` ask; when deg a >= deg b it is primitive.
+    """
+    db = len(b) - 1
+    lead_b, tail_b = b[-1], b[:-1]
+    r = list(a)
+    while len(r) > db:
+        lead_r = r.pop()
+        g = math.gcd(lead_b, lead_r)
+        mb, mr = lead_b // g, lead_r // g
+        if mb != 1:
+            r = [mb * x for x in r]
+        for j, y in enumerate(tail_b, len(r) - db):
+            r[j] -= mr * y
+        while r and not r[-1]:
+            r.pop()
+        c = math.gcd(*r)
+        if c > 1:
+            r = [x // c for x in r]
     return r
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Gcd in Z[delta], normalized with positive leading coefficient."""
-    if not a:
-        a, b = b, a
-    if not b:
-        if not a:
-            return ZERO_POLY
-        return a if a.leading > 0 else -a
-    ca, pa = a.primitive()
-    cb, pb = b.primitive()
-    c = math.gcd(ca, cb)
-    while pb:
-        pa, pb = pb, _pseudo_rem(pa, pb)
-        if pb:
-            _, pb = pb.primitive()
-    if pa.leading < 0:
-        pa = -pa
-    return pa.scale(c)
+    """Gcd in Z[delta], normalized with positive leading coefficient.
+
+    The gcd is c * P with c the gcd of the two integer contents and P the
+    primitive gcd with positive leading coefficient (Gauss's lemma), so
+    it is unique and every shortcut below returns exactly what the full
+    sequence would.  A zero operand gives the other one, sign-normalized.
+    A constant operand has P = 1, so the answer is the constant c.
+    Otherwise the primitive PRS runs on coefficient lists (Brown, JACM
+    1971): the primitive parts p, q are replaced by q, prem(p, q) with its
+    content stripped until the remainder is zero, leaving P = q up to
+    sign, or a nonzero constant, leaving P = 1.
+    """
+    p, q = a.coeffs, b.coeffs
+    if len(p) < len(q):
+        a, p, q = b, q, p
+    if not q:
+        return a if not p or p[-1] > 0 else -a
+    cp, cq = math.gcd(*p), math.gcd(*q)
+    c = math.gcd(cp, cq)
+    if len(q) == 1:
+        return IntPoly((c,))
+    if cp > 1:
+        p = [x // cp for x in p]
+    if cq > 1:
+        q = [x // cq for x in q]
+    while True:
+        r = _pseudo_rem(p, q)
+        if not r:
+            break
+        if len(r) == 1:
+            return IntPoly((c,))
+        p, q = q, r
+    if q[-1] < 0:
+        c = -c
+    return IntPoly([c * x for x in q])
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +288,12 @@ class RatFunc:
             # already canonical: gcd(num, 1) = 1 and 1 has content 1
             self.num, self.den = num, ONE_POLY
             return
+        # the gcd carries the content gcd, so the quotients have coprime
+        # contents as well as a polynomial gcd of 1
         g = poly_gcd(num, den)
         if g.degree > 0 or g.leading > 1:
             num = num.divexact(g)
             den = den.divexact(g)
-        c = math.gcd(num.content(), den.content())
-        if c > 1:
-            num = IntPoly(tuple(x // c for x in num.coeffs))
-            den = IntPoly(tuple(x // c for x in den.coeffs))
         if den.leading < 0:
             num, den = -num, -den
         self.num, self.den = num, den

@@ -184,6 +184,27 @@ def test_window_dimensions_overflow_to_inf_not_nan():
         from_fusion_ring(tlj_kesten_window(400, 3.0), generators=["f1"])
 
 
+@pytest.mark.parametrize("dims, bounds", [
+    ({a: 2.0 for a in range(4)}, (1, 1)),
+    ({0: 2.0, 1: 1.0, 2: 1.0, 3: 1.0}, (Fraction(1, 2), 2)),
+], ids=["all-dims-2", "one-dim-2"])
+def test_kesten_on_a_finite_ring_reads_the_rows_not_the_dims(dims, bounds):
+    # A_1 on Z4 is a cyclic permutation, so ||A_1|| = 1 whatever the dims
+    ring = from_group(cyclic(4))
+    ring.dims = dims
+    report = kesten_check(ring, 1)
+    assert (report["norm_lower"], report["norm_upper"]) == bounds
+    assert report["norm_lower"] <= 1 <= report["norm_upper"]
+    assert report["amenable"] is True
+
+
+def test_kesten_on_a_finite_ring_needs_positive_dims():
+    ring = from_group(cyclic(4))
+    ring.dims = {0: 1.0, 1: 0.0, 2: 1.0, 3: 1.0}
+    with pytest.raises(ValueError, match="positive dims"):
+        kesten_check(ring, 1)
+
+
 def test_kesten_on_finite_group_ring():
     report = kesten_check(from_group(cyclic(3)), 1)
     assert report["amenable"] is True

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fusionhom
+from fusionhom.acceptance import CRITERIA
 from fusionhom.groups import cyclic
 from fusionhom.tube import tube_from_group, tube_to_text
 
@@ -123,6 +124,19 @@ def test_verify_all_names_the_violation(broken_tube_file):
     assert proc.returncode == 2
     assert "FAIL" in proc.stdout
     assert "InvariantViolation" in proc.stdout
+
+
+@pytest.mark.parametrize("exit_code", [2, 3])
+def test_verify_all_keeps_per_criterion_timing_on_a_failed_run(
+        exit_code, broken_tube_file):
+    flags = (["--tube-file", broken_tube_file] if exit_code == 2
+             else ["--diagram-cap", "10"])
+    code, report = run_json("verify-all", *flags)
+    assert code == exit_code
+    names = [key for key, _, _ in CRITERIA]
+    assert len(names) == 13
+    assert list(report["timing"]["per_criterion_ms"]) == names
+    assert [row["criterion"] for row in report["results"]["criteria"]] == names
 
 
 def test_negative_trace_tube_file_fails_verification(tmp_path):

@@ -2,11 +2,14 @@
 
 The frozen examples come first, then randomized oracles comparing the
 exact elimination against float evaluation, then hypothesis properties
-for the field axioms and rank invariance.
+for the field axioms and rank invariance, the integer-polynomial kernel
+(gcd, pseudo-remainder, product, difference) against a plain Euclid over
+Fraction, and ranks over F_p.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from fusionhom.exactarith import (
     PoleAtPoint,
     RatFunc,
     SparseMat,
+    _pseudo_rem,
     float_rank,
     kernel_basis,
     mat_vec,
@@ -283,6 +287,100 @@ def test_rank_invariant_under_permutation_and_scaling(seed):
     permuted = SparseMat(4, 4, {(r, cperm[c]): v
                                 for (r, c), v in m.entries.items()})
     assert rank(permuted) == base
+
+
+# ---------------------------------------------------------------------------
+# the integer-polynomial kernel against a plain Euclid over Q
+# ---------------------------------------------------------------------------
+
+def _fraction_rem(a, b):
+    """Remainder of a by b over Q; coefficient lists of Fraction."""
+    a = list(a)
+    while len(a) >= len(b):
+        q, s = a[-1] / b[-1], len(a) - len(b)
+        for i, c in enumerate(b):
+            a[s + i] -= q * c
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _fraction_gcd(a: IntPoly, b: IntPoly):
+    """Monic gcd over Q by Euclid on Fraction coefficients ([] for 0, 0)."""
+    a = [Fraction(c) for c in a.coeffs]
+    b = [Fraction(c) for c in b.coeffs]
+    while b:
+        a, b = b, _fraction_rem(a, b)
+    return [c / a[-1] for c in a]
+
+
+def _content(p: IntPoly) -> int:
+    return math.gcd(*p.coeffs)
+
+
+kernel_coeffs = st.integers(min_value=-20, max_value=20)
+# one-coefficient operands are the common case in elimination
+kernel_polys = st.one_of(st.lists(kernel_coeffs, max_size=1),
+                         st.lists(kernel_coeffs, max_size=6)).map(IntPoly)
+
+
+@given(kernel_polys, kernel_polys, kernel_polys.filter(bool))
+@settings(max_examples=300)
+def test_poly_gcd_of_a_shared_factor(a, b, f):
+    af, bf = a * f, b * f
+    g = poly_gcd(af, bf)
+    if not af and not bf:
+        assert g == IntPoly()
+        return
+    g.divexact(f)  # f divides g in Z[delta]: raises if it does not
+    ca, cb = af.divexact(g), bf.divexact(g)
+    assert _fraction_gcd(ca, cb) == [1]
+    assert g.leading > 0
+    assert _content(g) == math.gcd(_content(af), _content(bf))
+    assert [Fraction(c, g.leading) for c in g.coeffs] == _fraction_gcd(af, bf)
+    assert poly_gcd(bf, af) == g
+
+
+@given(kernel_polys, st.integers(min_value=-30, max_value=30))
+def test_poly_gcd_with_zero_and_constant_operands(p, k):
+    normalised = -p if p.leading < 0 else p
+    assert poly_gcd(p, IntPoly()) == poly_gcd(IntPoly(), p) == normalised
+    const = IntPoly([k])
+    expected = (normalised if not k
+                else IntPoly([math.gcd(k, _content(p))]))
+    assert poly_gcd(p, const) == poly_gcd(const, p) == expected
+
+
+def test_poly_gcd_frozen_cases():
+    assert poly_gcd(IntPoly([0, 6]), IntPoly([4])) == IntPoly([2])
+    assert poly_gcd(IntPoly([-4, 0, -4]), IntPoly()) == IntPoly([4, 0, 4])
+    # coprime after the first remainder step: a nonzero constant remainder
+    assert poly_gcd(IntPoly([1, 1]), IntPoly([-1, 1])) == IntPoly([1])
+    # 6(delta - 1)(delta + 2) and -4(delta - 1)^2 share 2(delta - 1)
+    assert (poly_gcd(IntPoly([-12, 6, 6]), IntPoly([-4, 8, -4]))
+            == IntPoly([-2, 2]))
+
+
+@given(kernel_polys, kernel_polys.filter(bool))
+def test_pseudo_rem_is_a_multiple_of_the_remainder_over_q(a, b):
+    r = _pseudo_rem(a.coeffs, b.coeffs)
+    ref = _fraction_rem([Fraction(c) for c in a.coeffs],
+                        [Fraction(c) for c in b.coeffs])
+    assert len(r) == len(ref)
+    if r:
+        assert [Fraction(c, r[-1]) for c in r] == [c / ref[-1] for c in ref]
+
+
+@given(kernel_polys, kernel_polys)
+def test_intpoly_mul_and_sub_match_the_naive_formulas(a, b):
+    x, y = a.coeffs, b.coeffs
+    conv = [sum(x[i] * y[k - i] for i in range(len(x)) if 0 <= k - i < len(y))
+            for k in range(len(x) + len(y) - 1)]
+    diff = [(x[i] if i < len(x) else 0) - (y[i] if i < len(y) else 0)
+            for i in range(max(len(x), len(y)))]
+    assert a * b == IntPoly(conv)
+    assert b * a == IntPoly(conv)
+    assert a - b == IntPoly(diff)
 
 
 # ---------------------------------------------------------------------------
