@@ -1,9 +1,9 @@
 """The thirteen acceptance checks, shared by verify-all and the tests.
 
 Each criterion is a function returning a detail string; failures raise
-CriterionFailure with a description of the first mismatch.  SizeLimit
-and TruncationInconclusive mark a run INCONCLUSIVE instead of failed,
-so capped runs degrade honestly.
+CriterionFailure with a description of the first mismatch.  An
+errors.Inconclusive (SizeLimit, TruncationInconclusive) marks a run
+INCONCLUSIVE instead of failed, so capped runs degrade honestly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from . import amenability, annular, betti, fusion, tube
-from .errors import SizeLimit
+from .errors import Inconclusive
 from .exactarith import (RF_ONE, RF_ZERO, IntPoly, RatFunc, SparseMat,
                          float_rank, kernel_basis, mat_vec, rank)
 from .groups import cyclic, dihedral, symmetric
@@ -365,7 +365,7 @@ def run_criterion(key: str, **cfg) -> dict:
         status = "PASS"
     except CriterionFailure as exc:
         status, detail = "FAIL", str(exc)
-    except (SizeLimit, amenability.TruncationInconclusive) as exc:
+    except Inconclusive as exc:
         status, detail = "INCONCLUSIVE", f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # noqa: BLE001 - report, never crash the table
         status, detail = "FAIL", f"{type(exc).__name__}: {exc}"

@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import Inconclusive
 from .fusion import FusionRing, ladder_dims
 
 
-class TruncationInconclusive(RuntimeError):
+class TruncationInconclusive(Inconclusive):
     """Candidate set reaches the window edge; verdict would be unsound."""
 
 

@@ -334,14 +334,13 @@ def enumerate_diagrams(degree: int, max_total: int):
 
     def rec(idx, remaining, chosen):
         if idx == len(classes):
-            try:
-                out.append(CircleDiagram(
-                    degree, [(i, j, m) for (i, j), m in chosen.items()]))
-            except ValueError:
-                pass  # crossing combination
+            out.append(CircleDiagram(
+                degree, [(i, j, m) for (i, j), m in chosen.items()]))
             return
         block = classes[idx]
-        for m in range(remaining + 1):
+        # a class crossing a block already chosen can only stay empty
+        crossed = any(_crossing(block, b) for b in chosen)
+        for m in range(1 if crossed else remaining + 1):
             if m:
                 chosen[block] = m
             rec(idx + 1, remaining - m, chosen)
@@ -352,19 +351,15 @@ def enumerate_diagrams(degree: int, max_total: int):
     return out
 
 
-def boundary_matrix(degree: int, t_dom: int, t_cod: int | None = None) -> SparseMat:
-    """Matrix of the boundary on the truncated windows.
+def boundary_matrix(degree: int, window: int) -> SparseMat:
+    """Matrix of the boundary on the truncated window.
 
-    Columns follow enumerate_diagrams(degree, t_dom), rows
-    enumerate_diagrams(degree-1, t_cod).  Filling never increases the
-    total, so t_cod >= t_dom always suffices.
+    Columns follow enumerate_diagrams(degree, window), rows
+    enumerate_diagrams(degree-1, window).  Filling never increases the
+    total, so the rows hold every face of every column.
     """
-    if t_cod is None:
-        t_cod = t_dom
-    if t_cod < t_dom:
-        raise ValueError("codomain window smaller than domain window")
-    domain = enumerate_diagrams(degree, t_dom)
-    codomain = enumerate_diagrams(degree - 1, t_cod)
+    domain = enumerate_diagrams(degree, window)
+    codomain = enumerate_diagrams(degree - 1, window)
     row_of = {d: i for i, d in enumerate(codomain)}
     m = SparseMat(len(codomain), len(domain))
     for col, d in enumerate(domain):
@@ -394,7 +389,7 @@ def h1_vanishing_check(K: int) -> dict:
     domain = enumerate_diagrams(2, window)
     codomain = enumerate_diagrams(1, window)
     row_of = {d: i for i, d in enumerate(codomain)}
-    matrix = boundary_matrix(2, window, window)
+    matrix = boundary_matrix(2, window)
     targets = []
     for m in range(K + 1):
         target = [RF_ZERO] * len(codomain)
@@ -418,8 +413,8 @@ _MODP_PAIRS = ((2147483647, 1234567), (2147483629, 7654321),
                (2147483587, 2718281))
 
 
-def h2_vanishing_check(N: int, margin: int = 2, diagram_cap: int = 100000,
-                       generators=None) -> dict:
+def h2_vanishing_check(N: int, margin: int = 2,
+                       diagram_cap: int = 100000) -> dict:
     """Check ker(boundary_2) on total <= N against the degree-3 image.
 
     The degree-3 boundaries are taken over diagrams with total <= N+margin
@@ -439,13 +434,11 @@ def h2_vanishing_check(N: int, margin: int = 2, diagram_cap: int = 100000,
     The report's method is "modp" or "exact"; a modp report carries
     "modp": the prime, the point, the attempt count, the certified
     window T, rank_p d2(<=T) and the mod-p rank of the columns used.
-    generators overrides the degree-3 window (used to probe failure
-    reporting).
     """
     if N < 1 or margin < 0:
         raise ValueError("need N >= 1 and margin >= 0")
     window3 = N + margin
-    gen3 = enumerate_diagrams(3, window3) if generators is None else list(generators)
+    gen3 = enumerate_diagrams(3, window3)
     if len(gen3) > diagram_cap:
         raise SizeLimit(
             f"{len(gen3)} degree-3 diagrams exceed cap {diagram_cap}")
@@ -547,7 +540,7 @@ def _h2_exact(N: int, window3: int, gen3) -> dict:
     soon as every kernel vector has reduced to zero, so columns_used does
     not depend on the kernel basis.
     """
-    d2 = boundary_matrix(2, N, N)
+    d2 = boundary_matrix(2, N)
     kernel = kernel_basis(d2)
 
     cols2_small = enumerate_diagrams(2, N)

@@ -7,8 +7,16 @@ warnings, timing.  The results and diagnostics blocks are deterministic
 for a fixed config; timing lives outside them.  Human-readable output
 is rendered from the finished report, never computed separately.
 
+`main` owns the report: it hands one `Report` accumulator to the command
+body, the body fills it (files read, results, warnings, diagnostics,
+extra timing) and returns nothing, and every exit path builds the JSON
+report from that accumulator.  The parameter echo is read from the
+parsed flags.
+
 Exit codes: 0 success, 1 input error, 2 verification failure (an
-asserted identity failed), 3 inconclusive (caps or truncation).
+asserted identity failed), 3 inconclusive (caps or truncation).  Exit 2
+and 3 reports keep whatever the body had filled before it stopped; an
+exit 1 report keeps only the files it read.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import time
 
 from . import __version__, amenability, annular, betti, fusion, tube
 from . import acceptance
-from .errors import InvariantViolation, ParseError, SizeLimit
+from .errors import Inconclusive, InvariantViolation, ParseError
 from .groups import cyclic, dihedral, symmetric
 
 
@@ -31,23 +39,21 @@ class InputError(ValueError):
 
 
 class VerificationFailure(RuntimeError):
-    """An asserted identity failed; carries the partial results block."""
-
-    def __init__(self, message, results=None, warnings=(), timing=None):
-        super().__init__(message)
-        self.results = results
-        self.warnings = list(warnings)
-        self.timing = timing
+    """An asserted identity failed."""
 
 
-class Inconclusive(RuntimeError):
-    """Caps or truncation prevented a verdict."""
+class Report:
+    """What a command body has found so far; main turns it into the
+    JSON report on every exit path."""
 
-    def __init__(self, message, results=None, warnings=(), timing=None):
-        super().__init__(message)
-        self.results = results
-        self.warnings = list(warnings)
-        self.timing = timing
+    # a plain class: a dataclass would import inspect, ~1 MB of peak RSS
+
+    def __init__(self, files=None):
+        self.files = {} if files is None else files
+        self.results = {}
+        self.warnings = []
+        self.diagnostics = {}
+        self.timing = {}
 
 
 def _group_by_name(name: str):
@@ -108,8 +114,8 @@ def _inputs_block(params: dict, files: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# command bodies: each records the files it reads in `files` and returns
-# (results, warnings)
+# command bodies: each fills the Report it is given (the files it reads,
+# results, warnings, diagnostics) and returns nothing
 # ---------------------------------------------------------------------------
 
 def _build_ring(args, files):
@@ -135,17 +141,14 @@ def _build_ring(args, files):
         raise InputError(f"ring file rejected: {exc}")
 
 
-def cmd_fusion(args, files):
-    ring = _build_ring(args, files)
-    warnings = []
+def cmd_fusion(args, report):
+    ring = _build_ring(args, report.files)
     if ring.truncated:
-        warnings.append("ring is a truncated window; frontier-touching "
-                        "checks are skipped")
-    results = {
-        "name": ring.name,
-        "labels": len(ring.labels),
-        "truncated": ring.truncated,
-    }
+        report.warnings.append("ring is a truncated window; "
+                               "frontier-touching checks are skipped")
+    results = report.results
+    results.update(name=ring.name, labels=len(ring.labels),
+                   truncated=ring.truncated)
     if ring.dims is not None:
         results["global_index"] = ring.global_index()
         rep = fusion.beta0(ring)
@@ -157,9 +160,7 @@ def cmd_fusion(args, files):
         results["verified"] = not failures
         results["failures"] = failures
         if failures:
-            raise VerificationFailure(f"axioms fail: {failures[0]}",
-                                      results, warnings)
-    return results, warnings
+            raise VerificationFailure(f"axioms fail: {failures[0]}")
 
 
 def _build_tube(args, files):
@@ -175,11 +176,11 @@ def _build_tube(args, files):
         raise InputError(f"tube file rejected: {exc}")
 
 
-def cmd_tube(args, files):
-    algebra = _build_tube(args, files)
-    warnings = []
-    results = {"name": algebra.name, "dim": algebra.dim(),
-               "corners": len(algebra.corners)}
+def cmd_tube(args, report):
+    algebra = _build_tube(args, report.files)
+    results = report.results
+    results.update(name=algebra.name, dim=algebra.dim(),
+                   corners=len(algebra.corners))
     if args.verify:
         rep = tube.verify_identities(algebra)
         results["identities"] = {
@@ -190,15 +191,13 @@ def cmd_tube(args, files):
         results["all_passed"] = rep.all_passed
         for check, notes in rep.notes.items():
             for note in notes:
-                warnings.append(f"{check}: {note}")
+                report.warnings.append(f"{check}: {note}")
         if not rep.all_passed:
             check, first = rep.first_failure()
-            raise VerificationFailure(f"{check} fails at {first}",
-                                      results, warnings)
+            raise VerificationFailure(f"{check} fails at {first}")
     if args.homology is not None:
         results["homology"] = _tube_homology_block(algebra, args.homology,
                                                    args.chain_cap)
-    return results, warnings
 
 
 def _tube_homology_block(algebra, degree, chain_cap):
@@ -209,21 +208,19 @@ def _tube_homology_block(algebra, degree, chain_cap):
             "dims": list(rep.dims), "chain_dims": list(rep.chain_dims)}
 
 
-def cmd_homology_tube(args, files):
-    algebra = _build_tube(args, files)
-    results = {"name": algebra.name,
-               "homology": _tube_homology_block(algebra, args.degree,
-                                                args.chain_cap)}
-    return results, []
+def cmd_homology_tube(args, report):
+    algebra = _build_tube(args, report.files)
+    report.results["name"] = algebra.name
+    report.results["homology"] = _tube_homology_block(algebra, args.degree,
+                                                      args.chain_cap)
 
 
-def cmd_homology_tlj(args, files):
+def cmd_homology_tlj(args, report):
     if args.mode != "unshaded":
         raise InputError("homology runs unshaded; shaded diagrams are a "
                          "display convention only")
-    warnings = []
-    results = {"mode": args.mode}
-    diagnostics = {}
+    results = report.results
+    results["mode"] = args.mode
     if args.h1 is None and args.h2 is None and args.h0 is None:
         args.h0 = 5
     if args.h0 is not None:
@@ -238,8 +235,7 @@ def cmd_homology_tlj(args, files):
                              for m, entry in rep["per_m"].items()},
         }
         if not rep["contained"]:
-            raise VerificationFailure("h1 containment failed", results,
-                                      warnings)
+            raise VerificationFailure("h1 containment failed")
     if args.h2 is not None:
         rep = annular.h2_vanishing_check(args.h2, margin=args.margin,
                                          diagram_cap=args.diagram_cap)
@@ -252,14 +248,13 @@ def cmd_homology_tlj(args, files):
             "columns_available": rep["columns_available"],
             "failing_vectors": rep["failing_vectors"],
         }
-        diagnostics["h2"] = {"method": rep["method"], **rep.get("modp", {})}
+        report.diagnostics["h2"] = {"method": rep["method"],
+                                    **rep.get("modp", {})}
         if not rep["contained"]:
-            raise VerificationFailure("h2 containment failed", results,
-                                      warnings)
-    return results, warnings, diagnostics
+            raise VerificationFailure("h2 containment failed")
 
 
-def cmd_betti(args, files):
+def cmd_betti(args, report):
     chosen = [name for name in ("fuss_catalan", "tlj")
               if getattr(args, name) is not None] + ["point"] * args.point
     if len(chosen) != 1:
@@ -279,8 +274,8 @@ def cmd_betti(args, files):
             provenance = "point"
     except ValueError as exc:
         raise InputError(f"{flag}: {exc}")
-    results = betti.profile_to_json(profile, provenance)
-    return results, list(profile.warnings)
+    report.results.update(betti.profile_to_json(profile, provenance))
+    report.warnings.extend(profile.warnings)
 
 
 def _ladder_window(width, delta, flag, generator):
@@ -300,15 +295,14 @@ def _ladder_window(width, delta, flag, generator):
     return window
 
 
-def cmd_amenability(args, files):
-    warnings = []
-    results = {}
+def cmd_amenability(args, report):
+    results = report.results
     if args.graph:
         if args.check in ("kesten", "both") and args.ladder_delta is None:
             raise InputError("kesten needs a fusion ring window; "
                              "use --ladder-delta or --check folner")
         text = _read_file(args.graph)
-        files[args.graph] = text
+        report.files[args.graph] = text
         try:
             graph = amenability.graph_from_text(text)
         except ValueError as exc:
@@ -342,12 +336,9 @@ def cmd_amenability(args, files):
                                  f"{exc}")
         if args.epsilon <= 0:
             raise InputError(f"--epsilon {args.epsilon}: must be positive")
-        try:
-            rep = amenability.folner_search(graph, epsilon=args.epsilon,
-                                            max_size=args.max_size,
-                                            strategy=args.strategy)
-        except amenability.TruncationInconclusive as exc:
-            raise Inconclusive(str(exc), results, warnings)
+        rep = amenability.folner_search(graph, epsilon=args.epsilon,
+                                        max_size=args.max_size,
+                                        strategy=args.strategy)
         results["folner"] = {
             "strategy": rep.strategy,
             "epsilon": rep.epsilon,
@@ -358,15 +349,14 @@ def cmd_amenability(args, files):
             "set": [str(v) for v in rep.set],
         }
         if not rep.found:
-            warnings.append("no Folner witness within max_size; "
-                            "best ratio reported")
+            report.warnings.append("no Folner witness within max_size; "
+                                   "best ratio reported")
     if results.get("kesten", {}).get("amenable", False) is None:
         raise Inconclusive("kesten norm bounds contain the dimension; Kesten "
-                           "alone cannot prove amenability", results, warnings)
-    return results, warnings
+                           "alone cannot prove amenability")
 
 
-def cmd_verify_all(args, files):
+def cmd_verify_all(args, report):
     cfg = {}
     if args.chain_cap is not None:
         cfg["chain_cap"] = args.chain_cap
@@ -374,57 +364,47 @@ def cmd_verify_all(args, files):
         cfg["diagram_cap"] = args.diagram_cap
     if args.tube_file:
         text = _read_file(args.tube_file)
-        files[args.tube_file] = text
+        report.files[args.tube_file] = text
         cfg["tube_file"] = text
     rows = acceptance.run_all(**cfg)
-    results = {
-        "criteria": [{k: row[k] for k in ("criterion", "title", "status",
-                                          "detail")}
-                     for row in rows],
-        "summary": {
-            "pass": sum(r["status"] == "PASS" for r in rows),
-            "fail": sum(r["status"] == "FAIL" for r in rows),
-            "inconclusive": sum(r["status"] == "INCONCLUSIVE" for r in rows),
-        },
-    }
-    warnings = []
-    timing = {row["criterion"]: row["runtime_ms"] for row in rows}
-    if results["summary"]["fail"]:
-        raise VerificationFailure(
-            f"{results['summary']['fail']} criteria failed", results, warnings,
-            timing)
-    if results["summary"]["inconclusive"]:
-        raise Inconclusive(
-            f"{results['summary']['inconclusive']} criteria inconclusive",
-            results, warnings, timing)
-    return results, warnings, timing
+    summary = {status.lower(): sum(r["status"] == status for r in rows)
+               for status in ("PASS", "FAIL", "INCONCLUSIVE")}
+    report.results["criteria"] = [
+        {k: row[k] for k in ("criterion", "title", "status", "detail")}
+        for row in rows]
+    report.results["summary"] = summary
+    report.timing["per_criterion_ms"] = {row["criterion"]: row["runtime_ms"]
+                                         for row in rows}
+    if summary["fail"]:
+        raise VerificationFailure(f"{summary['fail']} criteria failed")
+    if summary["inconclusive"]:
+        raise Inconclusive(f"{summary['inconclusive']} criteria inconclusive")
 
 
 # ---------------------------------------------------------------------------
 # report assembly and rendering
 # ---------------------------------------------------------------------------
 
-def _make_report(command, params, files, results, warnings, t0,
-                 extra_timing=None, diagnostics=None):
-    timing = {"runtime_ms": int((time.perf_counter() - t0) * 1000)}
-    if extra_timing:
-        timing["per_criterion_ms"] = extra_timing
-    report = {
+def _make_report(command, params, report, t0, error=None):
+    out = {
         "command": command,
         "version": __version__,
-        "inputs": _inputs_block(params, files),
-        "results": results,
+        "inputs": _inputs_block(params, report.files),
+        "results": report.results,
     }
-    if diagnostics:
-        report["diagnostics"] = diagnostics
-    report["warnings"] = warnings
-    report["timing"] = timing
-    return report
+    if report.diagnostics:
+        out["diagnostics"] = report.diagnostics
+    out["warnings"] = report.warnings
+    out["timing"] = {"runtime_ms": int((time.perf_counter() - t0) * 1000),
+                     **report.timing}
+    if error is not None:
+        out["error"] = {"type": type(error).__name__, "message": str(error)}
+    return out
 
 
 def _render(report) -> str:
     lines = [f"{report['command']} (fusionhom {report['version']})"]
-    results = report["results"] or {}
+    results = report["results"]
     if report["command"] == "verify-all" and "criteria" in results:
         for row in results["criteria"]:
             lines.append(f"{row['status']:<13} {row['criterion']:<22} "
@@ -471,21 +451,6 @@ def _fmt(v):
         return "[" + ", ".join(str(x) for x in v) + "]"
     return str(v)
 
-
-def _params_of(args, names):
-    return {name: getattr(args, name.replace("-", "_")) for name in names}
-
-
-COMMAND_PARAMS = {
-    "fusion": ("tlj", "group", "ladder", "delta", "ring", "verify"),
-    "tube": ("group", "file", "verify", "homology", "chain-cap"),
-    "homology-tube": ("group", "file", "degree", "chain-cap"),
-    "homology-tlj": ("mode", "h0", "h1", "h2", "margin", "diagram-cap"),
-    "betti": ("fuss-catalan", "tlj", "point"),
-    "amenability": ("ladder-delta", "window", "generator", "graph", "check",
-                    "epsilon", "max-size", "strategy", "folner-window"),
-    "verify-all": ("chain-cap", "diagram-cap", "tube-file"),
-}
 
 COMMAND_BODIES = {
     "fusion": cmd_fusion,
@@ -580,41 +545,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
-    params = _params_of(args, COMMAND_PARAMS[command])
+    args = build_parser().parse_args(argv)
+    # the parameter echo is every parsed flag, spelled as on the command
+    # line; --json and --out only choose where the report goes
+    params = {dest.replace("_", "-"): value
+              for dest, value in vars(args).items()
+              if dest not in ("command", "json", "out")}
     t0 = time.perf_counter()
-    files = {}
-    extra_timing = diagnostics = error = None
+    report = Report()
+    code, error = 0, None
     try:
-        out = COMMAND_BODIES[command](args, files)
-        if command == "verify-all":
-            results, warnings, extra_timing = out
-        elif command == "homology-tlj":
-            results, warnings, diagnostics = out
-        else:
-            results, warnings = out
-        code = 0
+        COMMAND_BODIES[args.command](args, report)
     except (InputError, ParseError, InvariantViolation) as exc:
-        code, error, results, warnings = 1, exc, {}, []
+        # bad input: nothing computed counts, only the files read
+        code, error, report = 1, exc, Report(files=report.files)
     except VerificationFailure as exc:
-        code, error, results = 2, exc, exc.results or {}
-        warnings = exc.warnings + [f"verification failed: {exc}"]
-        extra_timing = exc.timing
-    except (Inconclusive, SizeLimit,
-            amenability.TruncationInconclusive) as exc:
+        code, error = 2, exc
+        report.warnings.append(f"verification failed: {exc}")
+    except Inconclusive as exc:
         code, error = 3, exc
-        results = getattr(exc, "results", None) or {}
-        warnings = getattr(exc, "warnings", []) + [f"inconclusive: {exc}"]
-        extra_timing = getattr(exc, "timing", None)
-    # every exit path reports the files the command read
-    report = _make_report(command, params, files, results, warnings, t0,
-                          extra_timing, diagnostics)
-    if error is not None:
-        report["error"] = {"type": type(error).__name__,
-                           "message": str(error)}
-    _emit(report, args)
+        report.warnings.append(f"inconclusive: {exc}")
+    _emit(_make_report(args.command, params, report, t0, error), args)
     return code
 
 

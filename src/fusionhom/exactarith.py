@@ -581,13 +581,13 @@ def _strip_row_content(row: dict) -> dict:
     """Divide a row of IntPoly by the gcd of its entries (sign kept)."""
     if not row:
         return row
-    g = ZERO_POLY
+    g = None
     for v in row.values():
-        g = poly_gcd(g, v)
-        if g.degree == 0 and abs(g.leading) == 1:
+        # the fold starts at the first entry made positive; poly_gcd
+        # keeps a positive leading coefficient from there on
+        g = (-v if v.leading < 0 else v) if g is None else poly_gcd(g, v)
+        if g.degree == 0 and g.leading == 1:
             return row
-    if g.degree == 0 and g.leading in (1, -1):
-        return row
     return {c: v.divexact(g) for c, v in row.items()}
 
 

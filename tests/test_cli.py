@@ -1,6 +1,8 @@
 """Command line interface: exit codes, JSON reports, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import fusionhom
+from fusionhom import cli
 from fusionhom.acceptance import CRITERIA
 from fusionhom.groups import cyclic
 from fusionhom.tube import tube_from_group, tube_to_text
@@ -36,6 +39,14 @@ def run_json(*args):
     proc = run_cli(*args, "--json")
     assert proc.stdout, proc.stderr
     return proc.returncode, json.loads(proc.stdout)
+
+
+def main_json(*args):
+    """Run cli.main in-process; (exit code, parsed JSON report)."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main([*args, "--json"])
+    return code, json.loads(buf.getvalue())
 
 
 @pytest.fixture
@@ -344,3 +355,101 @@ def test_out_of_range_flags_are_input_errors(argv, message):
     assert code == 1
     assert report["error"]["type"] == "InputError"
     assert message in report["error"]["message"]
+
+
+def readme_commands():
+    """The lines of the README's command-line block, without `fusionhom`."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line")[1]
+    block = section.split("```")[1]
+    return [line.split()[1:] for line in block.splitlines()
+            if line.startswith("fusionhom ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_example_runs(argv):
+    # the README says the flat-ladder amenability example exits 3
+    expected = 3 if argv[:1] == ["amenability"] else 0
+    code, report = main_json(*argv)
+    assert code == expected, report.get("error")
+
+
+# inputs.params and inputs.digest as printed before the parameter echo was
+# read from the parser; verify-all stops at its missing tube file (exit 1)
+PARAMS_PINS = {
+    ("fusion", "--ladder", "8", "--delta", "2.0", "--verify"): (
+        {"delta": 2.0, "ladder": 8, "verify": True},
+        "b2ead4edfe7692d5321e176f2373fddd57bdcb2bfd1215d9d0a834e6eda5a1e2"),
+    ("tube", "--group", "S3", "--verify", "--homology", "2"): (
+        {"chain-cap": 50000, "group": "S3", "homology": 2, "verify": True},
+        "6e2dfe4b8baaac1dd986071a3dc93553b660b0783217415a46c7a038ac20d2da"),
+    ("homology-tube", "--group", "Z3", "--degree", "2"): (
+        {"chain-cap": 50000, "degree": 2, "group": "Z3"},
+        "fa4bf933ca579dc354cb2c2f78c2b50207b48d30271a640a4e693425f76a8b42"),
+    ("homology-tlj", "--h0", "4", "--h1", "3"): (
+        {"diagram-cap": 100000, "h0": 4, "h1": 3, "margin": 2,
+         "mode": "unshaded"},
+        "f975e3f222121573b9af41a6c8bf8f8e1577255bfbedbdfbd4993538bbbdfbf1"),
+    ("betti", "--fuss-catalan", "5", "5"): (
+        {"fuss-catalan": [5, 5], "point": False},
+        "16079da7e921b510b1148ae70aed3141a70426be34201ec9043ebf456e097e60"),
+    ("amenability", "--check", "kesten", "--ladder-delta", "3.0",
+     "--window", "64"): (
+        {"check": "kesten", "epsilon": 0.05, "folner-window": 224,
+         "generator": "f1", "ladder-delta": 3.0, "max-size": 200,
+         "strategy": "balls", "window": 64},
+        "0943833186eb7318346aec91eddd90f68813e1465b077ce365904e41e3d8b91e"),
+    ("verify-all", "--chain-cap", "7", "--diagram-cap", "9",
+     "--tube-file", "no-such-dir/x.tube"): (
+        {"chain-cap": 7, "diagram-cap": 9, "tube-file": "no-such-dir/x.tube"},
+        "134ee57b3682e3b6f680cca5b04250ce0512faed1f3293a9930017628a2fc914"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PARAMS_PINS), ids=lambda a: a[0])
+def test_parameter_echo_and_digest_are_pinned(argv):
+    code, report = main_json(*argv)
+    assert code == (1 if argv[0] == "verify-all" else 0)
+    params, digest = PARAMS_PINS[argv]
+    assert report["inputs"]["params"] == params
+    assert report["inputs"]["digest"] == digest
+
+
+def test_capped_report_keeps_the_finished_h1_block():
+    code, report = main_json("homology-tlj", "--h1", "3", "--h2", "8",
+                             "--diagram-cap", "10")
+    assert code == 3
+    assert report["error"]["type"] == "SizeLimit"
+    assert report["results"]["h1"]["contained"] is True
+    assert "h2" not in report["results"]
+
+
+def test_capped_report_keeps_the_passed_identities():
+    code, report = main_json("tube", "--group", "S3", "--verify",
+                             "--homology", "3", "--chain-cap", "100")
+    assert code == 3
+    assert report["error"]["type"] == "SizeLimit"
+    assert report["results"]["all_passed"] is True
+    assert "homology" not in report["results"]
+
+
+def test_folner_truncation_reports_its_own_type():
+    code, report = main_json("amenability", "--check", "both",
+                             "--ladder-delta", "2.0", "--folner-window", "20",
+                             "--epsilon", "0.01")
+    assert code == 3
+    assert report["error"]["type"] == "TruncationInconclusive"
+    assert report["results"]["kesten"]["amenable"] is None
+    assert report["warnings"] == [
+        f"inconclusive: {report['error']['message']}"]
+
+
+def test_input_error_drops_the_partial_results():
+    # the identities pass before the degree is rejected
+    code, report = main_json("tube", "--group", "S3", "--verify",
+                             "--homology", "5")
+    assert code == 1
+    assert report["error"]["type"] == "InputError"
+    assert report["results"] == {}
+    assert report["warnings"] == []
+    assert "diagnostics" not in report

@@ -25,6 +25,7 @@ from fusionhom.exactarith import (
     RatFunc,
     SparseMat,
     _pseudo_rem,
+    _strip_row_content,
     float_rank,
     kernel_basis,
     mat_vec,
@@ -359,6 +360,31 @@ def test_poly_gcd_frozen_cases():
     # 6(delta - 1)(delta + 2) and -4(delta - 1)^2 share 2(delta - 1)
     assert (poly_gcd(IntPoly([-12, 6, 6]), IntPoly([-4, 8, -4]))
             == IntPoly([-2, 2]))
+
+
+@pytest.mark.parametrize("entry, stripped", [
+    (IntPoly([0, -3]), IntPoly([-1])),
+    (IntPoly([0, 3]), IntPoly([1])),
+    (IntPoly([-2, 0, 4]), IntPoly([1])),
+    (IntPoly([2, 0, -4]), IntPoly([-1])),
+    (IntPoly([-1]), IntPoly([-1])),
+])
+def test_strip_row_content_keeps_the_sign_of_a_one_entry_row(entry, stripped):
+    # a lone entry is its own gcd up to the sign of its leading coefficient
+    assert _strip_row_content({7: entry}) == {7: stripped}
+
+
+def test_strip_row_content_divides_a_shared_nonconstant_factor():
+    # -2(delta - 1)(delta + 2), 4(delta - 1)^2 and 6 delta (delta - 1)
+    # share 2(delta - 1); the quotients keep their signs
+    row = {0: IntPoly([4, -2, -2]), 3: IntPoly([4, -8, 4]),
+           5: IntPoly([0, -6, 6])}
+    assert _strip_row_content(row) == {0: IntPoly([-2, -1]),
+                                       3: IntPoly([-2, 2]),
+                                       5: IntPoly([0, 3])}
+    coprime = {0: IntPoly([1, 1]), 1: IntPoly([-1, 1])}
+    assert _strip_row_content(coprime) is coprime
+    assert _strip_row_content({}) == {}
 
 
 @given(kernel_polys, kernel_polys.filter(bool))
