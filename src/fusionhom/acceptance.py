@@ -202,7 +202,8 @@ def crit_h2_vanishing(cfg):
            f"kernel dim {rep['kernel_dim']}, failing {rep['failing_vectors']}")
     _check(elapsed < 600, f"took {elapsed:.1f}s, budget 600s")
     return (f"N=8 margin=2: kernel dim {rep['kernel_dim']} contained, "
-            f"{rep['columns_used']}/{rep['columns_available']} columns")
+            f"{rep['columns_used']}/{rep['columns_available']} columns, "
+            f"{rep['method']}")
 
 
 def crit_h0(cfg):

@@ -19,20 +19,28 @@ deleted-circle parity at degree 2 and the promoted-region parity at
 degree 3) but do not assemble into a chain complex, so all homology
 computations run unshaded.
 
-H2 containment (`h2_vanishing_check`) is certified from ranks over F_p
-and falls back to exact elimination over Z[delta] when the certificate
-does not close.  Write C_k(<=T) for the degree-k diagrams of total at
-most T; filling never raises the total, so each C(<=T) is a subcomplex.
+H2 containment (`h2_vanishing_check`) is proved from the delta = 0
+graded pieces of the complex and falls back to exact elimination over
+Z[delta] when that proof does not close.  Write C_k(<=T) and C_k(=t)
+for the degree-k diagrams of total at most T and exactly t; filling
+never raises the total, so each C(<=T) is a subcomplex.
 
-- Sending Z[delta] to F_p at a point delta0 is a ring map, so a rank
-  mod p never exceeds the rank over Q(delta).
-- Take degree-3 diagrams of total at most T and check d2(d3(d)) = 0 for
-  each of them exactly over Z.  Their boundaries lie in ker d2(<=T), and
-  if their mod-p rank reaches |C2(<=T)| - rank_p d2(<=T) they span it.
-- For N <= T <= N+margin, ker d2(<=N) lies in ker d2(<=T), so it lies in
-  the span of those boundaries: containment is proved.
-- kernel_dim = |C2(<=N)| - |C1(<=N)| is exact when rank_p d2(<=N) equals
-  the row count |C1(<=N)|.
+- A fill that deletes j circles carries delta^j and lowers the total by
+  j.  Sending delta to 0 is a ring map Z[delta] -> Z that keeps only the
+  fills deleting nothing, so the boundary at delta = 0 maps C(=t) to
+  C(=t): it is block diagonal over totals with integer entries.
+- Ranks only drop under specialisation, so rank d_k(<=N) over Q(delta)
+  is at least the sum over t <= N of rank d_k(=t) over Q.
+- Check d2(d3(d)) = 0 exactly over Z for each d in C3(<=N).  Then
+  dim ker d2(<=N) <= |C2(<=N)| - sum rank d2(=t) and
+  dim im d3(<=N) >= sum rank d3(=t), so when every graded summand
+  |C2(=t)| - rank d2(=t) - rank d3(=t) is 0, H2(C(<=N)) = 0 over
+  Q(delta): ker d2(<=N) lies in the span of the boundaries of C3(<=N),
+  hence of C3(<=N+margin) for every margin >= 0.  This is the spectral
+  sequence of the filtration by total (Weibel, An Introduction to
+  Homological Algebra, 5.4) read off its first page.
+- kernel_dim = |C2(<=N)| - |C1(<=N)| is exact when the sum of the
+  rank d2(=t) is the row count |C1(<=N)|.
 """
 
 from __future__ import annotations
@@ -40,8 +48,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import SizeLimit
-from .exactarith import (Echelon, IntPoly, ModpEchelon, RatFunc, RF_ONE,
-                         RF_ZERO, SparseMat, ZERO_POLY, clear_denominators,
+from .exactarith import (Echelon, IntPoly, RatFunc, RF_ONE, RF_ZERO,
+                         SparseMat, ZERO_POLY, clear_denominators,
                          kernel_basis, rank, span_solve)
 
 
@@ -98,10 +106,23 @@ class CircleDiagram:
                 shading = None
             elif shading not in (0, 1):
                 raise ValueError("shading must be 0, 1, or None")
+        self._set(degree, norm, shading)
+
+    def _set(self, degree, norm, shading):
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "blocks",
                            tuple((i, j, norm[i, j]) for i, j in sorted(norm)))
         object.__setattr__(self, "shading", shading)
+
+    @classmethod
+    def _trusted(cls, degree, norm, shading=None) -> "CircleDiagram":
+        """Unvalidated construction from a dict (i, j) -> positive
+        multiplicity already known to be laminar and in range, with no
+        shading at degree 0.  Only fill_puncture and enumerate_diagrams,
+        which produce such dicts, use it."""
+        d = object.__new__(cls)
+        d._set(degree, norm, shading)
+        return d
 
     def __setattr__(self, *_):
         raise AttributeError("CircleDiagram is immutable")
@@ -260,7 +281,7 @@ def fill_puncture(d: CircleDiagram, j: int) -> tuple[CircleDiagram, int]:
     if not (0 <= j <= k):
         raise ValueError(f"fill index {j} out of range 0..{k}")
     deleted = 0
-    new_blocks = []
+    norm = {}  # surviving blocks; filling keeps the family laminar
     if j < k:
         p = j + 1
         for (i0, j0, m) in d.blocks:
@@ -268,11 +289,10 @@ def fill_puncture(d: CircleDiagram, j: int) -> tuple[CircleDiagram, int]:
                 if i0 == j0:
                     deleted += m  # circle loses its only puncture
                     continue
-                ni, nj = i0, j0 - 1
+                key = i0, j0 - 1
             else:
-                ni = i0 - 1 if i0 > p else i0
-                nj = j0 - 1 if j0 > p else j0
-            new_blocks.append((ni, nj, m))
+                key = (i0 - 1 if i0 > p else i0), (j0 - 1 if j0 > p else j0)
+            norm[key] = norm.get(key, 0) + m
         bit = d.shading
     else:
         flip = 0
@@ -282,16 +302,17 @@ def fill_puncture(d: CircleDiagram, j: int) -> tuple[CircleDiagram, int]:
                 if i0 == 1:
                     deleted += m  # nothing left on the far side
                     continue
-                new_blocks.append((1, i0 - 1, m))
+                key = 1, i0 - 1
             else:
-                new_blocks.append((i0, j0, m))
+                key = i0, j0
+            norm[key] = norm.get(key, 0) + m
         if d.shading is None:
             bit = None
         elif k == 2:
             bit = d.shading ^ (deleted & 1)
         else:
             bit = d.shading ^ (flip & 1)
-    return CircleDiagram(k - 1, new_blocks, bit), deleted
+    return CircleDiagram._trusted(k - 1, norm, bit if k > 1 else None), deleted
 
 
 def _boundary_counts(d: CircleDiagram) -> dict:
@@ -334,8 +355,7 @@ def enumerate_diagrams(degree: int, max_total: int):
 
     def rec(idx, remaining, chosen):
         if idx == len(classes):
-            out.append(CircleDiagram(
-                degree, [(i, j, m) for (i, j), m in chosen.items()]))
+            out.append(CircleDiagram._trusted(degree, chosen))
             return
         block = classes[idx]
         # a class crossing a block already chosen can only stay empty
@@ -408,32 +428,22 @@ def h1_vanishing_check(K: int) -> dict:
             "per_m": per_m}
 
 
-# (prime < 2^31, point) pairs tried in turn by the mod-p certificate
-_MODP_PAIRS = ((2147483647, 1234567), (2147483629, 7654321),
-               (2147483587, 2718281))
-
-
 def h2_vanishing_check(N: int, margin: int = 2,
                        diagram_cap: int = 100000) -> dict:
     """Check ker(boundary_2) on total <= N against the degree-3 image.
 
-    The degree-3 boundaries are taken over diagrams with total <= N+margin
-    in ascending order.  Containment is first certified over F_p (see the
-    module docstring): the columns are inserted into a ModpEchelon, each
-    after an exact check of d2(d3(d)) = 0 over Z, and insertion stops at
-    the first prefix whose mod-p rank reaches |C2(<=T)| - rank_p d2(<=T),
-    T the largest total inserted so far (at least N).  The proof needs no
-    kernel basis.  Inside C2(<=N) spanning ker d2 and containing it are
-    the same, so a certificate that closes with T = N and ranks at the
-    point equal to those over Q(delta) stops where the exact oracle does;
-    one that needs T > N may stop later.  Each (prime, point) of
-    _MODP_PAIRS is tried in turn, and when none closes the bound the
-    exact elimination `_h2_exact` decides and is the only source of
-    failing vectors.
+    The degree-3 boundaries are taken over diagrams with total <= N+margin.
+    Containment is first proved from the graded ranks (see the module
+    docstring): for each total t <= N, the ranks over Q of the delta = 0
+    blocks d2(=t) and d3(=t), each degree-3 column checked to satisfy
+    d2(d3(d)) = 0 exactly over Z before it is inserted.  The proof needs
+    no kernel basis, no prime and no evaluation point, and it consumes
+    the columns of total <= N only.  When it does not close, the exact
+    elimination `_h2_exact` decides and is the only source of failing
+    vectors.
 
-    The report's method is "modp" or "exact"; a modp report carries
-    "modp": the prime, the point, the attempt count, the certified
-    window T, rank_p d2(<=T) and the mod-p rank of the columns used.
+    The report's method is "graded" or "exact"; a graded report carries
+    "graded": |C2(=t)|, rank d2(=t) and rank d3(=t) for t = 0..N.
     """
     if N < 1 or margin < 0:
         raise ValueError("need N >= 1 and margin >= 0")
@@ -442,32 +452,20 @@ def h2_vanishing_check(N: int, margin: int = 2,
     if len(gen3) > diagram_cap:
         raise SizeLimit(
             f"{len(gen3)} degree-3 diagrams exceed cap {diagram_cap}")
-    for attempt, (prime, point) in enumerate(_MODP_PAIRS, 1):
-        found = _h2_modp(N, window3, gen3, prime, point)
-        if found is not None:
-            kernel_dim, columns_used, modp = found
-            return {
-                "kernel_dim": kernel_dim,
-                "contained": True,
-                "failing_vectors": [],
-                "columns_available": len(gen3),
-                "columns_used": columns_used,
-                "window": window3,
-                "method": "modp",
-                "modp": {"prime": prime, "point": point, "attempts": attempt,
-                         **modp},
-            }
-    return {**_h2_exact(N, window3, gen3), "method": "exact"}
-
-
-def _column_mod_p(counts, row_of, prime, point) -> dict:
-    """Boundary counts with delta sent to point in F_prime, as a sparse
-    dict."""
-    col = {}
-    for (out, deleted), count in counts.items():
-        r = row_of[out]
-        col[r] = (col.get(r, 0) + count * pow(point, deleted, prime)) % prime
-    return {r: v for r, v in col.items() if v}
+    found = _h2_graded(N, gen3)
+    if found is None:
+        return {**_h2_exact(N, window3, gen3), "method": "exact"}
+    kernel_dim, columns_used, graded = found
+    return {
+        "kernel_dim": kernel_dim,
+        "contained": True,
+        "failing_vectors": [],
+        "columns_available": len(gen3),
+        "columns_used": columns_used,
+        "window": window3,
+        "method": "graded",
+        "graded": graded,
+    }
 
 
 def _dd_vanishes(counts, memo) -> bool:
@@ -484,49 +482,58 @@ def _dd_vanishes(counts, memo) -> bool:
     return not any(total.values())
 
 
-def _h2_modp(N, window3, gen3, prime, point):
-    """The mod-p certificate at one (prime, point).
+def _rank_at_zero(columns, row_of, memo=None):
+    """Rank over Q of the boundary at delta = 0 on these columns.
 
-    Returns (kernel_dim, columns_used, details), or None when the bound
-    does not close.
+    Each column is streamed: its boundary counts, then (with a memo) the
+    exact d(d(column)) = 0 check, then its delta^0 part as an integer
+    column.  Returns None when a column fails the check.
     """
-    rows2 = enumerate_diagrams(2, window3)  # ascending total
-    rows1 = enumerate_diagrams(1, window3)
-    row2 = {d: i for i, d in enumerate(rows2)}
-    row1 = {d: i for i, d in enumerate(rows1)}
-    d2 = ModpEchelon(prime)
-    inserted2 = 0  # rows2[:inserted2] = C2(<=T) are in d2
-
-    def target(T):
-        """|C2(<=T)| - rank_p d2(<=T), an upper bound on dim ker d2(<=T)."""
-        nonlocal inserted2
-        while inserted2 < len(rows2) and rows2[inserted2].total() <= T:
-            d2.insert(_column_mod_p(_boundary_counts(rows2[inserted2]),
-                                    row1, prime, point))
-            inserted2 += 1
-        return inserted2 - len(d2.pivots)
-
-    kernel_dim = target(N)
-    if len(d2.pivots) < sum(1 for d in rows1 if d.total() <= N):
-        return None  # kernel_dim is not proved
-    cols = ModpEchelon(prime)
-    memo = {}
-    T = N
-    used = 0
-    while len(cols.pivots) < target(T):
-        if used == len(gen3):
-            return None
-        d = gen3[used]
-        used += 1
+    ech = Echelon()
+    for d in columns:
         counts = _boundary_counts(d)
-        if not _dd_vanishes(counts, memo):
+        if memo is not None and not _dd_vanishes(counts, memo):
             return None
-        # the column lies in C2(<=total) and, through row2, in C2(<=window3)
-        T = max(T, min(d.total(), window3))
-        cols.insert(_column_mod_p(counts, row2, prime, point))
-    return kernel_dim, used, {"certified_window": T,
-                              "rank_d2": len(d2.pivots),
-                              "rank_columns": len(cols.pivots)}
+        col = {}
+        for (out, deleted), count in counts.items():
+            if not deleted:
+                r = row_of[out]
+                col[r] = col.get(r, 0) + count
+        ech.insert({r: IntPoly((v,)) for r, v in col.items() if v})
+    return len(ech.pivots)
+
+
+def _h2_graded(N, gen3):
+    """The graded proof on C(<=N), using the columns of gen3 of total
+    <= N.
+
+    Returns (kernel_dim, columns_used, per-total ranks), or None when a
+    graded summand is nonzero, a column is not a cycle, or the d2 ranks
+    fall short of |C1(<=N)|.
+    """
+    def by_total(diagrams):
+        blocks = [[] for _ in range(N + 1)]
+        for d in diagrams:
+            if d.total() <= N:
+                blocks[d.total()].append(d)
+        return blocks
+
+    c1, c2, c3 = (by_total(enumerate_diagrams(1, N)),
+                  by_total(enumerate_diagrams(2, N)), by_total(gen3))
+    memo = {}
+    graded = {"dim_c2": [], "rank_d2": [], "rank_d3": []}
+    for t in range(N + 1):
+        row1 = {d: i for i, d in enumerate(c1[t])}
+        row2 = {d: i for i, d in enumerate(c2[t])}
+        rank2 = _rank_at_zero(c2[t], row1)
+        rank3 = _rank_at_zero(c3[t], row2, memo)
+        if rank3 is None or rank2 != len(c1[t]) or rank2 + rank3 != len(c2[t]):
+            return None
+        graded["dim_c2"].append(len(c2[t]))
+        graded["rank_d2"].append(rank2)
+        graded["rank_d3"].append(rank3)
+    kernel_dim = sum(map(len, c2)) - sum(map(len, c1))
+    return kernel_dim, sum(map(len, c3)), graded
 
 
 def _h2_exact(N: int, window3: int, gen3) -> dict:

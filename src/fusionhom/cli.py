@@ -221,8 +221,6 @@ def cmd_homology_tlj(args, report):
                          "display convention only")
     results = report.results
     results["mode"] = args.mode
-    if args.h1 is None and args.h2 is None and args.h0 is None:
-        args.h0 = 5
     if args.h0 is not None:
         results["h0"] = {"window": args.h0, "dimension":
                          annular.h0_report(args.h0)}
@@ -249,7 +247,7 @@ def cmd_homology_tlj(args, report):
             "failing_vectors": rep["failing_vectors"],
         }
         report.diagnostics["h2"] = {"method": rep["method"],
-                                    **rep.get("modp", {})}
+                                    **rep.get("graded", {})}
         if not rep["contained"]:
             raise VerificationFailure("h2 containment failed")
 
@@ -546,6 +544,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # a bare homology-tlj runs --h0; set before the echo reads it
+    if (args.command == "homology-tlj"
+            and args.h0 is None and args.h1 is None and args.h2 is None):
+        args.h0 = 5
     # the parameter echo is every parsed flag, spelled as on the command
     # line; --json and --out only choose where the report goes
     params = {dest.replace("_", "-"): value

@@ -24,11 +24,6 @@ content, so no fractions appear during elimination.  A vector's leading
 index is its smallest index, so pivots follow column order and stored
 pivot vectors never change while vectors are inserted.
 
-`ModpEchelon` is the same incremental echelon over a prime field F_p.
-A matrix over Z[delta] sent to F_p at a point delta0 (a ring map) has
-rank at most its rank over Q(delta), so mod-p ranks give one-sided
-bounds that an exact argument can turn into a certificate.
-
 Floating-point evaluation (`RatFunc.eval_float`, `float_rank`) is provided
 separately as a cheap probabilistic cross-check of the exact results.
 """
@@ -668,39 +663,6 @@ class Echelon:
                 if idx in row:
                     row = _cancel(row, self.pivots[idx], idx)
             self.pivots[lead] = row
-
-
-class ModpEchelon:
-    """Incremental row echelon over the prime field F_prime.
-
-    Vectors are dicts index -> int in 1..prime-1.  As in Echelon the
-    leading index is the smallest, and each stored pivot vector is scaled
-    so that its leading entry is 1.  The rank is len(pivots).
-    """
-
-    def __init__(self, prime: int):
-        self.prime = prime
-        self.pivots = {}  # leading index -> normalised pivot vector
-
-    def insert(self, vec: dict):
-        """Reduce and store; returns the new pivot index or None."""
-        p, pivots = self.prime, self.pivots
-        vec = dict(vec)
-        while vec:
-            lead = min(vec)
-            row = pivots.get(lead)
-            if row is None:
-                inv = pow(vec[lead], -1, p)
-                pivots[lead] = {c: v * inv % p for c, v in vec.items()}
-                return lead
-            f = vec[lead]
-            for c, v in row.items():
-                t = (vec.get(c, 0) - f * v) % p
-                if t:
-                    vec[c] = t
-                else:
-                    del vec[c]
-        return None
 
 
 def _echelon_of_rows(m: SparseMat, targets=()) -> Echelon:

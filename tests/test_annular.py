@@ -10,7 +10,7 @@ from fusionhom.annular import (ChainVector, CircleDiagram, UnsupportedDegree,
                                enumerate_diagrams, fill_puncture, h0_report,
                                h1_vanishing_check, h2_vanishing_check, sigma,
                                sigma2, single)
-from fusionhom.exactarith import RatFunc, parse_scalar
+from fusionhom.exactarith import RatFunc, parse_scalar, rank
 
 dp = RatFunc.delta_power
 
@@ -176,9 +176,8 @@ def test_h1_certificates_rebuild_the_cycle():
 
 
 def test_h2_window_contains_kernel():
-    # kernel_dim and columns_used do not depend on the kernel basis or the
-    # pivot order, so they are pinned
-    for n, pinned in ((3, (16, 69)), (4, (30, 170))):
+    # the graded proof consumes C3(<=N); kernel_dim = |C2(<=N)| - |C1(<=N)|
+    for n, pinned in ((3, (16, 77)), (4, (30, 182))):
         report = h2_vanishing_check(n)
         assert report["contained"]
         assert not report["failing_vectors"]
@@ -186,24 +185,23 @@ def test_h2_window_contains_kernel():
 
 
 def test_h2_with_no_generators_fails_honestly():
-    # no (prime, point) certifies an empty column set, so the exact
+    # the graded proof cannot close on an empty column set, so the exact
     # oracle decides, and it is the only source of failing vectors
-    for prime, point in annular._MODP_PAIRS:
-        assert annular._h2_modp(4, 6, [], prime, point) is None
+    assert annular._h2_graded(4, []) is None
     report = annular._h2_exact(4, 6, [])
     assert not report["contained"]
     assert report["failing_vectors"]
 
 
 def _verdict(report):
-    return report["kernel_dim"], report["columns_used"], report["contained"]
+    return report["kernel_dim"], report["contained"]
 
 
 @pytest.mark.parametrize("margin", [0, 1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_h2_certificate_agrees_with_exact_oracle(n, margin):
     report = h2_vanishing_check(n, margin=margin)
-    assert report["method"] == "modp"
+    assert report["method"] == "graded"
     exact = annular._h2_exact(n, n + margin, enumerate_diagrams(3, n + margin))
     assert _verdict(report) == _verdict(exact)
     assert report["columns_available"] == exact["columns_available"]
@@ -215,31 +213,32 @@ def test_h2_benchmark_size_is_certified():
     assert report["contained"]
     assert not report["failing_vectors"]
     assert (report["kernel_dim"], report["columns_used"],
-            report["columns_available"], report["window"]) == (156, 2041, 5005, 10)
-    assert report["method"] == "modp"
-    assert report["modp"]["certified_window"] == 8
-    assert (report["modp"]["rank_d2"], report["modp"]["rank_columns"]) == (9, 156)
+            report["columns_available"], report["window"]) == (156, 2079, 5005, 10)
+    assert report["method"] == "graded"
+    # per total t = 0..8: |C2(=t)|, rank d2(=t) = 1, rank d3(=t) = |C2(=t)| - 1
+    dims = [(t + 1) * (t + 2) // 2 for t in range(9)]
+    assert report["graded"] == {"dim_c2": dims, "rank_d2": [1] * 9,
+                                "rank_d3": [c - 1 for c in dims]}
 
 
-def test_h2_retries_after_an_unlucky_pair(monkeypatch):
-    # over F_2 the bound does not close at N=4; the next pair certifies
-    good = annular._MODP_PAIRS[0]
-    monkeypatch.setattr(annular, "_MODP_PAIRS", ((2, 1), good))
-    report = h2_vanishing_check(4)
-    assert report["method"] == "modp"
-    assert report["modp"]["attempts"] == 2
-    assert (report["modp"]["prime"], report["modp"]["point"]) == good
-    assert _verdict(report) == (30, 170, True)
+def test_h2_falls_back_to_exact_on_a_column_subset(monkeypatch):
+    # without the total-4 columns rank d3(=4) is 0, so the exact oracle
+    # decides; the columns of total 5 and 6 still contain the kernel
+    enumerate_all = annular.enumerate_diagrams
 
+    def without_total_4(degree, max_total):
+        out = enumerate_all(degree, max_total)
+        return [d for d in out if d.total() != 4] if degree == 3 else out
 
-def test_h2_falls_back_to_exact_when_no_pair_closes(monkeypatch):
-    certified = h2_vanishing_check(4)
-    monkeypatch.setattr(annular, "_MODP_PAIRS", ((2, 0), (2, 1)))
+    gens = without_total_4(3, 6)
+    assert annular._h2_graded(4, gens) is None
+    monkeypatch.setattr(annular, "enumerate_diagrams", without_total_4)
     fallback = h2_vanishing_check(4)
     assert fallback["method"] == "exact"
-    assert "modp" not in fallback
-    del certified["method"], certified["modp"], fallback["method"]
-    assert fallback == certified
+    assert "graded" not in fallback
+    assert fallback == {**annular._h2_exact(4, 6, gens), "method": "exact"}
+    assert _verdict(fallback) == (30, True)
+    assert fallback["columns_used"] == 133
 
 
 def test_h2_certificate_rejects_columns_that_are_not_cycles(monkeypatch):
@@ -256,23 +255,62 @@ def test_h2_certificate_rejects_columns_that_are_not_cycles(monkeypatch):
     assert h2_vanishing_check(3)["method"] == "exact"
 
 
+def test_h2_graded_proof_checks_each_column_is_a_cycle(monkeypatch):
+    # an extra delta-power face leaves every delta = 0 block, and so every
+    # graded rank, as it was; only the exact d2 d3 = 0 check sees it
+    counts_of = annular._boundary_counts
+
+    def broken(d):
+        counts = counts_of(d)
+        if d.degree == 3:
+            face, deleted = fill_puncture(d, 3)
+            key = face, deleted + 1
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    monkeypatch.setattr(annular, "_boundary_counts", broken)
+    assert annular._h2_graded(3, enumerate_diagrams(3, 3)) is None
+
+
 @pytest.mark.parametrize("k, contained", [(16, False), (20, True)])
 def test_h2_partial_generators_get_the_oracle_verdict(k, contained):
-    # total-3 columns only: their rank passes dim ker d2(<=2) before they
-    # contain it, and 20 of them contain it without spanning ker d2(<=3)
+    # total-3 columns only: the graded proof on C(<=2) has none of them,
+    # and 20 of them contain ker d2(<=2) without spanning ker d2(<=3)
     gens = [d for d in enumerate_diagrams(3, 3) if d.total() == 3][:k]
-    for prime, point in annular._MODP_PAIRS:
-        assert annular._h2_modp(2, 3, gens, prime, point) is None
+    assert annular._h2_graded(2, gens) is None
     report = annular._h2_exact(2, 3, gens)
     assert report["contained"] is contained
     assert bool(report["failing_vectors"]) is not contained
 
 
 def test_h2_certified_window_stays_inside_the_row_window():
-    # a total-4 generator whose faces all have total 3 ahead of the window
+    # a total-4 generator ahead of C3(<=3): the graded proof on C(<=3)
+    # skips it, while the exact oracle, taking columns in order, uses it
     gens = [diagram3(a=1, b=1, c=1, abc=1)] + enumerate_diagrams(3, 3)
-    kernel_dim, columns_used, modp = annular._h2_modp(
-        3, 3, gens, *annular._MODP_PAIRS[0])
-    assert modp["certified_window"] == 3
+    kernel_dim, columns_used, graded = annular._h2_graded(3, gens)
+    assert columns_used == len(gens) - 1
+    assert len(graded["rank_d3"]) == 4
     exact = annular._h2_exact(3, 3, gens)
-    assert (kernel_dim, columns_used, True) == _verdict(exact) == (16, 70, True)
+    assert (kernel_dim, True) == _verdict(exact) == (16, True)
+    assert exact["columns_used"] == 70
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("T", [0, 1, 2, 3, 4])
+def test_graded_ranks_equal_the_exact_rank(degree, T):
+    # at these sizes the ranks do not drop at delta = 0
+    below = enumerate_diagrams(degree - 1, T)
+    graded = 0
+    for t in range(T + 1):
+        rows = {d: i for i, d in enumerate(d for d in below if d.total() == t)}
+        graded += annular._rank_at_zero(
+            [d for d in enumerate_diagrams(degree, T) if d.total() == t], rows)
+    assert graded == rank(boundary_matrix(degree, T))
+
+
+def test_parse_keeps_the_block_checks():
+    # fill_puncture and enumerate_diagrams skip validation; parse does not
+    with pytest.raises(ValueError, match="crossing"):
+        CircleDiagram.parse("k=3; [1,2]^1 [2,3]^1")
+    with pytest.raises(ValueError, match="out of range"):
+        CircleDiagram.parse("k=2; [1,3]^1")

@@ -183,12 +183,9 @@ def test_homology_tlj_example():
     # how the verdict was reached sits next to results, not inside it
     assert list(report)[3:5] == ["results", "diagnostics"]
     assert "method" not in report["results"]["h2"]
-    diag = report["diagnostics"]["h2"]
-    assert diag["method"] == "modp"
-    assert diag["attempts"] == 1
-    assert diag["prime"] < 2 ** 31
-    assert (diag["certified_window"], diag["rank_d2"],
-            diag["rank_columns"]) == (4, 5, 30)
+    assert report["diagnostics"]["h2"] == {
+        "method": "graded", "dim_c2": [1, 3, 6, 10, 15],
+        "rank_d2": [1, 1, 1, 1, 1], "rank_d3": [0, 2, 5, 9, 14]}
 
 
 def test_homology_tlj_without_h2_has_no_diagnostics():
@@ -202,6 +199,17 @@ def test_flag_spellings_agree():
     _, b = run_json("homology-tlj", "--h1", "K=6")
     assert a["results"] == b["results"]
     assert a["inputs"]["digest"] == b["inputs"]["digest"]
+
+
+def test_bare_homology_tlj_echoes_the_h0_it_runs():
+    # the --h0 digest; a bare homology-tlj echoed no h0 (8db63fb6...)
+    _, bare = main_json("homology-tlj")
+    _, flag = main_json("homology-tlj", "--h0")
+    assert bare["inputs"] == flag["inputs"]
+    assert bare["inputs"]["params"]["h0"] == 5
+    assert bare["inputs"]["digest"] == (
+        "9ac575ae171ae1def800844c78a75231f218b18c8cd3315259c66890ab1653ff")
+    assert bare["results"] == flag["results"]
 
 
 def test_results_are_deterministic():

@@ -4,7 +4,7 @@ The frozen examples come first, then randomized oracles comparing the
 exact elimination against float evaluation, then hypothesis properties
 for the field axioms and rank invariance, the integer-polynomial kernel
 (gcd, pseudo-remainder, product, difference) against a plain Euclid over
-Fraction, and ranks over F_p.
+Fraction.
 """
 
 import math
@@ -20,7 +20,6 @@ from fusionhom.exactarith import (
     RF_ZERO,
     DimensionMismatch,
     IntPoly,
-    ModpEchelon,
     PoleAtPoint,
     RatFunc,
     SparseMat,
@@ -407,47 +406,3 @@ def test_intpoly_mul_and_sub_match_the_naive_formulas(a, b):
     assert a * b == IntPoly(conv)
     assert b * a == IntPoly(conv)
     assert a - b == IntPoly(diff)
-
-
-# ---------------------------------------------------------------------------
-# ranks over F_p
-# ---------------------------------------------------------------------------
-
-def _rank_mod_p(rows, prime, point):
-    """Rank over F_prime of rows of IntPoly (lists) at delta = point."""
-    ech = ModpEchelon(prime)
-    for row in rows:
-        vec = {c: v.eval(point) % prime for c, v in enumerate(row)}
-        ech.insert({c: v for c, v in vec.items() if v})
-    return len(ech.pivots)
-
-
-def _exact_rank(rows):
-    return rank(SparseMat(len(rows), len(rows[0]),
-                          {(r, c): RatFunc(v) for r, row in enumerate(rows)
-                           for c, v in enumerate(row) if v}))
-
-
-def test_modp_rank_drops_at_a_root():
-    # delta - 2 is a unit over Q(delta) but vanishes at delta0 = 2
-    m = [[IntPoly((-2, 1))]]
-    assert _exact_rank(m) == 1
-    assert _rank_mod_p(m, 7, 2) == 0
-    assert _rank_mod_p(m, 7, 3) == 1
-
-
-def test_modp_pivots_are_normalised():
-    ech = ModpEchelon(7)
-    assert ech.insert({1: 3, 2: 5}) == 1
-    assert ech.insert({1: 6, 2: 3}) is None  # twice the first row
-    assert ech.insert({0: 2, 2: 1}) == 0
-    assert ech.pivots == {1: {1: 1, 2: 4}, 0: {0: 1, 2: 4}}
-
-
-@given(st.lists(st.lists(small_polys, min_size=3, max_size=3),
-                min_size=1, max_size=4),
-       st.sampled_from([2, 3, 5, 2147483647]),
-       st.integers(min_value=0, max_value=6))
-@settings(max_examples=80)
-def test_modp_rank_never_exceeds_exact_rank(rows, prime, point):
-    assert _rank_mod_p(rows, prime, point) <= _exact_rank(rows)
