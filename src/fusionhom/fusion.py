@@ -89,20 +89,24 @@ class FusionRing:
         return f"FusionRing({tag})"
 
 
-def _checker(ring: FusionRing):
-    """Predicate on labels: a check may use them if no frontier label is
-    involved and no pairwise product among them is clipped at the
-    frontier."""
-    if not ring.truncated:
-        return lambda *labels: True
-    frontier = ring.frontier
-    clipped = {pair for pair, row in ring.N.items()
-               if not frontier.isdisjoint(row)}
+def _checkable(ring: FusionRing) -> dict:
+    """label -> the labels it may share a check with: neither is on the
+    frontier and none of their four products is clipped at it."""
+    frontier = ring.frontier if ring.truncated else frozenset()
+    barred = {(x, x) for x in frontier} | {
+        pair for pair, row in ring.N.items() if not frontier.isdisjoint(row)}
+    return {x: {y for y in ring.labels if barred.isdisjoint(
+        ((x, x), (x, y), (y, x), (y, y)))} for x in ring.labels}
 
-    def checkable(*labels):
-        return frontier.isdisjoint(labels) and not any(
-            (a, b) in clipped for a in labels for b in labels)
-    return checkable
+
+def _packed_rows(ring: FusionRing) -> dict:
+    """Each stored row N[a, b] as one int, sum_c N(a,b,c) 2^(w idx(c))."""
+    rows = ring.N.values()
+    norm = max((sum(map(abs, row.values())) for row in rows), default=0)
+    top = max((abs(v) for row in rows for v in row.values()), default=0)
+    w = (norm * top).bit_length() + 2
+    return {pair: sum(v << w * ring.index[c] for c, v in row.items())
+            for pair, row in ring.N.items()}
 
 
 def _combine(coeffs: dict, row_of) -> dict:
@@ -121,12 +125,18 @@ def verify_axioms(ring: FusionRing):
     associativity, and the dimension eigen-equation
     d(a)d(b) = sum_c N(a,b,c) d(c) (float to relative 1e-9; exact when exact
     dims are stored).  Truncated rings skip triples touching the frontier.
+
+    Associativity compares sum_x N(a,b,x) P[x,g] with sum_y N(b,g,y) P[a,y]
+    on the packed rows P of `_packed_rows`.  With L the largest row l1-norm
+    and M the largest |N(a,b,c)|, each combined coefficient is at most
+    L M < 2^(w-2), and a signed base-2^w expansion with digits that small
+    is unique, so the packed sides are equal exactly when the rows are.
     """
     failures = []
     labels = ring.labels
     unit = ring.unit
     order = ring.index.__getitem__
-    checkable = _checker(ring)
+    ok = _checkable(ring)
 
     if ring.dual.get(unit) != unit:
         failures.append(f"dual(unit) = {ring.dual.get(unit)} != unit")
@@ -146,7 +156,7 @@ def verify_axioms(ring: FusionRing):
     for a, b, c, v in _triples(ring):
         if v < 0:
             failures.append(f"negative multiplicity at ({a},{b},{c})")
-        if not checkable(a, b, c):
+        if b not in ok[a] or c not in ok[a] or c not in ok[b]:
             continue
         da, db, dc = ring.dual[a], ring.dual[b], ring.dual[c]
         if ring.mult(db, da, dc) != v:
@@ -158,47 +168,41 @@ def verify_axioms(ring: FusionRing):
                 f"Frobenius fails: N({a},{b},{c})={v} but "
                 f"N({da},{c},{b})={ring.mult(da, c, b)}")
 
-    # (a . b) . g against a . (b . g), one product row per side
-    for a in labels:
-        for b in labels:
-            ab = ring.row(a, b)
-            for g in labels:
-                if not checkable(a, b, g):
-                    continue
-                lhs = _combine(ab, lambda x: ring.row(x, g))
-                rhs = _combine(ring.row(b, g), lambda y: ring.row(a, y))
-                if lhs == rhs:
-                    continue
-                for d in sorted(lhs.keys() | rhs.keys(), key=order):
-                    left, right = lhs.get(d, 0), rhs.get(d, 0)
-                    if left != right:
-                        failures.append(
-                            f"associativity fails at ({a},{b},{g})->{d}: "
-                            f"{left} != {right}")
+    # (a . b) . g against a . (b . g); dict rows only to name a failure
+    packed = _packed_rows(ring)
+    pairs = [(a, b) for a in labels for b in labels if b in ok[a]]
+    for a, b in pairs:
+        ab, both = ring.row(a, b), ok[a] & ok[b]
+        for g in labels:
+            if g not in both:
+                continue
+            bg = ring.row(b, g)
+            if (sum(v * packed.get((x, g), 0) for x, v in ab.items())
+                    == sum(v * packed.get((a, y), 0) for y, v in bg.items())):
+                continue
+            lhs = _combine(ab, lambda x: ring.row(x, g))
+            rhs = _combine(bg, lambda y: ring.row(a, y))
+            for d in sorted(lhs.keys() | rhs.keys(), key=order):
+                left, right = lhs.get(d, 0), rhs.get(d, 0)
+                if left != right:
+                    failures.append(
+                        f"associativity fails at ({a},{b},{g})->{d}: "
+                        f"{left} != {right}")
 
     if ring.dims is not None:
-        for a in labels:
-            for b in labels:
-                if not checkable(a, b):
-                    continue
-                lhs = ring.dims[a] * ring.dims[b]
-                rhs = sum(v * ring.dims[c] for c, v in ring.row(a, b).items())
-                if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
-                    failures.append(
-                        f"dimension equation fails at ({a},{b}): "
-                        f"{lhs} vs {rhs}")
+        for a, b in pairs:
+            lhs = ring.dims[a] * ring.dims[b]
+            rhs = sum(v * ring.dims[c] for c, v in ring.row(a, b).items())
+            if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
+                failures.append(
+                    f"dimension equation fails at ({a},{b}): {lhs} vs {rhs}")
     if ring.dims_exact is not None:
-        for a in labels:
-            for b in labels:
-                if not checkable(a, b):
-                    continue
-                lhs = ring.dims_exact[a] * ring.dims_exact[b]
-                rhs = RF_ZERO
-                for c, v in ring.row(a, b).items():
-                    rhs = rhs + RatFunc.from_int(v) * ring.dims_exact[c]
-                if lhs != rhs:
-                    failures.append(
-                        f"exact dimension equation fails at ({a},{b})")
+        for a, b in pairs:
+            lhs = ring.dims_exact[a] * ring.dims_exact[b]
+            rhs = sum((RatFunc.from_int(v) * ring.dims_exact[c]
+                       for c, v in ring.row(a, b).items()), RF_ZERO)
+            if lhs != rhs:
+                failures.append(f"exact dimension equation fails at ({a},{b})")
     return failures
 
 

@@ -10,6 +10,7 @@ from fusionhom.annular import (ChainVector, CircleDiagram, UnsupportedDegree,
                                enumerate_diagrams, fill_puncture, h0_report,
                                h1_vanishing_check, h2_vanishing_check, sigma,
                                sigma2, single)
+from fusionhom.errors import SizeLimit
 from fusionhom.exactarith import RatFunc, parse_scalar, rank
 
 dp = RatFunc.delta_power
@@ -142,6 +143,21 @@ def test_enumeration_order_is_pinned(degree):
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     count = len(enumerate_diagrams(degree, 10))
     assert (count, digest) == ENUMERATION_PINS[degree]
+
+
+def test_diagram_count_matches_enumeration():
+    # the h2 cap and columns_available read the count, not the list
+    for degree in range(4):
+        for T in range(11):
+            assert annular._count_diagrams(degree, T) == len(
+                enumerate_diagrams(degree, T))
+    assert annular._count_diagrams(3, 10) == 2 * 3003 - 1001
+    # the cap still counts C3(<=N+margin): 378 diagrams at (3, 2)
+    with pytest.raises(SizeLimit, match="^378 degree-3 diagrams exceed cap "
+                                        "377$"):
+        h2_vanishing_check(3, 2, diagram_cap=377)
+    report = h2_vanishing_check(3, 2, diagram_cap=378)
+    assert report["columns_available"] == 378
 
 
 def test_chain_vectors_cancel():

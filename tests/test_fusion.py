@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusionhom.exactarith import RF_ONE, RatFunc
 from fusionhom.fusion import (FusionRing, InvalidRingFile, NotConnected,
@@ -179,3 +181,154 @@ def test_ring_file_rejects_broken_associativity():
 def test_ring_file_rejects_junk():
     with pytest.raises((InvalidRingFile, ValueError)):
         ring_from_text("labels: a b\nnonsense\n")
+
+
+# ---------------------------------------------------------------------------
+# verify_axioms against a plain dict-based reference
+# ---------------------------------------------------------------------------
+
+def reference_failures(ring):
+    """Frobenius and associativity failures, one dict row per side."""
+    frontier = ring.frontier if ring.truncated else frozenset()
+    clipped = {pair for pair, row in ring.N.items()
+               if not frontier.isdisjoint(row)}
+
+    def checkable(*labels):
+        return frontier.isdisjoint(labels) and not any(
+            (a, b) in clipped for a in labels for b in labels)
+
+    def combine(coeffs, row_of):
+        out = {}
+        for x, k in coeffs.items():
+            for d, v in row_of(x).items():
+                out[d] = out.get(d, 0) + k * v
+        return out
+
+    failures = []
+    order = ring.index.__getitem__
+    for a, b in sorted(ring.N, key=lambda pair: tuple(map(order, pair))):
+        for c, v in ring.N[a, b].items():
+            if not checkable(a, b, c):
+                continue
+            da, db, dc = ring.dual[a], ring.dual[b], ring.dual[c]
+            for x, y, z in ((db, da, dc), (da, c, b)):
+                if ring.mult(x, y, z) != v:
+                    failures.append(
+                        f"Frobenius fails: N({a},{b},{c})={v} but "
+                        f"N({x},{y},{z})={ring.mult(x, y, z)}")
+    for a in ring.labels:
+        for b in ring.labels:
+            for g in ring.labels:
+                if not checkable(a, b, g):
+                    continue
+                lhs = combine(ring.row(a, b), lambda x: ring.row(x, g))
+                rhs = combine(ring.row(b, g), lambda y: ring.row(a, y))
+                for d in ring.labels:
+                    left, right = lhs.get(d, 0), rhs.get(d, 0)
+                    if left != right:
+                        failures.append(
+                            f"associativity fails at ({a},{b},{g})->{d}: "
+                            f"{left} != {right}")
+    return failures
+
+
+BASE_RINGS = [relabel(from_group(cyclic(3))), relabel(from_group(dihedral(3))),
+              tlj_even(6), tlj_ladder(3), tlj_ladder(6)]
+# past 2^63 and negative, so a field narrower than L M would alias
+MULTIPLICITIES = st.one_of(st.integers(-3, 3),
+                           st.integers(2 ** 63, 2 ** 63 + 2),
+                           st.integers(-(2 ** 64) - 2, -(2 ** 64)),
+                           st.just(2 ** 64))
+
+
+@st.composite
+def tampered_rings(draw):
+    ring = draw(st.sampled_from(BASE_RINGS))
+    labels = ring.labels
+    N = {pair: dict(row) for pair, row in ring.N.items()}
+    for _ in range(draw(st.integers(0, 3))):
+        a, b, c = (draw(st.sampled_from(labels)) for _ in range(3))
+        N.setdefault((a, b), {})[c] = draw(MULTIPLICITIES)
+    truncated = draw(st.booleans())
+    frontier = ring.frontier
+    if truncated and (not frontier or draw(st.booleans())):
+        frontier = draw(st.sets(st.sampled_from(labels), max_size=2))
+    return FusionRing(labels, ring.dual, N, truncated=truncated,
+                      frontier=frontier)
+
+
+def _retargeted(value):
+    """Z/3 with x1 . x1 = {x1: value}: with 64-bit fields 2^64 x1 packs
+    exactly like the true product x2."""
+    ring = BASE_RINGS[0]
+    N = {**ring.N, ("x1", "x1"): {"x1": value}}
+    return FusionRing(ring.labels, ring.dual, N)
+
+
+def _aliased(paths, mult):
+    """(x0 . x1) . x2 = paths mult^2 x0 against x0 . (x1 . x2) = x1.
+
+    At (4, 1) the sides pack alike in fields sized by M alone, at (1, 4)
+    in fields sized by L alone; fields sized by L M tell them apart.
+    """
+    labels = tuple(f"x{i}" for i in range(2 + paths))
+    N = {("x0", "x1"): dict.fromkeys(labels[2:], mult),
+         ("x1", "x2"): {"x0": 1}, ("x0", "x0"): {"x1": 1}}
+    N.update({(x, "x2"): {"x0": mult} for x in labels[2:]})
+    return FusionRing(labels, {x: x for x in labels}, N)
+
+
+@given(tampered_rings())
+@example(_retargeted(2 ** 64))
+@example(_retargeted(-(2 ** 64)))
+@example(_aliased(4, 1))
+@example(_aliased(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_verify_axioms_matches_dict_reference(ring):
+    checked = [f for f in verify_axioms(ring)
+               if f.startswith(("Frobenius", "associativity"))]
+    assert checked == reference_failures(ring)
+
+
+# ---------------------------------------------------------------------------
+# truncation semantics on the ladder
+# ---------------------------------------------------------------------------
+
+def test_wide_ladder_passes():
+    assert verify_axioms(tlj_ladder(40, 2.0)) == []
+
+
+LADDER_TAMPER_PINS = {
+    # no check uses f5 (f5 . f5 is clipped), but a . (b . g) reads (f4, f5)
+    ("f4", "f5", "f3"): [
+        "associativity fails at (f4,f1,f4)->f3: 2 != 3",
+        "associativity fails at (f4,f2,f3)->f3: 3 != 4",
+        "associativity fails at (f4,f3,f2)->f3: 3 != 4",
+        "associativity fails at (f4,f3,f4)->f3: 4 != 5",
+        "associativity fails at (f4,f4,f1)->f3: 2 != 3",
+        "associativity fails at (f4,f4,f3)->f3: 4 != 5",
+    ],
+    # clipped at the frontier and never read
+    ("f5", "f5", "f8"): [],
+    # clipped, but read as a row of other triples
+    ("f4", "f6", "f10"): [
+        "associativity fails at (f4,f2,f4)->f10: 1 != 2",
+        "associativity fails at (f4,f3,f3)->f10: 1 != 2",
+        "associativity fails at (f4,f4,f2)->f10: 1 != 2",
+        "associativity fails at (f4,f4,f4)->f10: 2 != 3",
+    ],
+    ("f6", "f4", "f2"): [
+        "associativity fails at (f2,f4,f4)->f2: 4 != 3",
+        "associativity fails at (f3,f3,f4)->f2: 4 != 3",
+        "associativity fails at (f4,f2,f4)->f2: 4 != 3",
+        "associativity fails at (f4,f4,f4)->f2: 4 != 3",
+    ],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LADDER_TAMPER_PINS))
+def test_ladder_tampering_is_pinned(entry):
+    a, b, c = entry
+    ring = tlj_ladder(12)
+    ring.N[a, b][c] = 2
+    assert verify_axioms(ring) == LADDER_TAMPER_PINS[entry]
