@@ -16,7 +16,8 @@ from fractions import Fraction
 from . import amenability, annular, betti, fusion, tube
 from .errors import Inconclusive
 from .exactarith import (RF_ONE, RF_ZERO, IntPoly, RatFunc, SparseMat,
-                         float_rank, kernel_basis, mat_vec, rank)
+                         fraction_free_rank, kernel_basis, mat_vec, rank,
+                         rank_mod_p)
 from .groups import cyclic, dihedral, symmetric
 
 
@@ -294,10 +295,17 @@ def crit_amenability(cfg):
             f"delta=3 best {rep3.best_ratio:.3f}")
 
 
+# (prime, seed of the points) for the oracle's ranks over F_p; none is
+# exactarith.MODULUS, the prime of the certificate inside rank()
+_ORACLE_PRIMES = ((2**61 - 1, 61), (1_000_000_007, 7), (998_244_353, 3))
+
+
 def crit_exact_rank_oracle(cfg):
-    """Exact ranks of random polynomial matrices match float ranks at
-    three sample points; kernel vectors re-multiply to zero."""
+    """Ranks of random polynomial matrices: rank(m) and the ranks over
+    F_p at three seeded (prime, point) pairs equal the fraction-free
+    rank; kernel vectors re-multiply to zero, one per free column."""
     rng = random.Random(20260815)
+    points = [(p, random.Random(seed)) for p, seed in _ORACLE_PRIMES]
     kernel_vecs = 0
     for trial in range(100):
         rows = rng.randint(2, 5)
@@ -310,19 +318,26 @@ def crit_exact_rank_oracle(cfg):
                 if poly:
                     entries[r, c] = RatFunc(poly)
         m = SparseMat(rows, cols, entries)
-        exact = rank(m)
-        for _ in range(3):
-            point = rng.uniform(2.1, 9.9)
-            fr = float_rank(m, point)
-            _check(fr == exact,
-                   f"trial {trial}: exact rank {exact} vs float {fr} "
-                   f"at delta={point}")
-        for vec in kernel_basis(m):
+        exact = fraction_free_rank(m)
+        certified = rank(m)
+        _check(certified == exact,
+               f"trial {trial}: rank {certified} vs fraction-free {exact}")
+        for p, prng in points:
+            point = prng.randrange(p)
+            rp = rank_mod_p(m.mod_p_rows(point, p), p)
+            _check(rp == exact,
+                   f"trial {trial}: fraction-free rank {exact} vs {rp} "
+                   f"mod {p} at delta={point}")
+        kernel = kernel_basis(m)
+        _check(len(kernel) == cols - exact,
+               f"trial {trial}: {len(kernel)} kernel vectors, rank {exact}")
+        for vec in kernel:
             image = mat_vec(m, vec)
             _check(all(x == RF_ZERO for x in image),
                    f"trial {trial}: kernel vector fails")
             kernel_vecs += 1
-    return f"100 matrices, 300 float-rank agreements, {kernel_vecs} kernel vectors"
+    return (f"100 matrices, 100 rank and 300 mod-p rank agreements with "
+            f"the fraction-free rank, {kernel_vecs} kernel vectors")
 
 
 CRITERIA = (

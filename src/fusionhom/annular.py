@@ -51,7 +51,7 @@ from math import comb
 from .errors import SizeLimit
 from .exactarith import (Echelon, IntPoly, RatFunc, RF_ONE, RF_ZERO,
                          SparseMat, ZERO_POLY, clear_denominators,
-                         kernel_basis, rank, span_solve)
+                         kernel_basis, rank, rank_mod_p, span_solve)
 
 
 class UnsupportedDegree(ValueError):
@@ -446,11 +446,15 @@ def h2_vanishing_check(N: int, margin: int = 2,
     Containment is first proved from the graded ranks (see the module
     docstring): for each total t <= N, the ranks over Q of the delta = 0
     blocks d2(=t) and d3(=t), each degree-3 column checked to satisfy
-    d2(d3(d)) = 0 exactly over Z before it is inserted.  The proof needs
-    no kernel basis, no prime and no evaluation point, and it consumes
-    the columns of total <= N only; C3(<=N+margin) is only counted.  When
-    it does not close, the exact elimination `_h2_exact` enumerates that
-    window, decides, and is the only source of failing vectors.
+    d2(d3(d)) = 0 exactly over Z before it is used.  Each rank is first
+    taken modulo a prime, which never exceeds it, and is accepted when it
+    meets its proven bound: rank d2(=t) <= |C1(=t)|, and, because
+    d2 d3 = 0, rank d3(=t) <= |C2(=t)| - rank d2(=t).  Otherwise exact
+    elimination over Z gives the rank.  The proof needs no kernel basis
+    and no evaluation point, and it consumes the columns of total <= N
+    only; C3(<=N+margin) is only counted.  When it does not close, the
+    exact elimination `_h2_exact` enumerates that window, decides, and is
+    the only source of failing vectors.
 
     The report's method is "graded" or "exact"; a graded report carries
     "graded": |C2(=t)|, rank d2(=t) and rank d3(=t) for t = 0..N.
@@ -493,24 +497,43 @@ def _dd_vanishes(counts, memo) -> bool:
     return not any(total.values())
 
 
-def _rank_at_zero(columns, row_of, memo=None):
+def _rank_at_zero(columns, row_of, memo=None, bound=None):
     """Rank over Q of the boundary at delta = 0 on these columns.
 
     Each column is streamed: its boundary counts, then (with a memo) the
     exact d(d(column)) = 0 check, then its delta^0 part as an integer
-    column.  Returns None when a column fails the check.
+    column.  Returns None when a column fails the check.  bound is a
+    proven upper bound on the rank, by default the smaller dimension.
+    The integer columns are first eliminated modulo p (`rank_mod_p`; no
+    evaluation point is needed).  That rank never exceeds the rank over
+    Q, so when it meets the bound it is the rank; otherwise the columns
+    are streamed again into exact elimination over Z.
     """
+    if bound is None:
+        bound = min(len(columns), len(row_of))
+    failed = []
+
+    def integer_columns():
+        for d in columns:
+            counts = _boundary_counts(d)
+            if memo is not None and not _dd_vanishes(counts, memo):
+                failed.append(d)
+                return
+            col = {}
+            for (out, deleted), count in counts.items():
+                if not deleted:
+                    r = row_of[out]
+                    col[r] = col.get(r, 0) + count
+            yield {r: v for r, v in col.items() if v}
+
+    rank_p = rank_mod_p(integer_columns())
+    if failed:
+        return None
+    if rank_p == bound:
+        return bound
     ech = Echelon()
-    for d in columns:
-        counts = _boundary_counts(d)
-        if memo is not None and not _dd_vanishes(counts, memo):
-            return None
-        col = {}
-        for (out, deleted), count in counts.items():
-            if not deleted:
-                r = row_of[out]
-                col[r] = col.get(r, 0) + count
-        ech.insert({r: IntPoly((v,)) for r, v in col.items() if v})
+    for col in integer_columns():
+        ech.insert({r: IntPoly((v,)) for r, v in col.items()})
     return len(ech.pivots)
 
 
@@ -536,8 +559,9 @@ def _h2_graded(N, gen3):
     for t in range(N + 1):
         row1 = {d: i for i, d in enumerate(c1[t])}
         row2 = {d: i for i, d in enumerate(c2[t])}
+        # d2 d3 = 0 gives rank d3(=t) <= |C2(=t)| - rank d2(=t)
         rank2 = _rank_at_zero(c2[t], row1)
-        rank3 = _rank_at_zero(c3[t], row2, memo)
+        rank3 = _rank_at_zero(c3[t], row2, memo, len(c2[t]) - rank2)
         if rank3 is None or rank2 != len(c1[t]) or rank2 + rank3 != len(c2[t]):
             return None
         graded["dim_c2"].append(len(c2[t]))

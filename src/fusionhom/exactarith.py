@@ -24,8 +24,22 @@ content, so no fractions appear during elimination.  A vector's leading
 index is its smallest index, so pivots follow column order and stored
 pivot vectors never change while vectors are inserted.
 
-Floating-point evaluation (`RatFunc.eval_float`, `float_rank`) is provided
-separately as a cheap probabilistic cross-check of the exact results.
+`rank` and `kernel_basis` first try a certificate over a prime field.
+Each entry is evaluated at the fixed point delta = `_POINT` modulo the
+prime p = `MODULUS` = 2^31 - 1 (`RatFunc.eval_mod`).  Where no
+denominator vanishes there, this is a ring map onto F_p from a subring
+of Q(delta) holding every entry, so it commutes with determinants: a
+nonzero r x r minor modulo p is the image of a nonzero minor over
+Q(delta), and the rank over F_p (`rank_mod_p`) never exceeds the rank
+over Q(delta) (Kaltofen-Saunders, AAECC 1991).  It therefore proves the
+rank whenever it meets a known upper bound: min(rows, cols) for `rank`,
+the column count for an empty `kernel_basis`.  At a pole, or when the
+rank over F_p falls short, fraction-free elimination decides, and it
+stays the oracle (`fraction_free_rank`).
+
+`float_rank` and `SparseMat.to_dense_float` evaluate at a float delta
+with numpy.  They are an independent cross-check kept for the
+benchmark's checker and the tests, and are not part of any verdict.
 """
 
 from __future__ import annotations
@@ -36,7 +50,8 @@ from itertools import zip_longest
 
 
 class PoleAtPoint(ZeroDivisionError):
-    """Evaluation point is (numerically) a zero of the denominator."""
+    """Evaluation point is (numerically, or modulo p) a zero of the
+    denominator."""
 
 
 class DimensionMismatch(ValueError):
@@ -158,6 +173,13 @@ class IntPoly:
         acc = 0 * x
         for c in reversed(self.coeffs):
             acc = acc * x + c
+        return acc
+
+    def eval_mod(self, x: int, p: int) -> int:
+        """Horner evaluation at x modulo p, in range(p)."""
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = (acc * x + c) % p
         return acc
 
     def __str__(self):
@@ -368,6 +390,16 @@ class RatFunc:
             raise PoleAtPoint(f"denominator vanishes at delta={delta}")
         return self.num.eval(float(delta)) / den
 
+    def eval_mod(self, x: int, p: int) -> int:
+        """Value at delta = x in F_p (p prime), in range(p)."""
+        num = self.num.eval_mod(x, p)
+        if self.den == ONE_POLY:
+            return num
+        den = self.den.eval_mod(x, p)
+        if not den:
+            raise PoleAtPoint(f"denominator vanishes at delta={x} mod {p}")
+        return num * pow(den, -1, p) % p
+
     def __str__(self):
         if self.den == ONE_POLY:
             return str(self.num)
@@ -545,7 +577,20 @@ class SparseMat:
                 out.entries[key] = v
         return out
 
+    def mod_p_rows(self, x: int, p: int) -> list:
+        """The rows at delta = x over F_p, as dicts column -> nonzero
+        residue; raises PoleAtPoint when a denominator vanishes there."""
+        rows = [{} for _ in range(self.rows)]
+        for (r, c), v in self.entries.items():
+            residue = v.eval_mod(x, p)
+            if residue:
+                rows[r][c] = residue
+        return rows
+
     def to_dense_float(self, delta: float):
+        """Dense numpy array at a float delta, the input of `float_rank`:
+        part of the benchmark checker's independent float cross-check,
+        not of any verdict."""
         import numpy as np
         dense = np.zeros((self.rows, self.cols))
         for (r, c), v in self.entries.items():
@@ -685,9 +730,66 @@ def _echelon_of_rows(m: SparseMat, targets=()) -> Echelon:
     return ech
 
 
-def rank(m: SparseMat) -> int:
-    """Rank over Q(delta) by fraction-free elimination."""
+# the prime of the rank certificates, and the point at which `rank` and
+# `kernel_basis` evaluate their entries
+MODULUS = 2**31 - 1
+_POINT = 1_234_567_890
+
+
+def rank_mod_p(rows, p: int = MODULUS) -> int:
+    """Rank over F_p of sparse integer rows (dicts index -> int).
+
+    Entries are reduced modulo p, pivots are normalised to 1 and lead at
+    their smallest index; the rows are not modified.
+    """
+    pivots = {}
+    for row in rows:
+        row = {c: v % p for c, v in row.items() if v % p}
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                break
+            f = row[lead]
+            for c, v in pivot.items():
+                v = (row.get(c, 0) - f * v) % p
+                if v:
+                    row[c] = v
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
+def _certified_full_rank(m: SparseMat, full: int) -> bool:
+    """The rank of m at delta = _POINT over F_MODULUS is full.
+
+    That rank never exceeds the rank over Q(delta), so True proves
+    rank(m) = full.  False, at a pole or on a shortfall, proves nothing.
+    """
+    try:
+        return rank_mod_p(m.mod_p_rows(_POINT, MODULUS)) == full
+    except PoleAtPoint:
+        return False
+
+
+def fraction_free_rank(m: SparseMat) -> int:
+    """Rank over Q(delta) by fraction-free elimination alone: the oracle
+    for the certificate in `rank`."""
     return len(_echelon_of_rows(m).pivots)
+
+
+def rank(m: SparseMat) -> int:
+    """Rank over Q(delta).
+
+    min(rows, cols) when the certificate over F_p proves it, otherwise
+    the fraction-free rank.
+    """
+    full = min(m.rows, m.cols)
+    if _certified_full_rank(m, full):
+        return full
+    return fraction_free_rank(m)
 
 
 def kernel_basis(m: SparseMat):
@@ -696,8 +798,12 @@ def kernel_basis(m: SparseMat):
 
     Each vector is returned as a dense list of RatFunc with polynomial
     entries (denominators cleared), common content stripped, and the first
-    nonzero entry having a positive leading coefficient.
+    nonzero entry having a positive leading coefficient.  The kernel is
+    empty without elimination when the certificate over F_p proves
+    full column rank.
     """
+    if m.cols <= m.rows and _certified_full_rank(m, m.cols):
+        return []
     ech = _echelon_of_rows(m)
     ech.back_substitute()
     basis = []
@@ -760,7 +866,11 @@ def span_solve(columns: SparseMat, targets) -> list:
 
 
 def float_rank(m: SparseMat, delta: float) -> int:
-    """Numerical rank of the matrix evaluated at a float delta."""
+    """Numerical rank of the matrix evaluated at a float delta.
+
+    The benchmark checker's independent float cross-check (the tests
+    use it too), not part of any verdict; numpy is imported only here.
+    """
     import numpy as np
     if m.rows == 0 or m.cols == 0:
         return 0

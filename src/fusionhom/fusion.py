@@ -467,34 +467,6 @@ def relabel(ring: FusionRing, mapping=None) -> FusionRing:
                       name=ring.name)
 
 
-def ring_to_text(ring: FusionRing) -> str:
-    """Serialize to the human-editable ring format (sorted body lines).
-
-    Labels must be single whitespace-free tokens; use relabel() first for
-    rings whose labels are tuples.
-    """
-    for lab in ring.labels:
-        token = str(lab)
-        if not token or any(ch.isspace() for ch in token) or ";" in token or "#" in token:
-            raise ValueError(f"label {lab!r} is not a single token; relabel first")
-    lines = [
-        "labels: " + " ".join(str(l) for l in ring.labels),
-        "dual: " + " ".join(str(ring.dual[l]) for l in ring.labels),
-    ]
-    if ring.dims is not None:
-        lines.append("dims: " + " ".join(repr(ring.dims[l]) for l in ring.labels))
-    if ring.dims_exact is not None:
-        lines.append("dims-exact: " + " ; ".join(
-            str(ring.dims_exact[l]) for l in ring.labels))
-    if ring.truncated:
-        lines.append("truncated: " + " ".join(
-            str(l) for l in sorted(ring.frontier, key=ring.index.get)))
-    lines.append("N:")
-    for a, b, c, v in _triples(ring):
-        lines.append(f"{a} {b} {c} {v}")
-    return "\n".join(lines) + "\n"
-
-
 def ring_from_text(text: str) -> FusionRing:
     """Parse the ring format; validates axioms and raises InvalidRingFile
     with the first failure."""

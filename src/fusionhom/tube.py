@@ -504,42 +504,6 @@ def trivial_homology(A: TubeAlgebra, n_max: int, chain_cap=50000) -> HomologyRep
 # Text file format
 # ---------------------------------------------------------------------------
 
-def tube_to_text(A: TubeAlgebra) -> str:
-    """Canonical serialization: corners c0.., basis a0.., sorted lines."""
-    corner_name = {c: f"c{i}" for i, c in enumerate(A.corners)}
-    basis_name = {b: f"a{i}" for i, b in enumerate(A.basis)}
-    lines = ["tube-algebra",
-             "corners: " + " ".join(corner_name[c] for c in A.corners)]
-    lines.append("basis:")
-    for b in A.basis:
-        lines.append(f"{basis_name[b]} {corner_name[A.src[b]]} {corner_name[A.tgt[b]]}")
-    lines.append("units:")
-    for c in A.corners:
-        lines.append(f"{corner_name[c]} {basis_name[A.unit_of_corner[c]]}")
-    lines.append("mult:")
-    for a in A.basis:
-        for b in A.basis:
-            comb = A.mult_elems(a, b)
-            for c in sorted(comb, key=A.index.get):
-                lines.append(f"{basis_name[a]} {basis_name[b]} "
-                             f"{basis_name[c]} {comb[c]}")
-    lines.append("star:")
-    for a in A.basis:
-        for b in sorted(A.star[a], key=A.index.get):
-            lines.append(f"{basis_name[a]} {basis_name[b]} {A.star[a][b]}")
-    lines.append("trace:")
-    for a in A.basis:
-        v = A.trace_vec.get(a)
-        if v:
-            lines.append(f"{basis_name[a]} {v}")
-    lines.append("counit:")
-    for a in A.basis:
-        v = A.counit_vec.get(a)
-        if v:
-            lines.append(f"{basis_name[a]} {v}")
-    return "\n".join(lines) + "\n"
-
-
 def tube_from_text(text: str, verify=True) -> TubeAlgebra:
     """Parse the tube format; verify identities and raise the first
     violation as InvariantViolation."""

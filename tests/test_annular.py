@@ -237,6 +237,15 @@ def test_h2_benchmark_size_is_certified():
                                 "rank_d3": [c - 1 for c in dims]}
 
 
+def test_h2_graded_ranks_fall_back_to_exact_elimination(monkeypatch):
+    # a prime that divides every minor leaves each rank over F_p short of
+    # its bound, so each block's rank comes from exact elimination over Z
+    proved = h2_vanishing_check(5, margin=2)
+    monkeypatch.setattr(annular, "rank_mod_p", lambda rows: 0)
+    assert h2_vanishing_check(5, margin=2) == proved
+    assert proved["method"] == "graded"
+
+
 def test_h2_falls_back_to_exact_on_a_column_subset(monkeypatch):
     # without the total-4 columns rank d3(=4) is 0, so the exact oracle
     # decides; the columns of total 5 and 6 still contain the kernel

@@ -16,9 +16,9 @@ import fusionhom
 from fusionhom import cli
 from fusionhom.acceptance import CRITERIA
 from fusionhom.groups import cyclic
-from fusionhom.tube import tube_from_group, tube_to_text
+from fusionhom.tube import tube_from_group
 
-from test_tube import NEGATIVE_TRACE
+from test_tube import NEGATIVE_TRACE, tube_to_text
 
 # the child runs the package these tests import, installed or not
 SRC = str(Path(fusionhom.__file__).resolve().parents[1])
@@ -135,6 +135,18 @@ def test_verify_all_names_the_violation(broken_tube_file):
     assert proc.returncode == 2
     assert "FAIL" in proc.stdout
     assert "InvariantViolation" in proc.stdout
+
+
+def test_verify_all_runs_without_numpy():
+    # every verdict rests on exact arithmetic; numpy stays a float
+    # cross-check outside the verdicts
+    proc = run_python("-c", (
+        "import contextlib, io, sys\n"
+        "from fusionhom import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify-all', '--json'])\n"
+        "print(code, 'numpy' in sys.modules)\n"))
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 @pytest.mark.parametrize("exit_code", [2, 3])

@@ -4,17 +4,20 @@ The frozen examples come first, then randomized oracles comparing the
 exact elimination against float evaluation, then hypothesis properties
 for the field axioms and rank invariance, the integer-polynomial kernel
 (gcd, pseudo-remainder, product, difference) against a plain Euclid over
-Fraction.
+Fraction, and the rank certificate over F_p against fraction-free
+elimination.
 """
 
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionhom import exactarith
 from fusionhom.exactarith import (
     RF_ONE,
     RF_ZERO,
@@ -26,11 +29,13 @@ from fusionhom.exactarith import (
     _pseudo_rem,
     _strip_row_content,
     float_rank,
+    fraction_free_rank,
     kernel_basis,
     mat_vec,
     parse_scalar,
     poly_gcd,
     rank,
+    rank_mod_p,
     span_solve,
 )
 
@@ -406,3 +411,102 @@ def test_intpoly_mul_and_sub_match_the_naive_formulas(a, b):
     assert a * b == IntPoly(conv)
     assert b * a == IntPoly(conv)
     assert a - b == IntPoly(diff)
+
+
+# ---------------------------------------------------------------------------
+# the rank certificate over F_p against fraction-free elimination
+# ---------------------------------------------------------------------------
+
+def _fraction_free_kernel(m):
+    """kernel_basis with the certificate switched off."""
+    with mock.patch.object(exactarith, "_certified_full_rank",
+                           return_value=False):
+        return kernel_basis(m)
+
+
+@st.composite
+def certificate_matrices(draw):
+    """0 x k up to 6 x 6 polynomial or rational matrices, some with
+    duplicated or scaled rows appended."""
+    rows = draw(st.integers(min_value=0, max_value=6))
+    cols = draw(st.integers(min_value=0, max_value=6))
+    entry = ratfuncs() if draw(st.booleans()) else small_polys.map(RatFunc)
+    dense = [[draw(entry) if draw(st.booleans()) else RF_ZERO
+              for _ in range(cols)] for _ in range(rows)]
+    while dense and len(dense) < 6 and draw(st.booleans()):
+        source = dense[draw(st.integers(min_value=0, max_value=len(dense) - 1))]
+        scale = draw(ratfuncs())
+        dense.append([v * scale for v in source])
+    return SparseMat(len(dense), cols, {
+        (r, c): v for r, row in enumerate(dense) for c, v in enumerate(row)
+        if v})
+
+
+@given(certificate_matrices())
+@settings(max_examples=200)
+def test_certified_rank_and_kernel_match_fraction_free(m):
+    exact = fraction_free_rank(m)
+    assert rank(m) == exact
+    kernel = kernel_basis(m)
+    assert kernel == _fraction_free_kernel(m)
+    assert len(kernel) == m.cols - exact
+
+
+@given(ratfuncs(), st.integers(min_value=-50, max_value=50))
+def test_eval_mod_is_the_value_mod_p(a, x):
+    p = exactarith.MODULUS
+    den = Fraction(a.den.eval(x))
+    if den % p == 0:
+        with pytest.raises(PoleAtPoint):
+            a.eval_mod(x, p)
+        return
+    value = Fraction(a.num.eval(x)) / den
+    assert a.eval_mod(x, p) == value.numerator * pow(
+        value.denominator, -1, p) % p
+
+
+def test_rank_mod_p_eliminates_over_the_prime_field():
+    # [[1, 2], [3, 6]] has rank 1 everywhere; [[1, 2], [3, 1]] has
+    # determinant -5, which vanishes mod 5 only
+    assert rank_mod_p([{0: 1, 1: 2}, {0: 3, 1: 6}], 7) == 1
+    assert rank_mod_p([{0: 1, 1: 2}, {0: 3, 1: 1}], 7) == 2
+    assert rank_mod_p([{0: 1, 1: 2}, {0: 3, 1: 1}], 5) == 1
+    assert rank_mod_p([{0: 5, 1: 10}, {}], 5) == 0
+    row = {0: 3, 2: 4}
+    rank_mod_p([row, {0: 1, 2: 1}], 7)
+    assert row == {0: 3, 2: 4}
+
+
+def test_full_rank_is_certified_without_elimination():
+    m = _mat([[1, 2, 0], [0, 1, 1], [1, 0, 1], [2, 2, 1]])
+    with mock.patch.object(exactarith, "_echelon_of_rows",
+                           side_effect=AssertionError("eliminated")):
+        assert rank(m) == 3
+        assert kernel_basis(m) == []
+
+
+def _rank_at_the_point(m):
+    """rank_mod_p at the certificate's point, None at a pole."""
+    try:
+        return rank_mod_p(m.mod_p_rows(exactarith._POINT, exactarith.MODULUS))
+    except PoleAtPoint:
+        return None
+
+
+@pytest.mark.parametrize("entry, at_the_point", [
+    # the point is a root: rank 0 over F_p, rank 1 over Q(delta)
+    (DELTA - RatFunc.from_int(exactarith._POINT), 0),
+    # a denominator vanishes at the point modulo p
+    (RF_ONE / (DELTA - RatFunc.from_int(
+        exactarith._POINT + exactarith.MODULUS)), None),
+    # p itself is 0 over F_p and a unit over Q
+    (RatFunc.from_int(exactarith.MODULUS), 0),
+], ids=["root-at-the-point", "pole-at-the-point", "the-prime"])
+def test_certificate_falls_back_when_it_proves_nothing(entry, at_the_point):
+    m = SparseMat(1, 1, {(0, 0): entry})
+    assert _rank_at_the_point(m) == at_the_point
+    with mock.patch.object(exactarith, "_echelon_of_rows",
+                           wraps=exactarith._echelon_of_rows) as fallback:
+        assert rank(m) == 1
+        assert kernel_basis(m) == []
+    assert fallback.call_count == 2

@@ -8,11 +8,39 @@ from hypothesis import strategies as st
 
 from fusionhom.exactarith import RF_ONE, RatFunc
 from fusionhom.fusion import (FusionRing, InvalidRingFile, NotConnected,
-                              beta0, chebyshev_dims, from_group,
+                              _triples, beta0, chebyshev_dims, from_group,
                               hochschild_h1_witness, perron_dims, relabel,
-                              ring_from_text, ring_to_text, tlj_even,
-                              tlj_global_index, tlj_ladder, verify_axioms)
+                              ring_from_text, tlj_even, tlj_global_index,
+                              tlj_ladder, verify_axioms)
 from fusionhom.groups import cyclic, dihedral, symmetric
+
+
+def ring_to_text(ring: FusionRing) -> str:
+    """Serialize to the human-editable ring format (sorted body lines).
+
+    Labels must be single whitespace-free tokens; use relabel() first for
+    rings whose labels are tuples.
+    """
+    for lab in ring.labels:
+        token = str(lab)
+        if not token or any(ch.isspace() for ch in token) or ";" in token or "#" in token:
+            raise ValueError(f"label {lab!r} is not a single token; relabel first")
+    lines = [
+        "labels: " + " ".join(str(l) for l in ring.labels),
+        "dual: " + " ".join(str(ring.dual[l]) for l in ring.labels),
+    ]
+    if ring.dims is not None:
+        lines.append("dims: " + " ".join(repr(ring.dims[l]) for l in ring.labels))
+    if ring.dims_exact is not None:
+        lines.append("dims-exact: " + " ; ".join(
+            str(ring.dims_exact[l]) for l in ring.labels))
+    if ring.truncated:
+        lines.append("truncated: " + " ".join(
+            str(l) for l in sorted(ring.frontier, key=ring.index.get)))
+    lines.append("N:")
+    for a, b, c, v in _triples(ring):
+        lines.append(f"{a} {b} {c} {v}")
+    return "\n".join(lines) + "\n"
 
 
 def test_group_ring_axioms():

@@ -6,11 +6,48 @@ from fusionhom.errors import InvariantViolation, ParseError, SizeLimit
 from fusionhom.exactarith import RatFunc
 from fusionhom.fusion import from_group
 from fusionhom.groups import cyclic, dihedral, symmetric
-from fusionhom.tube import (bar_boundary_matrix, bar_chain_basis,
-                            fusion_corner, trivial_homology, tube_from_group,
-                            tube_from_text, tube_to_text, verify_identities)
+from fusionhom.tube import (TubeAlgebra, bar_boundary_matrix,
+                            bar_chain_basis, fusion_corner, trivial_homology,
+                            tube_from_group, tube_from_text,
+                            verify_identities)
 
 RF_ZERO = RatFunc.from_int(0)
+
+
+def tube_to_text(A: TubeAlgebra) -> str:
+    """Canonical serialization: corners c0.., basis a0.., sorted lines."""
+    corner_name = {c: f"c{i}" for i, c in enumerate(A.corners)}
+    basis_name = {b: f"a{i}" for i, b in enumerate(A.basis)}
+    lines = ["tube-algebra",
+             "corners: " + " ".join(corner_name[c] for c in A.corners)]
+    lines.append("basis:")
+    for b in A.basis:
+        lines.append(f"{basis_name[b]} {corner_name[A.src[b]]} {corner_name[A.tgt[b]]}")
+    lines.append("units:")
+    for c in A.corners:
+        lines.append(f"{corner_name[c]} {basis_name[A.unit_of_corner[c]]}")
+    lines.append("mult:")
+    for a in A.basis:
+        for b in A.basis:
+            comb = A.mult_elems(a, b)
+            for c in sorted(comb, key=A.index.get):
+                lines.append(f"{basis_name[a]} {basis_name[b]} "
+                             f"{basis_name[c]} {comb[c]}")
+    lines.append("star:")
+    for a in A.basis:
+        for b in sorted(A.star[a], key=A.index.get):
+            lines.append(f"{basis_name[a]} {basis_name[b]} {A.star[a][b]}")
+    lines.append("trace:")
+    for a in A.basis:
+        v = A.trace_vec.get(a)
+        if v:
+            lines.append(f"{basis_name[a]} {v}")
+    lines.append("counit:")
+    for a in A.basis:
+        v = A.counit_vec.get(a)
+        if v:
+            lines.append(f"{basis_name[a]} {v}")
+    return "\n".join(lines) + "\n"
 
 
 def test_tube_dimension_is_group_order_squared():
