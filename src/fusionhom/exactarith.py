@@ -427,7 +427,8 @@ def parse_scalar(text: str) -> RatFunc:
     """Parse expressions like '3', '-2/5', 'delta^2-1', '(delta+1)/(delta-1)'.
 
     Grammar: the usual precedence with +, -, *, /, ^, parentheses, integer
-    literals, and the variable name 'delta'.
+    literals, and the variable name 'delta'.  Every malformed scalar,
+    a division by zero included, raises ValueError.
     """
     tokens = _tokenize(text)
     pos = [0]
@@ -495,7 +496,10 @@ def parse_scalar(text: str) -> RatFunc:
             return RatFunc.from_int(int(tok))
         raise ValueError(f"bad token {tok!r} in scalar {text!r}")
 
-    value = parse_expr()
+    try:
+        value = parse_expr()
+    except ZeroDivisionError:
+        raise ValueError(f"bad scalar {text!r}: division by zero") from None
     if pos[0] != len(tokens):
         raise ValueError(f"trailing input in scalar {text!r}")
     return value

@@ -469,7 +469,8 @@ def relabel(ring: FusionRing, mapping=None) -> FusionRing:
 
 def ring_from_text(text: str) -> FusionRing:
     """Parse the ring format; validates axioms and raises InvalidRingFile
-    with the first failure."""
+    with the first failure.  Every `dims:` entry must be finite and
+    positive."""
     labels = None
     dual_line = None
     dims_line = None
@@ -513,7 +514,12 @@ def ring_from_text(text: str) -> FusionRing:
     if dims_line is not None:
         if len(dims_line) != len(labels):
             raise InvalidRingFile("dims: line wrong length")
-        dims = {lab: float(x) for lab, x in zip(labels, dims_line)}
+        dims = {}
+        for lab, x in zip(labels, dims_line):
+            dims[lab] = float(x)
+            if not 0 < dims[lab] < math.inf:
+                raise InvalidRingFile(
+                    f"dims: {lab} = {x} is not finite and positive")
     dims_exact = None
     if exact_line is not None:
         parts = [p.strip() for p in exact_line.split(";")]

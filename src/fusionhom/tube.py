@@ -82,22 +82,6 @@ class TubeAlgebra:
                     del out[b]
         return out
 
-    def trace_comb(self, x: dict) -> RatFunc:
-        total = RF_ZERO
-        for a, ca in x.items():
-            t = self.trace_vec.get(a)
-            if t:
-                total = total + ca * t
-        return total
-
-    def counit_comb(self, x: dict) -> RatFunc:
-        total = RF_ZERO
-        for a, ca in x.items():
-            t = self.counit_vec.get(a)
-            if t:
-                total = total + ca * t
-        return total
-
     def corner_basis(self, i, j):
         return [b for b in self.basis if self.src[b] == i and self.tgt[b] == j]
 
@@ -140,7 +124,8 @@ def tube_from_group(group: Group) -> TubeAlgebra:
 # ---------------------------------------------------------------------------
 
 class IdentityReport:
-    """Outcome of verify_identities: failures per check plus counts.
+    """Outcome of verify_identities: per check, the number of identities
+    tested and the first MAX_WITNESSES failures.
 
     notes records checks that were skipped (for instance PSD minors on a
     block with non-constant scalars); they do not affect all_passed.
@@ -153,7 +138,7 @@ class IdentityReport:
 
     def record(self, check, count, failures, notes=()):
         self.counts[check] = count
-        self.failures[check] = failures
+        self.failures[check] = failures[:MAX_WITNESSES]
         if notes:
             self.notes[check] = list(notes)
 
@@ -176,97 +161,65 @@ def verify_identities(A: TubeAlgebra) -> IdentityReport:
     per corner block (symmetric elimination), the one-term
     orthonormal-basis sum identity a . a* = p_src(a) (checked when the
     Gram blocks are identities), and counit multiplicativity on the
-    distinguished corner.
+    distinguished corner.  Every identity of every check is tested and
+    counted, and the report keeps the first MAX_WITNESSES failures of
+    each check.
     """
     rep = IdentityReport()
-    basis = A.basis
+    basis, src, tgt, star = A.basis, A.src, A.tgt, A.star
+    unit, trace, counit = A.unit_of_corner, A.trace_vec, A.counit_vec
+    starting = {}  # corner -> basis elements with that source, in order
+    for b in basis:
+        starting.setdefault(src[b], []).append(b)
 
     fails = []
-    n = 0
     for (a, b), comb in A.mult.items():
-        n += 1
-        if A.tgt[a] != A.src[b] and comb:
+        if tgt[a] != src[b]:
             fails.append(f"nonzero product across grading: {a}*{b}")
-        for c in comb:
-            if A.src[c] != A.src[a] or A.tgt[c] != A.tgt[b]:
-                fails.append(f"product {a}*{b} leaves its corner block at {c}")
-    rep.record("grading", n, fails[:MAX_WITNESSES])
+        fails += [f"product {a}*{b} leaves its corner block at {c}"
+                  for c in comb if src[c] != src[a] or tgt[c] != tgt[b]]
+    rep.record("grading", len(A.mult), fails)
 
     fails = []
-    n = 0
     for i in A.corners:
-        p = A.unit_of_corner[i]
-        n += 1
-        if A.src[p] != i or A.tgt[p] != i:
+        p = unit[i]
+        if src[p] != i or tgt[p] != i:
             fails.append(f"p_{i} not in corner ({i},{i})")
         if A.mult_elems(p, p) != {p: RF_ONE}:
             fails.append(f"p_{i} not idempotent")
-        if A.star[p] != {p: RF_ONE}:
+        if star[p] != {p: RF_ONE}:
             fails.append(f"p_{i} not self-adjoint")
     for a in basis:
-        n += 1
-        if A.mult_elems(A.unit_of_corner[A.src[a]], a) != {a: RF_ONE}:
+        if A.mult_elems(unit[src[a]], a) != {a: RF_ONE}:
             fails.append(f"left unit fails at {a}")
-        if A.mult_elems(a, A.unit_of_corner[A.tgt[a]]) != {a: RF_ONE}:
+        if A.mult_elems(a, unit[tgt[a]]) != {a: RF_ONE}:
             fails.append(f"right unit fails at {a}")
-    rep.record("projections", n, fails[:MAX_WITNESSES])
+    rep.record("projections", len(A.corners) + len(basis), fails)
 
     fails = []
     n = 0
     for a in basis:
-        for b in basis:
-            if A.tgt[a] != A.src[b]:
-                continue
+        for b in starting.get(tgt[a], ()):
             ab = A.mult_elems(a, b)
-            for c in basis:
-                if A.tgt[b] != A.src[c]:
-                    continue
-                n += 1
-                left = A.mult_combs(ab, {c: RF_ONE})
-                right = A.mult_combs({a: RF_ONE}, A.mult_elems(b, c))
-                if left != right:
-                    fails.append(f"associativity fails at ({a},{b},{c})")
-                    if len(fails) >= MAX_WITNESSES:
-                        break
-            else:
-                continue
-            break
-        else:
-            continue
-        break
+            cs = starting.get(tgt[b], ())
+            n += len(cs)
+            fails += [f"associativity fails at ({a},{b},{c})" for c in cs
+                      if A.mult_combs(ab, {c: RF_ONE})
+                      != A.mult_combs({a: RF_ONE}, A.mult_elems(b, c))]
     rep.record("associativity", n, fails)
 
-    fails = []
-    n = 0
-    for a in basis:
-        n += 1
-        if A.star_comb(A.star[a]) != {a: RF_ONE}:
-            fails.append(f"star not involutive at {a}")
-    for a in basis:
-        for b in basis:
-            n += 1
-            lhs = A.star_comb(A.mult_elems(a, b))
-            rhs = A.mult_combs(A.star[b], A.star[a])
-            if lhs != rhs:
-                fails.append(f"star anti-multiplicativity fails at ({a},{b})")
-                if len(fails) >= MAX_WITNESSES:
-                    break
-        if len(fails) >= MAX_WITNESSES:
-            break
-    rep.record("star", n, fails)
+    fails = [f"star not involutive at {a}" for a in basis
+             if A.star_comb(star[a]) != {a: RF_ONE}]
+    fails += [f"star anti-multiplicativity fails at ({a},{b})"
+              for a in basis for b in basis
+              if A.star_comb(A.mult_elems(a, b))
+              != A.mult_combs(star[b], star[a])]
+    rep.record("star", len(basis) * (len(basis) + 1), fails)
 
-    fails = []
-    n = 0
-    for a in basis:
-        for b in basis:
-            n += 1
-            if A.trace_comb(A.mult_elems(a, b)) != A.trace_comb(A.mult_elems(b, a)):
-                fails.append(f"trace symmetry fails at ({a},{b})")
-                if len(fails) >= MAX_WITNESSES:
-                    break
-        if len(fails) >= MAX_WITNESSES:
-            break
-    rep.record("trace-symmetry", n, fails)
+    fails = [f"trace symmetry fails at ({a},{b})" for a in basis for b in basis
+             if _evaluate(trace, A.mult_elems(a, b))
+             != _evaluate(trace, A.mult_elems(b, a))]
+    rep.record("trace-symmetry", len(basis) ** 2, fails)
 
     fails = []
     notes = []
@@ -275,72 +228,60 @@ def verify_identities(A: TubeAlgebra) -> IdentityReport:
     for i in A.corners:
         for j in A.corners:
             block = A.corner_basis(i, j)
-            if not block:
-                continue
-            gram = [[A.trace_comb(A.mult_combs(A.star[a], {b: RF_ONE}))
+            gram = [[_evaluate(trace, A.mult_combs(star[a], {b: RF_ONE}))
                      for b in block] for a in block]
-            for a_idx in range(len(block)):
-                for b_idx in range(len(block)):
-                    if gram[a_idx][b_idx] != gram[b_idx][a_idx]:
-                        fails.append(f"Gram not symmetric on corner ({i},{j})")
+            fails += [f"Gram not symmetric on corner ({i},{j})"
+                      for x, row in enumerate(gram)
+                      for y, v in enumerate(row) if v != gram[y][x]]
             if any(not v.is_constant() for row in gram for v in row):
                 # minors need numbers; generic scalars are accepted as-is
                 gram_all_identity = False
                 notes.append(
                     f"minors skipped on corner ({i},{j}): non-constant entries")
-                continue
-            frac = [[v.as_fraction() for v in row] for row in gram]
-            for a_idx, row in enumerate(frac):
-                for b_idx, v in enumerate(row):
-                    if v != (1 if a_idx == b_idx else 0):
-                        gram_all_identity = False
-            n += len(block)
-            bad = _psd_failure(frac)
-            if bad:
-                fails.append(f"Gram {bad} on corner ({i},{j})")
-    rep.record("gram-psd", n, fails[:MAX_WITNESSES], notes)
+            else:
+                frac = [[v.as_fraction() for v in row] for row in gram]
+                gram_all_identity &= all(
+                    v == (1 if x == y else 0)
+                    for x, row in enumerate(frac) for y, v in enumerate(row))
+                n += len(block)
+                bad = _psd_failure(frac)
+                if bad:
+                    fails.append(f"Gram {bad} on corner ({i},{j})")
+    rep.record("gram-psd", n, fails, notes)
 
     fails = []
-    n = 0
     if gram_all_identity:
         # basis is orthonormal, so the onb sum identity has one term per
         # element and reads a . a* = p_src(a)
-        for a in basis:
-            n += 1
-            prod = A.mult_combs({a: RF_ONE}, A.star[a])
-            if prod != {A.unit_of_corner[A.src[a]]: RF_ONE}:
-                fails.append(f"onb sum identity fails at {a}")
-                if len(fails) >= MAX_WITNESSES:
-                    break
-    rep.record("onb-sum", n, fails)
+        fails = [f"onb sum identity fails at {a}" for a in basis
+                 if A.mult_combs({a: RF_ONE}, star[a])
+                 != {unit[src[a]]: RF_ONE}]
+    rep.record("onb-sum", len(basis) if gram_all_identity else 0, fails)
 
-    fails = []
-    n = 0
     eps = A.eps_corner
-    for a, v in A.counit_vec.items():
-        n += 1
-        if A.src[a] != eps or A.tgt[a] != eps:
-            fails.append(f"counit supported outside distinguished corner at {a}")
-    p_eps = A.unit_of_corner[eps]
-    n += 1
-    if A.counit_vec.get(p_eps, RF_ZERO) != RF_ONE:
+    fails = [f"counit supported outside distinguished corner at {a}"
+             for a in counit if src[a] != eps or tgt[a] != eps]
+    if counit.get(unit[eps], RF_ZERO) != RF_ONE:
         fails.append("counit(p_eps) != 1")
     corner = A.corner_basis(eps, eps)
-    for a in corner:
-        for b in corner:
-            n += 1
-            lhs = A.counit_comb(A.mult_elems(a, b))
-            rhs = (A.counit_vec.get(a, RF_ZERO)
-                   * A.counit_vec.get(b, RF_ZERO))
-            if lhs != rhs:
-                fails.append(f"counit not multiplicative at ({a},{b})")
-                if len(fails) >= MAX_WITNESSES:
-                    break
-        if len(fails) >= MAX_WITNESSES:
-            break
-    rep.record("counit", n, fails)
+    fails += [f"counit not multiplicative at ({a},{b})"
+              for a in corner for b in corner
+              if _evaluate(counit, A.mult_elems(a, b))
+              != counit.get(a, RF_ZERO) * counit.get(b, RF_ZERO)]
+    rep.record("counit", len(counit) + 1 + len(corner) ** 2, fails)
 
     return rep
+
+
+def _evaluate(functional: dict, x: dict) -> RatFunc:
+    """Value of a functional {name: RatFunc} (the trace or the counit)
+    at a linear combination x."""
+    total = RF_ZERO
+    for a, ca in x.items():
+        t = functional.get(a)
+        if t:
+            total = total + ca * t
+    return total
 
 
 def _psd_failure(rows):
@@ -417,8 +358,7 @@ def fusion_corner(A: TubeAlgebra, ring, bijection=None) -> dict:
 class HomologyReport:
     """Exact homology dimensions of the collapsed bar complex."""
 
-    def __init__(self, degrees_computed, dims, chain_dims):
-        self.degrees_computed = degrees_computed
+    def __init__(self, dims, chain_dims):
         self.dims = tuple(dims)
         self.chain_dims = tuple(chain_dims)
         if any(d < 0 for d in self.dims):
@@ -497,7 +437,7 @@ def trivial_homology(A: TubeAlgebra, n_max: int, chain_cap=50000) -> HomologyRep
     dims = []
     for n in range(n_max + 1):
         dims.append(len(bases[n]) - ranks[n] - ranks[n + 1])
-    return HomologyReport(n_max, dims, [len(b) for b in bases[:n_max + 1]])
+    return HomologyReport(dims, [len(b) for b in bases[:n_max + 1]])
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,23 @@ def test_rejected_file_report_keeps_the_file_digest(tmp_path):
     assert report["inputs"]["files"] == file_digests(str(path))
 
 
+@pytest.mark.parametrize("command, name, text", [
+    ("fusion", "ring", "labels: e g\ndual: e g\ndims-exact: 1 ; 1/0\nN:\n"
+     "e e e 1\ne g g 1\ng e g 1\ng g e 1\n"),
+    ("tube", "file", tube_to_text(tube_from_group(cyclic(2))).replace(
+        "\na0 a0 a0 1\n", "\na0 a0 a0 1/0\n")),
+], ids=["ring", "tube"])
+def test_division_by_zero_in_a_file_is_an_input_error(tmp_path, command,
+                                                      name, text):
+    path = tmp_path / f"zero.{name}"
+    path.write_text(text)
+    code, report = main_json(command, f"--{name}", str(path))
+    assert code == 1
+    assert report["error"]["type"] == "InputError"
+    assert "division by zero" in report["error"]["message"]
+    assert report["inputs"]["files"] == file_digests(str(path))
+
+
 def test_verify_all_names_the_violation(broken_tube_file):
     proc = run_cli("verify-all", "--tube-file", broken_tube_file)
     assert proc.returncode == 2

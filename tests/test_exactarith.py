@@ -93,6 +93,12 @@ def test_division_by_zero():
         RF_ONE / RF_ZERO
 
 
+@pytest.mark.parametrize("text", ["1/0", "0^-1", "1/(delta-delta)"])
+def test_parse_scalar_division_by_zero_is_a_value_error(text):
+    with pytest.raises(ValueError, match="division by zero"):
+        parse_scalar(text)
+
+
 def test_eval_float_square():
     assert RatFunc.delta_power(2).eval_float(2.0) == 4.0
 

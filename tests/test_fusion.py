@@ -206,6 +206,15 @@ def test_ring_file_rejects_broken_associativity():
     ]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_ring_file_rejects_dims_not_finite_and_positive(value):
+    text = ring_to_text(relabel(from_group(cyclic(2))))
+    bad = text.replace("dims: 1.0 1.0", f"dims: {value} {value}")
+    assert bad != text
+    with pytest.raises(InvalidRingFile, match="not finite and positive"):
+        ring_from_text(bad)
+
+
 def test_ring_file_rejects_junk():
     with pytest.raises((InvalidRingFile, ValueError)):
         ring_from_text("labels: a b\nnonsense\n")

@@ -3,12 +3,12 @@
 import pytest
 
 from fusionhom.errors import InvariantViolation, ParseError, SizeLimit
-from fusionhom.exactarith import RatFunc
+from fusionhom.exactarith import RF_ONE, RatFunc
 from fusionhom.fusion import from_group
 from fusionhom.groups import cyclic, dihedral, symmetric
 from fusionhom.tube import (TubeAlgebra, bar_boundary_matrix,
                             bar_chain_basis, fusion_corner, trivial_homology,
-                            tube_from_group, tube_from_text,
+                            MAX_WITNESSES, tube_from_group, tube_from_text,
                             verify_identities)
 
 RF_ZERO = RatFunc.from_int(0)
@@ -72,6 +72,78 @@ def test_identity_report_counts_every_check():
     assert set(rep.counts) == {"grading", "projections", "associativity",
                                "star", "trace-symmetry", "gram-psd",
                                "onb-sum", "counit"}
+
+
+def test_s3_counts_every_identity():
+    rep = verify_identities(tube_from_group(symmetric(3)))
+    assert rep.counts == {"grading": 216, "projections": 42,
+                          "associativity": 1296, "star": 1332,
+                          "trace-symmetry": 1296, "gram-psd": 36,
+                          "onb-sum": 36, "counit": 43}
+
+
+def test_star_failures_are_capped():
+    A = tube_from_group(symmetric(3))
+    A.star = {a: {} for a in A.basis}
+    rep = verify_identities(A)
+    # all 36 involutions fail; every identity is still counted
+    assert rep.failures["star"] == [
+        f"star not involutive at {a}" for a in A.basis[:MAX_WITNESSES]]
+    assert rep.counts["star"] == 36 + 36 * 36
+    assert rep.first_failure() == ("projections",
+                                   f"p_{A.corners[0]} not self-adjoint")
+
+
+def test_counit_failures_are_capped():
+    A = tube_from_group(symmetric(3))
+    A.counit_vec = {a: RF_ONE for a in A.basis}
+    rep = verify_identities(A)
+    # the 30 elements outside the distinguished corner each fail
+    outside = [a for a in A.basis if A.src[a] != A.corners[0]]
+    assert rep.failures["counit"] == [
+        f"counit supported outside distinguished corner at {a}"
+        for a in outside[:MAX_WITNESSES]]
+    assert rep.counts["counit"] == 36 + 1 + 36
+    assert [c for c, f in rep.failures.items() if f] == ["counit"]
+
+
+_Z2 = tube_to_text(tube_from_group(cyclic(2)))
+_Z3 = tube_to_text(tube_from_group(cyclic(3)))
+_NO_FAILURES = dict.fromkeys(
+    ["grading", "projections", "associativity", "star", "trace-symmetry",
+     "gram-psd", "onb-sum", "counit"], [])
+
+
+@pytest.mark.parametrize("text, failures", [
+    # a1 moved to corner (c0, c1)
+    (_Z2.replace("\na1 c0 c0\n", "\na1 c0 c1\n"), {
+        "grading": ["nonzero product across grading: a1*a0",
+                    "product a1*a0 leaves its corner block at a1",
+                    "nonzero product across grading: a1*a1",
+                    "product a1*a1 leaves its corner block at a0"],
+        "projections": ["right unit fails at a1"],
+        "counit": ["counit supported outside distinguished corner at a1"]}),
+    # the unit of corner c1 replaced by a3
+    (_Z2.replace("\nc1 a2\n", "\nc1 a3\n"), {
+        "projections": ["p_c1 not idempotent",
+                        "left unit fails at a2", "right unit fails at a2",
+                        "left unit fails at a3", "right unit fails at a3"],
+        "onb-sum": ["onb sum identity fails at a2",
+                    "onb sum identity fails at a3"]}),
+    # one product scaled by 2
+    (_Z3.replace("\na2 a2 a1 1\n", "\na2 a2 a1 2\n"), {
+        "associativity": ["associativity fails at (a1,a1,a2)",
+                          "associativity fails at (a1,a2,a2)",
+                          "associativity fails at (a2,a1,a1)",
+                          "associativity fails at (a2,a2,a1)"],
+        "star": ["star anti-multiplicativity fails at (a1,a1)",
+                 "star anti-multiplicativity fails at (a2,a2)"],
+        "counit": ["counit not multiplicative at (a2,a2)"]}),
+], ids=["grading", "unit", "scaled-product"])
+def test_tampered_tube_failures_are_pinned(text, failures):
+    rep = verify_identities(tube_from_text(text, verify=False))
+    assert rep.failures == {**_NO_FAILURES, **failures}
+    assert rep.notes == {}
 
 
 @pytest.mark.parametrize("grp", [cyclic(2), cyclic(3), symmetric(3)],
