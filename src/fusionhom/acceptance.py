@@ -268,7 +268,7 @@ def crit_amenability(cfg):
     g2 = amenability.from_fusion_ring(amenability.tlj_kesten_window(160, 2.0),
                                       generators=["f1"])
     rep2 = amenability.folner_search(g2, epsilon=0.05, max_size=200)
-    _check(rep2.found, f"delta=2 folner best {rep2.best_ratio}")
+    _check(rep2.found, f"delta=2 folner best {rep2.ratio}")
     F = set(rep2.set)
     bd = amenability.boundary_set(g2, F)
     _check(not (F | bd) & g2.frontier, "witness touches the window frontier")
@@ -279,7 +279,7 @@ def crit_amenability(cfg):
     g3 = amenability.from_fusion_ring(amenability.tlj_kesten_window(224, 3.0),
                                       generators=["f1"])
     rep3 = amenability.folner_search(g3, epsilon=0.05, max_size=200)
-    _check(not rep3.found and rep3.best_ratio > 0.05,
+    _check(not rep3.found and rep3.ratio > 0.05,
            f"delta=3 folner {rep3}")
     for grp in (cyclic(4), symmetric(3)):
         ring = fusion.from_group(grp)
@@ -292,7 +292,7 @@ def crit_amenability(cfg):
             f"{k2['norm_upper']}] no verdict, delta=3 norm <= "
             f"{k3['norm_upper']} < dim 3 not amenable; folner: witness "
             f"|F|={len(F)} mu(bd F)={mu_bd} < 0.05 mu(F)={mu_f}, "
-            f"delta=3 best {rep3.best_ratio:.3f}")
+            f"delta=3 best {rep3.ratio:.3f}")
 
 
 # (prime, seed of the points) for the oracle's ranks over F_p; none is

@@ -33,7 +33,7 @@ class WeightedFusionGraph:
         self.vertices = tuple(vertices)
         self.weight = dict(weight)
         self.generators = tuple(generators)
-        self.adjacency = {v: tuple(sorted(adjacency.get(v, ()), key=self._key))
+        self.adjacency = {v: tuple(sorted(adjacency.get(v, ()), key=str))
                           for v in self.vertices}
         self.truncated = truncated
         self.frontier = frozenset(frontier)
@@ -42,38 +42,22 @@ class WeightedFusionGraph:
         for v in self.vertices:
             if not 0 < self.weight.get(v, 0) < math.inf:
                 raise ValueError(f"weight at {v} is not finite and positive")
+        try:
+            self.mu(self.vertices)  # then no sum over a vertex set overflows
+        except OverflowError:
+            raise ValueError("the total weight overflows") from None
         for v, nbrs in self.adjacency.items():
             for w in nbrs:
                 if v not in self.adjacency[w]:
                     raise ValueError(f"adjacency not symmetric at ({v},{w})")
 
-    def _key(self, v):
-        return str(v)
-
     @property
     def root(self):
         return self.vertices[0]
 
-    def ball(self, radius: int, center=None):
-        """Vertices within BFS distance <= radius of the center."""
-        if center is None:
-            center = self.root
-        seen = {center}
-        frontier = [center]
-        for _ in range(radius):
-            nxt = []
-            for v in frontier:
-                for w in self.adjacency[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            if not nxt:
-                break
-            frontier = nxt
-        return seen
-
     def mu(self, F) -> float:
-        return sum(self.weight[v] for v in F)
+        """Total weight of F, correctly rounded whatever F's order."""
+        return math.fsum(self.weight[v] for v in F)
 
 
 def from_fusion_ring(ring: FusionRing, generators=None) -> WeightedFusionGraph:
@@ -171,7 +155,7 @@ def boundary_set(g: WeightedFusionGraph, F) -> set:
 
 
 def boundary_measure(g: WeightedFusionGraph, F):
-    """(mu(boundary F), mu(F)), float sums.
+    """(mu(boundary F), mu(F)), correctly rounded float sums.
 
     Raises TruncationInconclusive when F or its boundary touches the
     frontier of a windowed graph.
@@ -192,19 +176,16 @@ def boundary_measure(g: WeightedFusionGraph, F):
 
 
 class FolnerReport:
-    """Search outcome; found implies ratio < epsilon."""
+    """Search outcome: the first candidate with the smallest ratio, the
+    number of candidates measured, and found = ratio < epsilon."""
 
-    def __init__(self, found, vertex_set, ratio, epsilon, strategy,
-                 best_ratio, candidates):
-        self.found = found
+    def __init__(self, vertex_set, ratio, epsilon, strategy, candidates):
+        self.found = ratio < epsilon
         self.set = tuple(sorted(vertex_set, key=str))
         self.ratio = ratio
         self.epsilon = epsilon
         self.strategy = strategy
-        self.best_ratio = best_ratio
         self.candidates = candidates
-        if found:
-            assert ratio < epsilon
 
     def __repr__(self):
         tag = "found" if self.found else "not found"
@@ -216,74 +197,48 @@ def folner_search(g: WeightedFusionGraph, epsilon: float, max_size: int,
                   strategy: str = "balls") -> FolnerReport:
     """Search for F with mu(boundary F) < epsilon mu(F).
 
-    balls: metric balls around the root, growing radius.
-    greedy: grow from the root by the neighbour minimizing the boundary
-    measure of the extended set (ties broken by vertex order).
-    Deterministic; returns the first witness, or found=False with the
-    best ratio seen.  Candidates touching the frontier raise
+    Both strategies grow F from {root}, measuring each set reached, and
+    stop at the first witness or when F cannot grow within max_size.
+    balls adds every outside neighbour, so F runs through the metric
+    balls around the root; greedy adds the outside neighbour whose
+    extended set has the smallest ratio (ties broken by vertex order).
+    Weights are positive, so a set with no outside neighbour has ratio 0
+    and is a witness.  Weight sums are correctly rounded, so the report
+    does not depend on set iteration order.  A candidate touching the
+    frontier, greedy's scored extensions included, raises
     TruncationInconclusive.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    best = (math.inf, None, None)
-    candidates = 0
-
-    def consider(F):
-        nonlocal best, candidates
-        mu_bd, mu_f = boundary_measure(g, F)
-        candidates += 1
-        ratio = mu_bd / mu_f
-        if ratio < best[0]:
-            best = (ratio, set(F), ratio)
-        return ratio
-
-    if strategy == "balls":
-        prev = None
-        radius = 0
-        while True:
-            F = g.ball(radius)
-            if len(F) > max_size:
-                break
-            ratio = consider(F)
-            if ratio < epsilon:
-                return FolnerReport(True, F, ratio, epsilon, strategy,
-                                    ratio, candidates)
-            if F == prev:
-                break  # ball saturated (finite component)
-            prev = F
-            radius += 1
-    elif strategy == "greedy":
-        F = {g.root}
-        ratio = consider(F)
-        if ratio < epsilon:
-            return FolnerReport(True, F, ratio, epsilon, strategy, ratio,
-                                candidates)
-        while len(F) < max_size:
-            frontier_nbrs = sorted(
-                {w for v in F for w in g.adjacency[v] if w not in F},
-                key=lambda v: g.index[v])
-            if not frontier_nbrs:
-                break
-            scored = []
-            for w in frontier_nbrs:
-                mu_bd, mu_f = boundary_measure(g, F | {w})
-                scored.append((mu_bd / mu_f, g.index[w], w))
-            scored.sort()
-            ratio, _, chosen = scored[0]
-            F.add(chosen)
-            candidates += 1
-            if ratio < best[0]:
-                best = (ratio, set(F), ratio)
-            if ratio < epsilon:
-                return FolnerReport(True, F, ratio, epsilon, strategy,
-                                    ratio, candidates)
-    else:
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
+    if strategy not in ("balls", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    best_ratio = best[0] if best[1] is not None else math.inf
-    best_set = best[1] if best[1] is not None else {g.root}
-    return FolnerReport(False, best_set, best_ratio, epsilon, strategy,
-                        best_ratio, candidates)
+    def ratio_of(F):
+        mu_bd, mu_f = boundary_measure(g, F)
+        return mu_bd / mu_f
+
+    F = {g.root}
+    ratio = best_ratio = ratio_of(F)
+    best_set, candidates = F, 1
+    while ratio >= epsilon and len(F) < max_size:
+        outside = {w for v in F for w in g.adjacency[v] if w not in F}
+        if strategy == "balls":
+            F = F | outside
+            if len(F) > max_size:
+                break
+            ratio = ratio_of(F)
+        else:
+            # scored in vertex order: the first extension touching the
+            # frontier names the TruncationInconclusive
+            ratio, _, w = min((ratio_of(F | {w}), g.index[w], w)
+                              for w in sorted(outside, key=g.index.get))
+            F = F | {w}
+        candidates += 1
+        if ratio < best_ratio:
+            best_ratio, best_set = ratio, F
+    return FolnerReport(best_set, best_ratio, epsilon, strategy, candidates)
 
 
 # ---------------------------------------------------------------------------

@@ -131,12 +131,6 @@ class CircleDiagram:
     def total(self) -> int:
         return sum(m for _, _, m in self.blocks)
 
-    def mult(self, i, j) -> int:
-        for bi, bj, m in self.blocks:
-            if (bi, bj) == (i, j):
-                return m
-        return 0
-
     def __eq__(self, other):
         return (isinstance(other, CircleDiagram)
                 and self.degree == other.degree

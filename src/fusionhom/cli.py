@@ -332,17 +332,20 @@ def cmd_amenability(args, report):
             except ValueError as exc:
                 raise InputError(f"--folner-window {args.folner_window}: "
                                  f"{exc}")
-        if args.epsilon <= 0:
+        if not args.epsilon > 0:
             raise InputError(f"--epsilon {args.epsilon}: must be positive")
-        rep = amenability.folner_search(graph, epsilon=args.epsilon,
-                                        max_size=args.max_size,
-                                        strategy=args.strategy)
+        try:
+            rep = amenability.folner_search(graph, epsilon=args.epsilon,
+                                            max_size=args.max_size,
+                                            strategy=args.strategy)
+        except ValueError as exc:
+            raise InputError(f"--max-size {args.max_size}: {exc}")
         results["folner"] = {
             "strategy": rep.strategy,
             "epsilon": rep.epsilon,
             "found": rep.found,
             "ratio": rep.ratio,
-            "best_ratio": rep.best_ratio,
+            "best_ratio": rep.ratio,
             "set_size": len(rep.set),
             "set": [str(v) for v in rep.set],
         }

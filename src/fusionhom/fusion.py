@@ -470,7 +470,7 @@ def relabel(ring: FusionRing, mapping=None) -> FusionRing:
 def ring_from_text(text: str) -> FusionRing:
     """Parse the ring format; validates axioms and raises InvalidRingFile
     with the first failure.  Every `dims:` entry must be finite and
-    positive."""
+    positive, and so must every constant `dims-exact:` entry."""
     labels = None
     dual_line = None
     dims_line = None
@@ -526,6 +526,10 @@ def ring_from_text(text: str) -> FusionRing:
         if len(parts) != len(labels):
             raise InvalidRingFile("dims-exact: line wrong length")
         dims_exact = {lab: parse_scalar(p) for lab, p in zip(labels, parts)}
+        for lab, d in dims_exact.items():
+            if d.is_constant() and d.as_fraction() <= 0:
+                raise InvalidRingFile(
+                    f"dims-exact: {lab} = {d} is not positive")
     N = {}
     for line in body:
         parts = line.split()

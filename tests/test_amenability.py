@@ -1,7 +1,9 @@
 """Folner sets and Kesten norms on weighted fusion graphs."""
 
 import math
+import random
 from fractions import Fraction
+from operator import truediv
 
 import pytest
 
@@ -10,7 +12,7 @@ from fusionhom.amenability import (TruncationInconclusive, WeightedFusionGraph,
                                    from_fusion_ring, graph_from_text,
                                    kesten_check, tlj_kesten_window)
 from fusionhom.fusion import from_group, tlj_ladder
-from fusionhom.groups import cyclic, symmetric
+from fusionhom.groups import cyclic, dihedral, symmetric
 
 
 def ladder_graph(width, delta):
@@ -43,7 +45,8 @@ def test_graph_weights_need_float_dims():
 
 def test_group_graph_is_complete_and_amenable():
     g = from_fusion_ring(from_group(cyclic(3)))
-    assert g.ball(1) == set(g.vertices)
+    assert all(set(g.adjacency[v]) == set(g.vertices) - {v}
+               for v in g.vertices)
     bd, vol = boundary_measure(g, set(g.vertices))
     assert bd == 0 and vol == pytest.approx(3.0)
     rep = folner_search(g, 0.05, 10)
@@ -79,9 +82,131 @@ def test_folner_search_fails_on_expanding_ladder():
     g = ladder_graph(60, 3.0)
     rep = folner_search(g, 0.05, 40)
     assert not rep.found
-    assert rep.best_ratio > 0.05
+    assert rep.ratio > 0.05
     # the best candidate is still reported for inspection
-    assert rep.set and rep.ratio == rep.best_ratio
+    assert rep.set and rep.ratio == truediv(*boundary_measure(g, rep.set))
+
+
+@pytest.mark.parametrize("strategy", ["balls", "greedy"])
+def test_folner_search_needs_room_for_the_root(strategy):
+    g = ladder_graph(20, 2.0)
+    with pytest.raises(ValueError, match="max_size must be at least 1"):
+        folner_search(g, 0.05, 0, strategy=strategy)
+    assert folner_search(g, 0.05, 1, strategy=strategy).candidates == 1
+
+
+def _reference_folner_search(g, epsilon, max_size, strategy="balls"):
+    """The search as two per-strategy loops, with BFS balls from the
+    root; (found, ratio, set, candidates)."""
+    best = (math.inf, None)
+    candidates = 0
+
+    def consider(F):
+        nonlocal best, candidates
+        mu_bd, mu_f = boundary_measure(g, F)
+        candidates += 1
+        ratio = mu_bd / mu_f
+        if ratio < best[0]:
+            best = (ratio, set(F))
+        return ratio
+
+    def ball(radius):
+        seen, frontier = {g.root}, [g.root]
+        for _ in range(radius):
+            frontier = [w for v in frontier for w in g.adjacency[v]
+                        if w not in seen and not seen.add(w)]
+        return seen
+
+    if strategy == "balls":
+        prev, radius = None, 0
+        while True:
+            F = ball(radius)
+            if len(F) > max_size:
+                break
+            ratio = consider(F)
+            if ratio < epsilon:
+                return True, ratio, F, candidates
+            if F == prev:
+                break
+            prev, radius = F, radius + 1
+    else:
+        F = {g.root}
+        ratio = consider(F)
+        if ratio < epsilon:
+            return True, ratio, F, candidates
+        while len(F) < max_size:
+            frontier_nbrs = sorted(
+                {w for v in F for w in g.adjacency[v] if w not in F},
+                key=lambda v: g.index[v])
+            if not frontier_nbrs:
+                break
+            scored = []
+            for w in frontier_nbrs:
+                mu_bd, mu_f = boundary_measure(g, F | {w})
+                scored.append((mu_bd / mu_f, g.index[w], w))
+            scored.sort()
+            ratio, _, chosen = scored[0]
+            F.add(chosen)
+            candidates += 1
+            if ratio < best[0]:
+                best = (ratio, set(F))
+            if ratio < epsilon:
+                return True, ratio, F, candidates
+    ratio, F = best if best[1] is not None else (math.inf, {g.root})
+    return False, ratio, F, candidates
+
+
+def _random_graph(rng):
+    n = rng.randint(1, 25)
+    vertices = [f"v{i}" for i in range(n)]
+    weight = {v: rng.choice([1.0, 4.0, rng.uniform(0.1, 9.0)])
+              for v in vertices}
+    p = rng.uniform(0.05, 0.6)
+    adjacency = {v: set() for v in vertices}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                adjacency[vertices[i]].add(vertices[j])
+                adjacency[vertices[j]].add(vertices[i])
+    frontier = ()
+    if n > 1 and rng.random() < 0.4:
+        frontier = rng.sample(vertices, rng.randint(1, 2))
+    return WeightedFusionGraph(vertices, weight, (), adjacency,
+                               truncated=bool(frontier), frontier=frontier)
+
+
+def _outcome(search, g, epsilon, max_size, strategy):
+    try:
+        rep = search(g, epsilon, max_size, strategy)
+    except TruncationInconclusive as exc:
+        return "inconclusive", str(exc)
+    if isinstance(rep, tuple):
+        found, ratio, F, candidates = rep
+        return found, ratio, tuple(sorted(F, key=str)), candidates
+    return rep.found, rep.ratio, rep.set, rep.candidates
+
+
+def test_folner_search_matches_the_two_loop_reference():
+    rng = random.Random(1412)
+    graphs = [_random_graph(rng) for _ in range(120)]
+    graphs += [from_fusion_ring(tlj_kesten_window(width, delta),
+                                generators=["f1"])
+               for delta in (2.0, 2.5, 3.0) for width in (30, 61, 224)]
+    graphs += [from_fusion_ring(from_group(grp))
+               for grp in (cyclic(3), cyclic(4), cyclic(7), symmetric(3),
+                           dihedral(4))]
+    kinds = set()
+    for g in graphs:
+        for strategy in ("balls", "greedy"):
+            for epsilon in (0.01, 0.05, 0.3, 1.0):
+                for max_size in (1, 2, 5, 17, 40, 200):
+                    want = _outcome(_reference_folner_search, g, epsilon,
+                                    max_size, strategy)
+                    got = _outcome(folner_search, g, epsilon, max_size,
+                                   strategy)
+                    assert got == want, (g.name, strategy, epsilon, max_size)
+                    kinds.add(want[0])
+    assert kinds == {"inconclusive", True, False}
 
 
 def test_folner_report_repeatable():
@@ -240,8 +365,9 @@ def test_graph_text_round_trip():
     "vertex: a -2\ngenerators: a\nedge: a a\n",
     "vertex: a 1.0\nvertex: a 2.0\ngenerators: a\n",
     "vertex: a inf\ngenerators: a\n",
+    "vertex: a 1e308\nvertex: b 1e308\ngenerators: a\n",
 ], ids=["junk", "unknown-edge-end", "nonnumeric-weight", "negative-weight",
-        "duplicate-vertex", "infinite-weight"])
+        "duplicate-vertex", "infinite-weight", "overflowing-total-weight"])
 def test_malformed_graph_files_rejected(text):
     with pytest.raises(ValueError):
         graph_from_text(text)

@@ -26,11 +26,19 @@ def test_encode_parse_round_trip():
         assert CircleDiagram.parse(d.encode()) == d
 
 
+def mult(d, i, j):
+    """Multiplicity of the block (i, j) of d, 0 when it has none."""
+    for bi, bj, m in d.blocks:
+        if (bi, bj) == (i, j):
+            return m
+    return 0
+
+
 def test_blocks_are_normalized_and_sorted():
     d = CircleDiagram(2, [(1, 2, 1), (1, 1, 2), (1, 2, 1)])
     assert d.blocks == ((1, 1, 2), (1, 2, 2))
-    assert d.mult(1, 2) == 2
-    assert d.mult(2, 2) == 0
+    assert mult(d, 1, 2) == 2
+    assert mult(d, 2, 2) == 0
     assert d.total() == 4
 
 

@@ -24,15 +24,15 @@ from test_tube import NEGATIVE_TRACE, tube_to_text
 SRC = str(Path(fusionhom.__file__).resolve().parents[1])
 
 
-def run_python(*args):
+def run_python(*args, **env):
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+        [sys.executable, *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path, **env})
 
 
-def run_cli(*args):
-    return run_python("-m", "fusionhom.cli", *args)
+def run_cli(*args, **env):
+    return run_python("-m", "fusionhom.cli", *args, **env)
 
 
 def run_json(*args):
@@ -378,6 +378,12 @@ def test_fusion_ladder_summary():
      "--ladder-delta inf"),
     (("amenability", "--check", "folner", "--ladder-delta", "inf"),
      "--ladder-delta inf"),
+    (("amenability", "--check", "folner", "--ladder-delta", "2.0",
+      "--max-size", "0"), "--max-size 0"),
+    (("amenability", "--check", "folner", "--ladder-delta", "2.0",
+      "--max-size", "0", "--strategy", "greedy"), "--max-size 0"),
+    (("amenability", "--check", "folner", "--ladder-delta", "2.0",
+      "--epsilon", "nan"), "--epsilon nan"),
     (("betti", "--tlj", "1"), "--tlj 1"),
     (("betti", "--tlj", "0"), "--tlj 0"),
     (("betti", "--fuss-catalan", "2", "5"), "--fuss-catalan 2 5"),
@@ -386,12 +392,25 @@ def test_fusion_ladder_summary():
         "kesten-generator-f2", "folner-generator-f9",
         "kesten-nonpositive-dim", "kesten-delta-zero",
         "folner-weight-overflow", "kesten-delta-inf", "folner-delta-inf",
+        "max-size-zero", "max-size-zero-greedy", "epsilon-nan",
         "betti-tlj-one", "betti-tlj-zero", "betti-fc-two"])
 def test_out_of_range_flags_are_input_errors(argv, message):
     code, report = run_json(*argv)
     assert code == 1
     assert report["error"]["type"] == "InputError"
     assert message in report["error"]["message"]
+
+
+@pytest.mark.parametrize("strategy", ["balls", "greedy"])
+def test_folner_results_do_not_depend_on_the_hash_seed(strategy):
+    results = []
+    for seed in ("0", "1"):
+        proc = run_cli("amenability", "--check", "folner", "--ladder-delta",
+                       "3.0", "--strategy", strategy, "--json",
+                       PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(proc.stdout)["results"])
+    assert results[0] == results[1]
 
 
 def readme_commands():

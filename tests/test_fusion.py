@@ -215,6 +215,15 @@ def test_ring_file_rejects_dims_not_finite_and_positive(value):
         ring_from_text(bad)
 
 
+@pytest.mark.parametrize("value", ["0 ; 0", "1 ; -1"], ids=["zero", "negative"])
+def test_ring_file_rejects_dims_exact_not_positive(value):
+    text = ring_to_text(relabel(from_group(cyclic(2))))
+    bad = text.replace("dims-exact: 1 ; 1", f"dims-exact: {value}")
+    assert bad != text
+    with pytest.raises(InvalidRingFile, match="dims-exact: .* is not positive"):
+        ring_from_text(bad)
+
+
 def test_ring_file_rejects_junk():
     with pytest.raises((InvalidRingFile, ValueError)):
         ring_from_text("labels: a b\nnonsense\n")
