@@ -345,6 +345,8 @@ def enumerate_diagrams(degree: int, max_total: int):
     deterministically ordered."""
     if not (0 <= degree <= 3):
         raise UnsupportedDegree(f"degree {degree} not supported")
+    if max_total < 0:
+        raise ValueError(f"max_total {max_total} must be >= 0")
     classes = _BLOCK_CLASSES[degree]
     out = []
 

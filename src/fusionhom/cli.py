@@ -219,6 +219,11 @@ def cmd_homology_tlj(args, report):
     if args.mode != "unshaded":
         raise InputError("homology runs unshaded; shaded diagrams are a "
                          "display convention only")
+    for flag, value, low in (("--h0", args.h0, 0), ("--h1", args.h1, 0),
+                             ("--h2", args.h2, 1),
+                             ("--margin", args.margin, 0)):
+        if value is not None and value < low:
+            raise InputError(f"{flag} {value}: must be >= {low}")
     results = report.results
     results["mode"] = args.mode
     if args.h0 is not None:
@@ -345,7 +350,6 @@ def cmd_amenability(args, report):
             "epsilon": rep.epsilon,
             "found": rep.found,
             "ratio": rep.ratio,
-            "best_ratio": rep.ratio,
             "set_size": len(rep.set),
             "set": [str(v) for v in rep.set],
         }

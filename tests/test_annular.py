@@ -160,6 +160,11 @@ def test_diagram_count_matches_enumeration():
             assert annular._count_diagrams(degree, T) == len(
                 enumerate_diagrams(degree, T))
     assert annular._count_diagrams(3, 10) == 2 * 3003 - 1001
+    # a negative window holds no diagram, not even the empty one
+    for degree in range(4):
+        for count in (annular._count_diagrams, enumerate_diagrams):
+            with pytest.raises(ValueError):
+                count(degree, -1)
     # the cap still counts C3(<=N+margin): 378 diagrams at (3, 2)
     with pytest.raises(SizeLimit, match="^378 degree-3 diagrams exceed cap "
                                         "377$"):

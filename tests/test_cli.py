@@ -384,6 +384,10 @@ def test_fusion_ladder_summary():
       "--max-size", "0", "--strategy", "greedy"), "--max-size 0"),
     (("amenability", "--check", "folner", "--ladder-delta", "2.0",
       "--epsilon", "nan"), "--epsilon nan"),
+    (("homology-tlj", "--h1", "-1"), "--h1 -1"),
+    (("homology-tlj", "--h2", "0"), "--h2 0"),
+    (("homology-tlj", "--h2", "3", "--margin", "-1"), "--margin -1"),
+    (("homology-tlj", "--h0", "-2"), "--h0 -2"),
     (("betti", "--tlj", "1"), "--tlj 1"),
     (("betti", "--tlj", "0"), "--tlj 0"),
     (("betti", "--fuss-catalan", "2", "5"), "--fuss-catalan 2 5"),
@@ -393,6 +397,7 @@ def test_fusion_ladder_summary():
         "kesten-nonpositive-dim", "kesten-delta-zero",
         "folner-weight-overflow", "kesten-delta-inf", "folner-delta-inf",
         "max-size-zero", "max-size-zero-greedy", "epsilon-nan",
+        "h1-negative", "h2-zero", "margin-negative", "h0-negative",
         "betti-tlj-one", "betti-tlj-zero", "betti-fc-two"])
 def test_out_of_range_flags_are_input_errors(argv, message):
     code, report = run_json(*argv)
