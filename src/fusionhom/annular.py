@@ -41,6 +41,8 @@ never raises the total, so each C(<=T) is a subcomplex.
   Homological Algebra, 5.4) read off its first page.
 - kernel_dim = |C2(<=N)| - |C1(<=N)| is exact when the sum of the
   rank d2(=t) is the row count |C1(<=N)|.
+- The proof runs on multiplicity tuples over the block classes.  A fill
+  acts per block: a map of class indices read off single circles (`_FILLS`).
 """
 
 from __future__ import annotations
@@ -99,8 +101,6 @@ class CircleDiagram:
         for b1, b2 in combinations_with_replacement(sorted(norm), 2):
             if b1 != b2 and _crossing(b1, b2):
                 raise ValueError(f"crossing blocks {b1} and {b2}")
-        if degree == 0 and norm:
-            raise ValueError("degree-0 diagram cannot carry circles")
         if shading is not None:
             if degree == 0:
                 # the two shadings of the empty diagram are identified
@@ -119,8 +119,8 @@ class CircleDiagram:
     def _trusted(cls, degree, norm, shading=None) -> "CircleDiagram":
         """Unvalidated construction from a dict (i, j) -> positive
         multiplicity already known to be laminar and in range, with no
-        shading at degree 0.  Only fill_puncture and enumerate_diagrams,
-        which produce such dicts, use it."""
+        shading at degree 0.  Only fill_puncture, enumerate_diagrams and
+        _fill_target, which produce such dicts, use it."""
         d = object.__new__(cls)
         d._set(degree, norm, shading)
         return d
@@ -336,6 +336,42 @@ def boundary(d: CircleDiagram) -> ChainVector:
     return ChainVector(d.degree - 1, {e: RatFunc(p) for e, p in sums.items()})
 
 
+def _code(d: CircleDiagram) -> tuple:
+    """Multiplicity tuple of an unshaded d over _BLOCK_CLASSES[d.degree]."""
+    mult = {(i, j): m for i, j, m in d.blocks}
+    return tuple(mult.get(c, 0) for c in _BLOCK_CLASSES[d.degree])
+
+
+def _fill_target(k: int, c: tuple, j: int) -> int:
+    """The class index that fill j sends one degree-k circle of class c to."""
+    face, deleted = fill_puncture(CircleDiagram._trusted(k, {c: 1}), j)
+    below = _BLOCK_CLASSES[k - 1]
+    return len(below) if deleted else below.index(face.blocks[0][:2])
+
+
+# _FILLS[k][j]: the class targets of fill j at degree k, one past the last
+# class where the circle is deleted
+_FILLS = {k: tuple(tuple(_fill_target(k, c, j) for c in _BLOCK_CLASSES[k])
+                   for j in range(k + 1)) for k in (1, 2, 3)}
+
+
+def _fill_code(code: tuple, degree: int, j: int) -> tuple[tuple, int]:
+    """fill_puncture on a coded unshaded diagram: (face code, deleted)."""
+    face = [0] * (len(_BLOCK_CLASSES[degree - 1]) + 1)
+    for m, target in zip(code, _FILLS[degree][j]):
+        face[target] += m
+    return tuple(face[:-1]), face[-1]
+
+
+def _code_counts(code: tuple, degree: int) -> dict:
+    """_boundary_counts of a coded unshaded diagram, keyed by face codes."""
+    counts = {}
+    for j in range(degree + 1):
+        key = _fill_code(code, degree, j)
+        counts[key] = counts.get(key, 0) + (-1) ** j
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # Enumeration and matrices (unshaded)
 # ---------------------------------------------------------------------------
@@ -479,22 +515,22 @@ def h2_vanishing_check(N: int, margin: int = 2,
     }
 
 
-def _dd_vanishes(counts, memo) -> bool:
+def _dd_vanishes(counts, degree, memo) -> bool:
     """The boundary of the chain with these counts is zero, decided over
-    Z on (diagram, power) counts; memo caches the counts of the faces."""
+    Z on (face code, power) counts; memo caches the counts of the faces."""
     total = {}
     for (face, k), count in counts.items():
         inner = memo.get(face)
         if inner is None:
-            inner = memo[face] = _boundary_counts(face)
+            inner = memo[face] = _code_counts(face, degree - 1)
         for (out, l), inner_count in inner.items():
             key = out, k + l
             total[key] = total.get(key, 0) + count * inner_count
     return not any(total.values())
 
 
-def _rank_at_zero(columns, row_of, memo=None, bound=None):
-    """Rank over Q of the boundary at delta = 0 on these columns.
+def _rank_at_zero(columns, degree, row_of, memo=None, bound=None):
+    """Rank over Q of the boundary at delta = 0 on these coded columns.
 
     Each column is streamed: its boundary counts, then (with a memo) the
     exact d(d(column)) = 0 check, then its delta^0 part as an integer
@@ -510,10 +546,10 @@ def _rank_at_zero(columns, row_of, memo=None, bound=None):
     failed = []
 
     def integer_columns():
-        for d in columns:
-            counts = _boundary_counts(d)
-            if memo is not None and not _dd_vanishes(counts, memo):
-                failed.append(d)
+        for code in columns:
+            counts = _code_counts(code, degree)
+            if memo is not None and not _dd_vanishes(counts, degree, memo):
+                failed.append(code)
                 return
             col = {}
             for (out, deleted), count in counts.items():
@@ -537,15 +573,17 @@ def _h2_graded(N, gen3):
     """The graded proof on C(<=N), using the columns of gen3 of total
     <= N.
 
+    Each diagram is coded once (`_code`); the counts, the d2 d3 = 0
+    checks and the delta = 0 blocks run on the codes through `_FILLS`.
     Returns (kernel_dim, columns_used, per-total ranks), or None when a
     graded summand is nonzero, a column is not a cycle, or the d2 ranks
     fall short of |C1(<=N)|.
     """
     def by_total(diagrams):
         blocks = [[] for _ in range(N + 1)]
-        for d in diagrams:
-            if d.total() <= N:
-                blocks[d.total()].append(d)
+        for code in map(_code, diagrams):
+            if sum(code) <= N:
+                blocks[sum(code)].append(code)
         return blocks
 
     c1, c2, c3 = (by_total(enumerate_diagrams(1, N)),
@@ -553,11 +591,11 @@ def _h2_graded(N, gen3):
     memo = {}
     graded = {"dim_c2": [], "rank_d2": [], "rank_d3": []}
     for t in range(N + 1):
-        row1 = {d: i for i, d in enumerate(c1[t])}
-        row2 = {d: i for i, d in enumerate(c2[t])}
+        row1 = {code: i for i, code in enumerate(c1[t])}
+        row2 = {code: i for i, code in enumerate(c2[t])}
         # d2 d3 = 0 gives rank d3(=t) <= |C2(=t)| - rank d2(=t)
-        rank2 = _rank_at_zero(c2[t], row1)
-        rank3 = _rank_at_zero(c3[t], row2, memo, len(c2[t]) - rank2)
+        rank2 = _rank_at_zero(c2[t], 2, row1)
+        rank3 = _rank_at_zero(c3[t], 3, row2, memo, len(c2[t]) - rank2)
         if rank3 is None or rank2 != len(c1[t]) or rank2 + rank3 != len(c2[t]):
             return None
         graded["dim_c2"].append(len(c2[t]))

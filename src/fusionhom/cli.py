@@ -22,6 +22,7 @@ exit 1 report keeps only the files it read.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -468,6 +469,7 @@ COMMAND_BODIES = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusionhom",

@@ -281,33 +281,45 @@ def test_h2_falls_back_to_exact_on_a_column_subset(monkeypatch):
 
 def test_h2_certificate_rejects_columns_that_are_not_cycles(monkeypatch):
     # drop the face at infinity from every degree-3 boundary: d2 d3 != 0
-    counts_of = annular._boundary_counts
+    counts_of = annular._code_counts
 
-    def broken(d):
-        counts = counts_of(d)
-        if d.degree == 3:
-            counts[fill_puncture(d, 3)] += 1
+    def broken(code, degree):
+        counts = counts_of(code, degree)
+        if degree == 3:
+            counts[annular._fill_code(code, 3, 3)] += 1
         return counts
 
-    monkeypatch.setattr(annular, "_boundary_counts", broken)
+    monkeypatch.setattr(annular, "_code_counts", broken)
     assert h2_vanishing_check(3)["method"] == "exact"
 
 
 def test_h2_graded_proof_checks_each_column_is_a_cycle(monkeypatch):
     # an extra delta-power face leaves every delta = 0 block, and so every
     # graded rank, as it was; only the exact d2 d3 = 0 check sees it
-    counts_of = annular._boundary_counts
+    counts_of = annular._code_counts
 
-    def broken(d):
-        counts = counts_of(d)
-        if d.degree == 3:
-            face, deleted = fill_puncture(d, 3)
+    def broken(code, degree):
+        counts = counts_of(code, degree)
+        if degree == 3:
+            face, deleted = annular._fill_code(code, 3, 3)
             key = face, deleted + 1
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    monkeypatch.setattr(annular, "_boundary_counts", broken)
+    monkeypatch.setattr(annular, "_code_counts", broken)
     assert annular._h2_graded(3, enumerate_diagrams(3, 3)) is None
+
+
+def test_coded_boundary_counts_equal_the_diagram_counts():
+    # the fill maps, derived from fill_puncture on single circles, give
+    # the boundary of every diagram, not only of the single circles
+    diagrams = [d for k in (1, 2, 3) for d in enumerate_diagrams(k, 7)]
+    assert len(diagrams) == 1382
+    for d in diagrams:
+        expected = {(annular._code(face), deleted): count
+                    for (face, deleted), count
+                    in annular._boundary_counts(d).items()}
+        assert annular._code_counts(annular._code(d), d.degree) == expected
 
 
 @pytest.mark.parametrize("k, contained", [(16, False), (20, True)])
@@ -337,12 +349,14 @@ def test_h2_certified_window_stays_inside_the_row_window():
 @pytest.mark.parametrize("T", [0, 1, 2, 3, 4])
 def test_graded_ranks_equal_the_exact_rank(degree, T):
     # at these sizes the ranks do not drop at delta = 0
-    below = enumerate_diagrams(degree - 1, T)
+    def codes(k, t):
+        return [annular._code(d) for d in enumerate_diagrams(k, T)
+                if d.total() == t]
+
     graded = 0
     for t in range(T + 1):
-        rows = {d: i for i, d in enumerate(d for d in below if d.total() == t)}
-        graded += annular._rank_at_zero(
-            [d for d in enumerate_diagrams(degree, T) if d.total() == t], rows)
+        rows = {code: i for i, code in enumerate(codes(degree - 1, t))}
+        graded += annular._rank_at_zero(codes(degree, t), degree, rows)
     assert graded == rank(boundary_matrix(degree, T))
 
 
@@ -352,3 +366,5 @@ def test_parse_keeps_the_block_checks():
         CircleDiagram.parse("k=3; [1,2]^1 [2,3]^1")
     with pytest.raises(ValueError, match="out of range"):
         CircleDiagram.parse("k=2; [1,3]^1")
+    with pytest.raises(ValueError, match="out of range for degree 0"):
+        CircleDiagram.parse("k=0; [1]^1")

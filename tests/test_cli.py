@@ -476,6 +476,18 @@ def test_parameter_echo_and_digest_are_pinned(argv):
     assert report["inputs"]["digest"] == digest
 
 
+def test_successive_main_calls_echo_only_their_own_flags():
+    # main reuses one parser per process; no flag may leak into a later call
+    tlj = ("homology-tlj", "--h0", "4", "--h1", "3")
+    betti = ("betti", "--fuss-catalan", "5", "5")
+    assert main_json(*tlj)[1]["inputs"]["params"] == PARAMS_PINS[tlj][0]
+    assert main_json(*betti)[1]["inputs"]["params"] == PARAMS_PINS[betti][0]
+    code, report = main_json("homology-tlj", "--h0", "2")
+    assert code == 0
+    assert report["inputs"]["params"] == {
+        "diagram-cap": 100000, "h0": 2, "margin": 2, "mode": "unshaded"}
+
+
 def test_capped_report_keeps_the_finished_h1_block():
     code, report = main_json("homology-tlj", "--h1", "3", "--h2", "8",
                              "--diagram-cap", "10")
