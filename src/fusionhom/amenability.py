@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 
 from .errors import Inconclusive
 from .fusion import FusionRing, ladder_dims
@@ -154,27 +156,6 @@ def boundary_set(g: WeightedFusionGraph, F) -> set:
     return inner | outer
 
 
-def boundary_measure(g: WeightedFusionGraph, F):
-    """(mu(boundary F), mu(F)), correctly rounded float sums.
-
-    Raises TruncationInconclusive when F or its boundary touches the
-    frontier of a windowed graph.
-    """
-    F = set(F)
-    if not F:
-        raise ValueError("F must be nonempty")
-    for v in F:
-        if v not in g.index:
-            raise ValueError(f"vertex {v} not in the graph")
-    bd = boundary_set(g, F)
-    if g.truncated:
-        touched = (F | bd) & g.frontier
-        if touched:
-            raise TruncationInconclusive(
-                f"candidate touches window frontier at {sorted(map(str, touched))}")
-    return g.mu(bd), g.mu(F)
-
-
 class FolnerReport:
     """Search outcome: the first candidate with the smallest ratio, the
     number of candidates measured, and found = ratio < epsilon."""
@@ -203,10 +184,19 @@ def folner_search(g: WeightedFusionGraph, epsilon: float, max_size: int,
     balls around the root; greedy adds the outside neighbour whose
     extended set has the smallest ratio (ties broken by vertex order).
     Weights are positive, so a set with no outside neighbour has ratio 0
-    and is a witness.  Weight sums are correctly rounded, so the report
-    does not depend on set iteration order.  A candidate touching the
-    frontier, greedy's scored extensions included, raises
-    TruncationInconclusive.
+    and is a witness.
+
+    Each candidate F | S is measured from F's state, touching only S and
+    its neighbours: the outer boundary becomes
+    (outer - S) | (nbrs(S) - F - S), and the inner boundary is refiltered
+    over inner | S.  mu(F) is kept as an exact integer over the weights'
+    common denominator and rounded once, mu(boundary) is an fsum over the
+    boundary; both are correctly rounded, so the ratio does not depend
+    on set order and equals the from-scratch one bit for bit.  A
+    candidate touching the frontier, greedy's scored extensions included,
+    raises TruncationInconclusive.  Every earlier candidate has passed
+    that check, so F and its outer boundary are clear of the frontier,
+    and only S and its outside neighbours are looked up.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
@@ -215,30 +205,56 @@ def folner_search(g: WeightedFusionGraph, epsilon: float, max_size: int,
     if strategy not in ("balls", "greedy"):
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    def ratio_of(F):
-        mu_bd, mu_f = boundary_measure(g, F)
-        return mu_bd / mu_f
+    adj, weight = g.adjacency, g.weight
+    exact = {v: weight[v].as_integer_ratio() for v in g.vertices}
+    scale = math.lcm(*(den for _, den in exact.values()))
+    units = {v: num * (scale // den) for v, (num, den) in exact.items()}
+    F, inner, outer, total = set(), set(), set(), 0
+    added = []  # F's vertices in the order they joined
 
-    F = {g.root}
-    ratio = best_ratio = ratio_of(F)
-    best_set, candidates = F, 1
+    def measure(S):
+        """(ratio, S, inner, outer, total) of F | S, for S outside F and,
+        once F is nonempty, inside its outer boundary."""
+        fresh = {w for v in S for w in adj[v] if w not in F and w not in S}
+        inner_s = {v for v in chain(inner, S)
+                   if any(w not in F and w not in S for w in adj[v])}
+        if g.truncated:
+            touched = g.frontier & (S | fresh)
+            if touched:
+                raise TruncationInconclusive(
+                    "candidate touches window frontier at "
+                    f"{sorted(map(str, touched))}")
+        outer_s = (outer - S) | fresh
+        total_s = total + sum(units[v] for v in S)
+        mu_bd = math.fsum(map(weight.__getitem__, chain(inner_s, outer_s)))
+        return mu_bd / (total_s / scale), S, inner_s, outer_s, total_s
+
+    def grow(step):
+        nonlocal inner, outer, total
+        ratio, S, inner, outer, total = step
+        F.update(S)
+        added.extend(S)
+        return ratio
+
+    ratio = best_ratio = grow(measure({g.root}))
+    best_size, candidates = 1, 1
     while ratio >= epsilon and len(F) < max_size:
-        outside = {w for v in F for w in g.adjacency[v] if w not in F}
         if strategy == "balls":
-            F = F | outside
-            if len(F) > max_size:
+            if len(F) + len(outer) > max_size:
                 break
-            ratio = ratio_of(F)
+            ratio = grow(measure(outer))
         else:
             # scored in vertex order: the first extension touching the
-            # frontier names the TruncationInconclusive
-            ratio, _, w = min((ratio_of(F | {w}), g.index[w], w)
-                              for w in sorted(outside, key=g.index.get))
-            F = F | {w}
+            # frontier names the TruncationInconclusive, and min keeps
+            # the first of equal ratios
+            ratio = grow(min((measure({w})
+                              for w in sorted(outer, key=g.index.get)),
+                             key=itemgetter(0)))
         candidates += 1
         if ratio < best_ratio:
-            best_ratio, best_set = ratio, F
-    return FolnerReport(best_set, best_ratio, epsilon, strategy, candidates)
+            best_ratio, best_size = ratio, len(F)
+    return FolnerReport(added[:best_size], best_ratio, epsilon, strategy,
+                        candidates)
 
 
 # ---------------------------------------------------------------------------

@@ -127,11 +127,14 @@ def _build_ring(args, files):
     kind = chosen[0]
     if kind == "group":
         return fusion.relabel(fusion.from_group(_group_by_name(args.group)))
+    delta = args.delta
+    if kind == "ladder" and delta is not None and not math.isfinite(delta):
+        raise InputError(f"--delta {delta}: must be finite")
     try:
         if kind == "tlj":
             return fusion.tlj_even(args.tlj)
         if kind == "ladder":
-            return fusion.tlj_ladder(args.ladder, delta=args.delta)
+            return fusion.tlj_ladder(args.ladder, delta=delta)
     except ValueError as exc:
         raise InputError(f"--{kind} {getattr(args, kind)}: {exc}")
     text = _read_file(args.ring)

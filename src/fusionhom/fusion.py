@@ -32,9 +32,9 @@ class FusionRing:
     """Based ring with nonnegative structure constants.
 
     N holds one product row per pair: N[a, b] = {c: N(a, b, c)}, each row
-    in label order with zero entries and empty rows omitted.  dims maps
-    labels to positive floats; dims_exact (optional) maps labels to
-    RatFunc values in delta.
+    in label order with zero entries and empty rows omitted, and each a
+    copy of the caller's.  dims maps labels to positive floats;
+    dims_exact (optional) maps labels to RatFunc values in delta.
     """
 
     def __init__(self, labels, dual, N, dims=None, dims_exact=None,
@@ -45,9 +45,13 @@ class FusionRing:
         order = self.index.__getitem__
         self.N = {}
         for pair, row in N.items():
-            row = {c: row[c] for c in sorted(row, key=order) if row[c]}
+            # only a row with a zero entry or out of label order is rebuilt
+            if not all(row.values()) or (
+                    len(row) > 1
+                    and (pos := list(map(order, row))) != sorted(pos)):
+                row = {c: row[c] for c in sorted(row, key=order) if row[c]}
             if row:
-                self.N[pair] = row
+                self.N[pair] = dict(row)
         self.dims = dict(dims) if dims else None
         self.dims_exact = dict(dims_exact) if dims_exact else None
         self.truncated = truncated
@@ -279,7 +283,8 @@ def ladder_dims(width: int, delta: float) -> list:
 
     The three-term recurrence runs in float: evaluating the exact
     coefficient form cancels catastrophically past degree ~60.  A value
-    past the float range is stored as +inf, never as nan.
+    past the float range is stored as +inf.  d_1 is delta itself, so a
+    nan delta stores a nan there; callers reject a non-finite delta first.
     """
     vals = [1.0, float(delta)]
     while len(vals) < width:

@@ -8,11 +8,31 @@ from operator import truediv
 import pytest
 
 from fusionhom.amenability import (TruncationInconclusive, WeightedFusionGraph,
-                                   boundary_measure, folner_search,
+                                   boundary_set, folner_search,
                                    from_fusion_ring, graph_from_text,
                                    kesten_check, tlj_kesten_window)
 from fusionhom.fusion import from_group, tlj_ladder
 from fusionhom.groups import cyclic, dihedral, symmetric
+
+
+def boundary_measure(g, F):
+    """(mu(boundary F), mu(F)) measured from scratch, as correctly
+    rounded float sums: the oracle for folner_search's incremental
+    measures.  Raises TruncationInconclusive when F or its boundary
+    touches the frontier of a windowed graph."""
+    F = set(F)
+    if not F:
+        raise ValueError("F must be nonempty")
+    for v in F:
+        if v not in g.index:
+            raise ValueError(f"vertex {v} not in the graph")
+    bd = boundary_set(g, F)
+    if g.truncated:
+        touched = (F | bd) & g.frontier
+        if touched:
+            raise TruncationInconclusive(
+                f"candidate touches window frontier at {sorted(map(str, touched))}")
+    return g.mu(bd), g.mu(F)
 
 
 def ladder_graph(width, delta):
@@ -207,6 +227,27 @@ def test_folner_search_matches_the_two_loop_reference():
                     assert got == want, (g.name, strategy, epsilon, max_size)
                     kinds.add(want[0])
     assert kinds == {"inconclusive", True, False}
+
+
+@pytest.mark.parametrize("strategy", ["balls", "greedy"])
+def test_folner_ratios_are_correctly_rounded(strategy):
+    # a path from a root of weight 1.0 through ever lighter vertices:
+    # each of 1.0 + 2**-53 and 1.0 + 2**-54 rounds back to 1.0, so a
+    # running float sum of mu(F) stays at 1.0 while the exact sum climbs
+    vertices = [f"v{i}" for i in range(12)]
+    weight = {v: 2.0 ** -(52 + i) for i, v in enumerate(vertices)}
+    weight["v0"] = 1.0
+    adjacency = {v: set() for v in vertices}
+    for a, b in zip(vertices, vertices[1:]):
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    g = WeightedFusionGraph(vertices, weight, (), adjacency)
+    head = [weight[v] for v in vertices[:3]]
+    assert sum(head) == 1.0 < math.fsum(head) == 1.0 + 2.0 ** -52
+    for max_size in range(1, len(vertices) + 1):
+        rep = folner_search(g, 2.0 ** -80, max_size, strategy=strategy)
+        assert len(rep.set) == max_size
+        assert rep.ratio == truediv(*boundary_measure(g, rep.set))
 
 
 def test_folner_report_repeatable():

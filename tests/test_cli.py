@@ -363,6 +363,9 @@ def test_fusion_ladder_summary():
     (("amenability", "--check", "folner", "--ladder-delta", "2.0",
       "--folner-window", "8", "--epsilon", "0"), "--epsilon 0"),
     (("fusion", "--ladder", "0"), "--ladder 0"),
+    (("fusion", "--ladder", "5", "--delta", "nan", "--verify"),
+     "--delta nan"),
+    (("fusion", "--ladder", "5", "--delta", "inf"), "--delta inf"),
     (("fusion", "--tlj", "1"), "--tlj 1"),
     (("amenability", "--check", "kesten", "--ladder-delta", "2.0",
       "--window", "512", "--generator", "f2"), "--generator f2"),
@@ -392,7 +395,8 @@ def test_fusion_ladder_summary():
     (("betti", "--tlj", "0"), "--tlj 0"),
     (("betti", "--fuss-catalan", "2", "5"), "--fuss-catalan 2 5"),
 ], ids=["kesten-window", "unknown-generator", "folner-window",
-        "nonpositive-weight", "epsilon", "ladder-zero", "tlj-one",
+        "nonpositive-weight", "epsilon", "ladder-zero", "delta-nan",
+        "delta-inf", "tlj-one",
         "kesten-generator-f2", "folner-generator-f9",
         "kesten-nonpositive-dim", "kesten-delta-zero",
         "folner-weight-overflow", "kesten-delta-inf", "folner-delta-inf",

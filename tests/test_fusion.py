@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fusionhom.amenability import tlj_kesten_window
 from fusionhom.exactarith import RF_ONE, RatFunc
 from fusionhom.fusion import (FusionRing, InvalidRingFile, NotConnected,
                               _triples, beta0, chebyshev_dims, from_group,
@@ -48,6 +49,32 @@ def test_group_ring_axioms():
         ring = from_group(grp)
         assert verify_axioms(ring) == []
         assert ring.global_index() == pytest.approx(len(grp.elements))
+
+
+def test_rows_are_nonzero_copies_in_label_order():
+    labels = ("u", "b", "a")  # label order is not the sort order
+    given = {("b", "b"): {"a": 2, "u": 1},          # out of label order
+             ("b", "a"): {"u": 1, "a": 0, "b": 3},  # a zero, out of order
+             ("u", "b"): {"b": 1},                  # one entry
+             ("a", "b"): {"b": 4, "a": 5},          # in label order
+             ("u", "a"): {"a": 0},                  # only a zero
+             ("a", "a"): {}}                        # empty
+    ring = FusionRing(labels, {x: x for x in labels}, given)
+    want = {("b", "b"): [("u", 1), ("a", 2)],
+            ("b", "a"): [("u", 1), ("b", 3)],
+            ("u", "b"): [("b", 1)],
+            ("a", "b"): [("b", 4), ("a", 5)]}
+    assert {pair: list(row.items()) for pair, row in ring.N.items()} == want
+    assert ring.row("u", "a") == ring.row("a", "a") == {}
+    for row in given.values():
+        row["u"] = 7
+    given["a", "a"] = {"a": 1}
+    del given["b", "b"]
+    assert {pair: list(row.items()) for pair, row in ring.N.items()} == want
+    # rows shared in the caller's table are distinct objects in the ring
+    window = tlj_kesten_window(16, 2.0)
+    assert window.N["f1", "f5"] == window.N["f5", "f1"] == {"f4": 1, "f6": 1}
+    assert window.N["f1", "f5"] is not window.N["f5", "f1"]
 
 
 def test_tlj_even_axioms_and_labels():
