@@ -20,7 +20,7 @@ from itertools import chain
 from operator import itemgetter
 
 from .errors import Inconclusive
-from .fusion import FusionRing, ladder_dims
+from .fusion import FusionRing, ladder_dims, ladder_row
 
 
 class TruncationInconclusive(Inconclusive):
@@ -262,28 +262,22 @@ def folner_search(g: WeightedFusionGraph, epsilon: float, max_size: int,
 # ---------------------------------------------------------------------------
 
 def tlj_kesten_window(width: int, delta: float) -> FusionRing:
-    """Band-limited window of the generic Temperley-Lieb ladder.
-
-    Stores only the unit rows and the f1 multiplication rows of the
-    fusion table (f1 . f_k = f_{k-1} + f_{k+1}); the full table grows
-    as width^3 and is far too large at the wide windows the Kesten lower
-    bound uses.  The f1 rows are exact for every window label, so the
-    generator matrix, its norm bounds and the f1 graph (from_fusion_ring
-    with generators ["f1"]) are those of the full ladder.  The result is
-    not a complete fusion table: keep it away from verify_axioms.
+    """The f1 slice of the generic Temperley-Lieb ladder window: only the
+    rows f1 . f_k = ladder_row(labels, 1, k), one per label, since the
+    full table grows as width^3 and the Kesten lower bound wants wide
+    windows.  They are the full ladder's rows, so the generator matrix,
+    its norm bounds and the f1 graph (from_fusion_ring with generators
+    ["f1"]) are the full ladder's too.  The result is not a fusion table
+    (it has no unit rows): keep it away from verify_axioms.
     """
     if width < 2:
         raise ValueError("window width must be >= 2")
     labels = tuple(f"f{i}" for i in range(width))
-    N = {}
-    for i in range(width):
-        N[labels[0], labels[i]] = N[labels[i], labels[0]] = {labels[i]: 1}
-        row = {labels[k]: 1 for k in (i - 1, i + 1) if 0 <= k < width}
-        N[labels[1], labels[i]] = N[labels[i], labels[1]] = row
-    dual = {lab: lab for lab in labels}
-    dims = dict(zip(labels, ladder_dims(width, delta)))
-    return FusionRing(labels, dual, N, dims, None,
-                      truncated=True, frontier=set(labels[-2:]),
+    N = {(labels[1], labels[k]): ladder_row(labels, 1, k)
+         for k in range(width)}
+    return FusionRing(labels, {lab: lab for lab in labels}, N,
+                      dict(zip(labels, ladder_dims(width, delta))), None,
+                      truncated=True, frontier=labels[-2:],
                       name=f"TLJ_kesten_window({width})")
 
 
@@ -297,15 +291,15 @@ def kesten_check(ring_window: FusionRing, generator) -> dict:
     (Collatz-Wielandt), upper = max(max r, max c) >= sqrt(max r * max c)
     >= ||A_g|| (Schur test).  When d satisfies the dimension equation,
     both ends are d(g), and a finite ring is amenable either way.  A
-    truncated ring must be a ladder window read through f1:
-    f1 . f_k = f_{k-1} + f_{k+1}.  Each row of the infinite ladder sums
-    to at most 2, so upper = 2 (Schur test, constant vector), taken from
-    the rule, not the clipped window rows.  The window matrix is a
-    compression of the infinite one, so the Rayleigh quotient of
-    v_i = (i+1)(w-i) on it is a lower bound.  The window is non-amenable
-    when upper < d(g), and otherwise has no verdict: Kesten alone never
-    proves an infinite graph amenable.  d(g) is the exact value of the
-    stored float dimension.
+    truncated ring must be a ladder window read through f1, each row its
+    `ladder_row` f1 . f_k = f_{k-1} + f_{k+1} clipped to the window.  Each
+    row of the infinite ladder sums to at most 2, so upper = 2 (Schur
+    test, constant vector), taken from the rule, not the clipped window
+    rows.  The window matrix is a compression of the infinite one, so the
+    Rayleigh quotient of v_i = (i+1)(w-i) on it is a lower bound.  The
+    window is non-amenable when upper < d(g), and otherwise has no
+    verdict: Kesten alone never proves an infinite graph amenable.  d(g)
+    is the exact value of the stored float dimension.
     """
     if generator not in ring_window.index:
         raise ValueError(f"unknown generator {generator}")
@@ -317,8 +311,7 @@ def kesten_check(ring_window: FusionRing, generator) -> dict:
             raise ValueError("a truncated ring must be a TLJ ladder window "
                              "read through f1")
         for i, a in enumerate(labels):
-            if ring_window.row("f1", a) != {
-                    labels[k]: 1 for k in (i - 1, i + 1) if 0 <= k < w}:
+            if ring_window.row("f1", a) != ladder_row(labels, 1, i):
                 raise ValueError(f"f1 row at {a} breaks the ladder rule")
         v = [(i + 1) * (w - i) for i in range(w)]
         lower = Fraction(2 * sum(x * y for x, y in zip(v, v[1:])),

@@ -16,7 +16,8 @@ parsed flags.
 Exit codes: 0 success, 1 input error, 2 verification failure (an
 asserted identity failed), 3 inconclusive (caps or truncation).  Exit 2
 and 3 reports keep whatever the body had filled before it stopped; an
-exit 1 report keeps only the files it read.
+exit 1 report keeps only the files it read.  A command line that does not
+parse exits 1 with one error line on stderr and no report.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ class InputError(ValueError):
 
 class VerificationFailure(RuntimeError):
     """An asserted identity failed."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors raised as input errors (exit 1)."""
+    def error(self, message):
+        raise InputError(message)
 
 
 class Report:
@@ -127,16 +134,14 @@ def _build_ring(args, files):
     kind = chosen[0]
     if kind == "group":
         return fusion.relabel(fusion.from_group(_group_by_name(args.group)))
-    delta = args.delta
-    if kind == "ladder" and delta is not None and not math.isfinite(delta):
-        raise InputError(f"--delta {delta}: must be finite")
-    try:
-        if kind == "tlj":
+    if kind == "ladder":
+        return _ladder_window(fusion.tlj_ladder, args.ladder, args.delta,
+                              "--ladder", "--delta")
+    if kind == "tlj":
+        try:
             return fusion.tlj_even(args.tlj)
-        if kind == "ladder":
-            return fusion.tlj_ladder(args.ladder, delta=delta)
-    except ValueError as exc:
-        raise InputError(f"--{kind} {getattr(args, kind)}: {exc}")
+        except ValueError as exc:
+            raise InputError(f"--tlj {args.tlj}: {exc}")
     text = _read_file(args.ring)
     files[args.ring] = text
     try:
@@ -285,19 +290,17 @@ def cmd_betti(args, report):
     report.warnings.extend(profile.warnings)
 
 
-def _ladder_window(width, delta, flag, generator):
-    """Ladder window for both checks; it holds only the f1 rows, and its
-    verdicts need a finite loop value and positive dimensions."""
-    if not math.isfinite(delta):
-        raise InputError(f"--ladder-delta {delta}: must be finite")
-    if width < 2:
-        raise InputError(f"{flag} {width}: the ladder window needs width >= 2")
-    if generator != "f1":
-        raise InputError(f"--generator {generator}: the ladder window "
-                         "holds only f1")
-    window = amenability.tlj_kesten_window(width, delta)
-    if not all(v > 0 for v in window.dims.values()):
-        raise InputError(f"--ladder-delta {delta}: the {flag} {width} "
+def _ladder_window(build, width, delta, width_flag, delta_flag):
+    """build(width, delta) for a verdict: a loop value, if given, must be
+    finite and keep every dimension of the window positive."""
+    try:
+        window = build(width, delta)
+    except ValueError as exc:
+        raise InputError(f"{width_flag} {width}: {exc}")
+    if delta is not None and not math.isfinite(delta):
+        raise InputError(f"{delta_flag} {delta}: must be finite")
+    if window.dims and not all(v > 0 for v in window.dims.values()):
+        raise InputError(f"{delta_flag} {delta}: the {width_flag} {width} "
                          "window has a dimension that is not positive")
     return window
 
@@ -320,11 +323,12 @@ def cmd_amenability(args, report):
         raise InputError("choose --ladder-delta or --graph")
 
     if args.check in ("kesten", "both") and args.ladder_delta is not None:
-        window = _ladder_window(args.window, args.ladder_delta, "--window",
-                                args.generator)
-        rep = amenability.kesten_check(window, args.generator)
+        window = _ladder_window(amenability.tlj_kesten_window, args.window,
+                                args.ladder_delta, "--window",
+                                "--ladder-delta")
+        rep = amenability.kesten_check(window, "f1")
         results["kesten"] = {
-            "generator": args.generator,
+            "generator": "f1",
             "window": rep["window"],
             "norm_lower": str(rep["norm_lower"]),
             "norm_upper": str(rep["norm_upper"]),
@@ -333,11 +337,11 @@ def cmd_amenability(args, report):
         }
     if args.check in ("folner", "both"):
         if graph is None:
-            window = _ladder_window(args.folner_window, args.ladder_delta,
-                                    "--folner-window", args.generator)
+            window = _ladder_window(
+                amenability.tlj_kesten_window, args.folner_window,
+                args.ladder_delta, "--folner-window", "--ladder-delta")
             try:
-                graph = amenability.from_fusion_ring(
-                    window, generators=[args.generator])
+                graph = amenability.from_fusion_ring(window, ["f1"])
             except ValueError as exc:
                 raise InputError(f"--folner-window {args.folner_window}: "
                                  f"{exc}")
@@ -474,7 +478,7 @@ COMMAND_BODIES = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fusionhom",
         description="fusion rings, tube algebras, annular homology, "
                     "Betti profiles, amenability checks")
@@ -484,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH",
                         help="also write the JSON report to PATH")
     sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=argparse.ArgumentParser)
+                                parser_class=_Parser)
 
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)
@@ -534,8 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="loop parameter delta of the ladder window")
     p.add_argument("--window", type=_intarg, default=4096,
                    help="window for the Kesten lower bound")
-    p.add_argument("--generator", default="f1",
-                   help="ladder generator; the ladder window holds only f1")
     p.add_argument("--graph", help="graph file path (Folner only)")
     p.add_argument("--check", choices=("kesten", "folner", "both"),
                    default="both")
@@ -555,7 +557,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except InputError as exc:
+        print(f"fusionhom: error: {exc}", file=sys.stderr)
+        return 1
     # a bare homology-tlj runs --h0; set before the echo reads it
     if (args.command == "homology-tlj"
             and args.h0 is None and args.h1 is None and args.h2 is None):

@@ -284,7 +284,8 @@ def ladder_dims(width: int, delta: float) -> list:
     The three-term recurrence runs in float: evaluating the exact
     coefficient form cancels catastrophically past degree ~60.  A value
     past the float range is stored as +inf.  d_1 is delta itself, so a
-    nan delta stores a nan there; callers reject a non-finite delta first.
+    nan delta stores a nan there, and below 2 some dims are not positive;
+    a caller that prints a verdict rejects both.
     """
     vals = [1.0, float(delta)]
     while len(vals) < width:
@@ -293,32 +294,32 @@ def ladder_dims(width: int, delta: float) -> list:
     return vals[:width]
 
 
+def ladder_row(labels, i, j) -> dict:
+    """The ladder row f_i . f_j = sum of f_k over |i-j| <= k <= i+j with
+    k = i+j mod 2, as {f_k: 1} clipped to the window `labels`."""
+    return dict.fromkeys(labels[abs(i - j):i + j + 1:2], 1)
+
+
 def tlj_ladder(width: int, delta: float | None = None) -> FusionRing:
     """Window of the generic Temperley-Lieb ladder ring.
 
-    All labels f_0 .. f_{width-1}, fusion N(f_i, f_j, f_k) = 1 iff
-    |i-j| <= k <= i+j and k = i+j mod 2, restricted to the window.  The
-    ring is marked truncated with the last two labels as frontier (both
-    parities).  Exact Chebyshev dims are always stored; float dims are
-    evaluated when a delta value is supplied.
+    All labels f_0 .. f_{width-1} and every row `ladder_row`, restricted
+    to the window.  The ring is marked truncated with the last two labels
+    as frontier (both parities).  Exact Chebyshev dims are always stored;
+    float dims are evaluated when a delta value is supplied.
     """
     if width < 1:
         raise ValueError("window width must be >= 1")
     labels = tuple(f"f{i}" for i in range(width))
-    N = {}
-    for i in range(width):
-        for j in range(width):
-            N[labels[i], labels[j]] = {
-                labels[k]: 1
-                for k in range(abs(i - j), min(i + j, width - 1) + 1, 2)}
+    N = {(labels[i], labels[j]): ladder_row(labels, i, j)
+         for i in range(width) for j in range(width)}
     dual = {lab: lab for lab in labels}
     exact = dict(zip(labels, chebyshev_dims(width)))
     dims = None
     if delta is not None:
         dims = dict(zip(labels, ladder_dims(width, delta)))
-    frontier = set(labels[-2:]) if width > 1 else set(labels)
     return FusionRing(labels, dual, N, dims, exact,
-                      truncated=True, frontier=frontier,
+                      truncated=True, frontier=labels[-2:],
                       name=f"TLJ_ladder({width})")
 
 

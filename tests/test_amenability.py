@@ -261,6 +261,13 @@ def test_kesten_window_matches_full_ring():
     slim = kesten_check(tlj_kesten_window(64, 2.0), "f1")
     full = kesten_check(tlj_ladder(64, delta=2.0), "f1")
     assert slim == full
+    # the window is the ladder's f1 slice: one row per label, no other row
+    for width in (2, 3, 64):
+        window = tlj_kesten_window(width, 2.0)
+        ladder = tlj_ladder(width, delta=2.0)
+        assert set(window.N) == {("f1", a) for a in ladder.labels}
+        for a in ladder.labels:
+            assert window.row("f1", a) == ladder.row("f1", a)
     # the f1 graph of the slim window is the f1 graph of the full ladder
     for width, delta in ((64, 2.0), (64, 3.0), (2, 2.0)):
         slim = from_fusion_ring(tlj_kesten_window(width, delta),
