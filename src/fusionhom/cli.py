@@ -90,12 +90,23 @@ def _read_file(path: str) -> str:
 
 
 def _intarg(text: str) -> int:
-    """Accept both bare integers and K=10 style values."""
-    tail = text.split("=")[-1]
     try:
-        return int(tail)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+
+
+def _labelled_intarg(label: str):
+    """The type of a flag whose metavar is label: a bare integer, or
+    label=integer as in `--h1 K=10`."""
+    def parse(text: str) -> int:
+        value = text.removeprefix(label + "=")
+        try:
+            return int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not an integer or {label}=integer: {text!r}")
+    return parse
 
 
 def _n_or_inf(text: str):
@@ -520,9 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="unshaded")
     p.add_argument("--h0", type=_intarg, nargs="?", const=5,
                    help="degree-0 dimension on this window")
-    p.add_argument("--h1", type=_intarg, metavar="K",
+    p.add_argument("--h1", type=_labelled_intarg("K"), metavar="K",
                    help="check sigma_m boundaries for m <= K")
-    p.add_argument("--h2", type=_intarg, metavar="N",
+    p.add_argument("--h2", type=_labelled_intarg("N"), metavar="N",
                    help="check degree-2 kernel containment at total <= N")
     p.add_argument("--margin", type=_intarg, default=2)
     p.add_argument("--diagram-cap", type=_intarg, default=100000)

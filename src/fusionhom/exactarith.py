@@ -5,7 +5,7 @@ coefficients (`RatFunc`), stored in a reduced canonical form so that equal
 values always have equal representations.  Plain rationals embed as
 constant rational functions (`RatFunc.from_fraction`).
 
-Every canonical form, and so every elimination step, goes through
+Every canonical form, and so every `Echelon` step, goes through
 `poly_gcd`.  It runs the primitive polynomial remainder sequence on
 plain coefficient lists and builds an `IntPoly` only for the result.
 The gcd in Z[delta] is the content gcd times the primitive gcd with
@@ -15,7 +15,7 @@ nonzero constant remainder, leaves a primitive gcd of 1.  The same
 list remainder `_pseudo_rem` decides `betti`'s exact zero test modulo
 a cyclotomic polynomial.
 
-One elimination engine, `Echelon`, backs `rank`, `kernel_basis`,
+One elimination engine, `Echelon`, backs `rank`'s fallback,
 `span_solve` and the annular homology checks.  Vectors are sparse dicts
 index -> integer polynomial with denominators cleared; two vectors are
 combined by cross-multiplying with their entries at the cancelled index
@@ -34,8 +34,20 @@ Q(delta), and the rank over F_p (`rank_mod_p`) never exceeds the rank
 over Q(delta) (Kaltofen-Saunders, AAECC 1991).  It therefore proves the
 rank whenever it meets a known upper bound: min(rows, cols) for `rank`,
 the column count for an empty `kernel_basis`.  At a pole, or when the
-rank over F_p falls short, fraction-free elimination decides, and it
-stays the oracle (`fraction_free_rank`).
+rank over F_p falls short, fraction-free elimination decides `rank`,
+and it stays the oracle (`fraction_free_rank`).
+
+Any other kernel is solved exactly at one integer point
+(`_kernel_at_point`).  With the rows' denominators cleared, every minor
+has coefficients at most H = s! * prod_i max_j |a_ij|_1 (s = min(rows,
+cols), the s rows of largest norm).  At delta = 2^K, K = H.bit_length()
++ 1, no nonzero minor vanishes (Cauchy's root bound), so fraction-free
+Gauss-Jordan over the integers (Bareiss, Math. Comp. 1968) finds the
+pivot columns over Q(delta), and each kernel entry, a minor, is read
+back from the signed base-2^K digits of its value (Kronecker
+substitution).  Beyond the lcm of each row's denominators and the
+stripping of a polynomial content, no gcd and no RatFunc arithmetic
+runs.
 
 `float_rank` and `SparseMat.to_dense_float` evaluate at a float delta
 with numpy.  They are an independent cross-check kept for the
@@ -612,13 +624,18 @@ def clear_denominators(vec: dict) -> dict:
     Multiplies by the lcm of the denominators, so the result is a nonzero
     polynomial multiple of vec and spans the same line.
     """
+    return _strip_row_content(_times_lcm(vec))
+
+
+def _times_lcm(vec: dict) -> dict:
+    """Sparse RatFunc vector times the lcm of its denominators, as
+    index -> IntPoly."""
     lcm = ONE_POLY
     for v in vec.values():
         if v.den != ONE_POLY:
             lcm = lcm.divexact(poly_gcd(lcm, v.den)) * v.den
-    return _strip_row_content(
-        {c: v.num if v.den == lcm else v.num * lcm.divexact(v.den)
-         for c, v in vec.items() if v})
+    return {c: v.num if v.den == lcm else v.num * lcm.divexact(v.den)
+            for c, v in vec.items() if v}
 
 
 def _strip_row_content(row: dict) -> dict:
@@ -804,27 +821,129 @@ def kernel_basis(m: SparseMat):
     entries (denominators cleared), common content stripped, and the first
     nonzero entry having a positive leading coefficient.  The kernel is
     empty without elimination when the certificate over F_p proves
-    full column rank.
+    full column rank; otherwise `_kernel_at_point` solves it exactly.
     """
     if m.cols <= m.rows and _certified_full_rank(m, m.cols):
         return []
-    ech = _echelon_of_rows(m)
-    ech.back_substitute()
+    return _kernel_at_point(m)
+
+
+def _decode(n: int, k: int) -> IntPoly:
+    """The polynomial with coefficients in (-2^(k-1), 2^(k-1)] whose value
+    at delta = 2^k is n: the signed base-2^k digits of n (k >= 2).
+
+    >>> _decode(3 * 2**16 - 5 * 2**8 + 7, 8)
+    IntPoly((7, -5, 3))
+    >>> _decode(-(2**8) - 128, 8)
+    IntPoly((128, -2))
+    """
+    base = 1 << k
+    mask, half = base - 1, base >> 1
+    coeffs = []
+    while n:
+        digit = n & mask
+        n >>= k
+        if digit > half:
+            digit -= base
+            n += 1
+        coeffs.append(digit)
+    return IntPoly(coeffs)
+
+
+def _gauss_jordan(rows: list, cols: int):
+    """Fraction-free Gauss-Jordan elimination of integer rows in place.
+
+    The pivot of each step is the first nonzero entry, at or below the
+    next pivot row, of the leftmost column that has one; its row is
+    swapped up.  Every other row becomes (p * row - f * pivot row) / d,
+    with p the new pivot, f the row's entry in the pivot column and d the
+    previous pivot (1 at the start), an exact division (Bareiss, Math.
+    Comp. 1968).  Afterwards the first r rows are the pivot rows, each
+    with the last pivot at its own pivot column and 0 at the others, and
+    every entry is an r x r minor up to sign.  Returns the pivot columns
+    and the last pivot.
+    """
+    d, pivots, n = 1, [], len(rows)
+    for c in range(cols):
+        k = len(pivots)
+        if k == n:
+            break
+        i = next((i for i in range(k, n) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[k], rows[i] = rows[i], rows[k]
+        top = rows[k]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i == k:
+                continue
+            # rows below the pivot row are zero before column c
+            lo = 0 if i < k else c
+            f = row[c]
+            if f:
+                row[lo:] = [(p * x - f * y) // d
+                            for x, y in zip(row[lo:], top[lo:])]
+            else:
+                row[lo:] = [p * x // d for x in row[lo:]]
+        d = p
+        pivots.append(c)
+    return pivots, d
+
+
+def _kernel_at_point(m: SparseMat) -> list:
+    """kernel_basis by exact integer elimination at delta = 2^K; the
+    module docstring gives H, K and why the pivots are those over
+    Q(delta).
+
+    Zero rows are dropped (so s counts the others), and each other row is
+    multiplied by the lcm of its denominators; neither changes the
+    kernel.  Free column f gets the vector v_f = d, v_(P_i) = -A[i][f]
+    from `_gauss_jordan`: d times the reduced-echelon solution, every
+    entry a minor that `_decode` reads back.  Its primitive multiple is
+    unique up to sign, so this is the vector fraction-free elimination
+    over Q(delta) returns.
+
+    Content: the content of the entries in Z[delta] is c * P, with c
+    the gcd of their coefficients and P primitive.  P(x) divides G / c,
+    G the gcd of their values at x.  A nonconstant P has its roots
+    within H + 1 of 0, so |P(x)| >= x - H - 1 > H.  When G / c <= H the
+    content is therefore the integer c, and no polynomial gcd is needed.
+    """
+    cleared = [{} for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        cleared[r][c] = v
+    cleared = [_times_lcm(row) for row in cleared if row]
+    s = min(len(cleared), m.cols)
+    norms = sorted((max(sum(map(abs, v.coeffs)) for v in row.values())
+                    for row in cleared), reverse=True)
+    bound = math.factorial(s) * math.prod(norms[:s])
+    k = bound.bit_length() + 1
+    rows = []
+    for row in cleared:
+        dense = [0] * m.cols
+        for c, v in row.items():
+            acc = 0
+            for coeff in reversed(v.coeffs):
+                acc = (acc << k) + coeff
+            dense[c] = acc
+        rows.append(dense)
+    pivots, d = _gauss_jordan(rows, m.cols)
+    pivot_set = set(pivots)
     basis = []
     for f in range(m.cols):
-        if f in ech.pivots:
+        if f in pivot_set:
             continue
-        # x_f = 1 and x_p = -row[f] / row[p], scaled by the lcm of the
-        # pivot entries involved so that every entry is a polynomial
-        involved = [(p, row) for p, row in ech.pivots.items() if row.get(f)]
-        lcm = ONE_POLY
-        for p, row in involved:
-            if row[p] != lcm:
-                lcm = lcm.divexact(poly_gcd(lcm, row[p])) * row[p]
-        vec = {f: lcm}
-        for p, row in involved:
-            vec[p] = -row[f] * lcm.divexact(row[p])
-        vec = _strip_row_content(vec)
+        values = {f: d}
+        for p, row in zip(pivots, rows):
+            if row[f]:
+                values[p] = -row[f]
+        vec = {c: _decode(n, k) for c, n in values.items()}
+        content = math.gcd(*[math.gcd(*v.coeffs) for v in vec.values()])
+        if math.gcd(*values.values()) // content > bound:
+            vec = _strip_row_content(vec)
+        elif content > 1:
+            vec = {c: IntPoly([a // content for a in v.coeffs])
+                   for c, v in vec.items()}
         if vec[min(vec)].leading < 0:
             vec = {c: -v for c, v in vec.items()}
         out = [RF_ZERO] * m.cols

@@ -371,6 +371,21 @@ def test_bad_command_lines_are_input_errors(argv):
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("homology-tlj", "--h1", "N=3"), "--h1"),
+    (("homology-tlj", "--h1", "x=y=3"), "--h1"),
+    (("amenability", "--window", "K=64"), "--window"),
+], ids=["h1-label-of-h2", "h1-two-labels", "window-has-no-label"])
+def test_a_label_the_flag_does_not_declare_is_an_input_error(argv, flag,
+                                                             capsys):
+    # only --h1 K= and --h2 N=, their metavars, take a label
+    with pytest.raises(cli.InputError, match=f"argument {flag}: "):
+        cli.build_parser().parse_args(argv)
+    assert cli.main(list(argv)) == 1
+    assert capsys.readouterr().err.startswith(
+        f"fusionhom: error: argument {flag}: ")
+
+
 def test_help_exits_zero():
     proc = run_cli("fusion", "--help")
     assert proc.returncode == 0

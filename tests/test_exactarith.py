@@ -4,13 +4,16 @@ The frozen examples come first, then randomized oracles comparing the
 exact elimination against float evaluation, then hypothesis properties
 for the field axioms and rank invariance, the integer-polynomial kernel
 (gcd, pseudo-remainder, product, difference) against a plain Euclid over
-Fraction, and the rank certificate over F_p against fraction-free
-elimination.
+Fraction, the rank certificate over F_p against fraction-free
+elimination, and the kernels solved at one integer point against the
+fraction-free kernel.
 """
 
+import importlib.util
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -18,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionhom import exactarith
+from fusionhom.annular import boundary_matrix
 from fusionhom.exactarith import (
     RF_ONE,
     RF_ZERO,
@@ -424,10 +428,38 @@ def test_intpoly_mul_and_sub_match_the_naive_formulas(a, b):
 # ---------------------------------------------------------------------------
 
 def _fraction_free_kernel(m):
-    """kernel_basis with the certificate switched off."""
-    with mock.patch.object(exactarith, "_certified_full_rank",
-                           return_value=False):
-        return kernel_basis(m)
+    """The right kernel by fraction-free elimination over Z[delta] alone:
+    the oracle for kernel_basis, which solves at one integer point.
+
+    Reduced echelon form of the cleared rows; free column f gets x_f = 1
+    and x_p = -row[f] / row[p], scaled by the lcm of the pivot entries
+    involved, content stripped, and the first nonzero entry given a
+    positive leading coefficient.
+    """
+    ech = exactarith._echelon_of_rows(m)
+    ech.back_substitute()
+    basis = []
+    for f in range(m.cols):
+        if f in ech.pivots:
+            continue
+        # x_f = 1 and x_p = -row[f] / row[p], scaled by the lcm of the
+        # pivot entries involved so that every entry is a polynomial
+        involved = [(p, row) for p, row in ech.pivots.items() if row.get(f)]
+        lcm = exactarith.ONE_POLY
+        for p, row in involved:
+            if row[p] != lcm:
+                lcm = lcm.divexact(poly_gcd(lcm, row[p])) * row[p]
+        vec = {f: lcm}
+        for p, row in involved:
+            vec[p] = -row[f] * lcm.divexact(row[p])
+        vec = _strip_row_content(vec)
+        if vec[min(vec)].leading < 0:
+            vec = {c: -v for c, v in vec.items()}
+        out = [RF_ZERO] * m.cols
+        for c, v in vec.items():
+            out[c] = RatFunc(v)
+        basis.append(out)
+    return basis
 
 
 @st.composite
@@ -486,7 +518,9 @@ def test_rank_mod_p_eliminates_over_the_prime_field():
 def test_full_rank_is_certified_without_elimination():
     m = _mat([[1, 2, 0], [0, 1, 1], [1, 0, 1], [2, 2, 1]])
     with mock.patch.object(exactarith, "_echelon_of_rows",
-                           side_effect=AssertionError("eliminated")):
+                           side_effect=AssertionError("eliminated")), \
+            mock.patch.object(exactarith, "_kernel_at_point",
+                              side_effect=AssertionError("solved")):
         assert rank(m) == 3
         assert kernel_basis(m) == []
 
@@ -512,7 +546,142 @@ def test_certificate_falls_back_when_it_proves_nothing(entry, at_the_point):
     m = SparseMat(1, 1, {(0, 0): entry})
     assert _rank_at_the_point(m) == at_the_point
     with mock.patch.object(exactarith, "_echelon_of_rows",
-                           wraps=exactarith._echelon_of_rows) as fallback:
+                           wraps=exactarith._echelon_of_rows) as fallback, \
+            mock.patch.object(exactarith, "_kernel_at_point",
+                              wraps=exactarith._kernel_at_point) as solved:
         assert rank(m) == 1
         assert kernel_basis(m) == []
-    assert fallback.call_count == 2
+    # rank eliminates; the kernel is solved at an integer point instead
+    assert fallback.call_count == 1
+    assert solved.call_count == 1
+
+
+# ---------------------------------------------------------------------------
+# kernels solved at one integer point against the fraction-free oracle
+# ---------------------------------------------------------------------------
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _benchmark_batch(seed):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [m for m, _ in module.random_matrices(seed)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 909])
+def test_kernel_matches_fraction_free_on_the_benchmark_batch(seed):
+    for m in _benchmark_batch(seed):
+        assert kernel_basis(m) == _fraction_free_kernel(m)
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_kernel_matches_fraction_free_on_the_degree_two_boundary(N):
+    m = boundary_matrix(2, N)
+    kernel = kernel_basis(m)
+    assert kernel == _fraction_free_kernel(m)
+    assert len(kernel) == m.cols - rank(m)
+
+
+# a 5 x 6 sign pattern whose first 5 x 5 minor is 48, the largest
+# determinant of a 5 x 5 matrix of signs
+SIGNS = [[-1, 1, -1, 1, 1, 1], [-1, 1, 1, 1, -1, -1], [-1, -1, 1, 1, 1, 1],
+         [-1, 1, 1, -1, 1, -1], [-1, -1, -1, -1, -1, -1]]
+
+
+def test_kernel_decodes_minors_near_the_coefficient_bound():
+    # every entry is +-(3 delta^2 + 3 delta + 3) / (delta + 2); cleared,
+    # each row has norm 9, so H = 5! * 9^5 bounds every minor
+    entry = parse_scalar("(3*delta^2 + 3*delta + 3) / (delta + 2)")
+    m = SparseMat(5, 6, {(r, c): entry * RatFunc.from_int(s)
+                         for r, row in enumerate(SIGNS)
+                         for c, s in enumerate(row)})
+    with mock.patch.object(exactarith, "_decode",
+                           wraps=exactarith._decode) as decode:
+        kernel = kernel_basis(m)
+    bound = math.factorial(5) * 9**5
+    minors = [exactarith._decode(*call.args) for call in decode.call_args_list]
+    largest = max(abs(c) for p in minors for c in p.coeffs)
+    # 48 * 3^5 * 51, the middle coefficient of 48 (3 delta^2+3 delta+3)^5
+    assert largest == 594_864 and bound // 16 < largest < bound
+    assert kernel == _fraction_free_kernel(m)
+    # the common factor (3 delta^2 + 3 delta + 3)^5 is stripped
+    assert kernel == [[RatFunc.from_int(k) for k in (1, -1, -1, 2, 2, -3)]]
+
+
+@pytest.mark.parametrize("j", [1, 2, 5, 31, 64, 200])
+def test_a_root_just_below_the_point_keeps_its_pivot(j):
+    root = RatFunc.from_int(2**j)
+    # [[delta - 2^j, 1]] has H = 2^j + 1 and so the point 2^(j+2); at
+    # delta = 2^j column 0 would vanish and the pivot move to column 1
+    m = SparseMat(1, 2, {(0, 0): DELTA - root, (0, 1): RF_ONE})
+    with mock.patch.object(exactarith, "_gauss_jordan",
+                           wraps=exactarith._gauss_jordan) as eliminate:
+        kernel = kernel_basis(m)
+    (rows, _), _ = eliminate.call_args
+    assert rows[0][0] == 2**(j + 2) - 2**j
+    assert kernel == [[RF_ONE, root - DELTA]]
+    # the same root as a 2 x 2 minor: the pivots stay at columns 0, 1
+    m = _mat([[1, str(2**j), 0], [1, "delta", 1]])
+    assert kernel_basis(m) == _fraction_free_kernel(m) == [
+        [root, -RF_ONE, DELTA - root]]
+
+
+def _checked_gauss_jordan(rows, cols):
+    """`_gauss_jordan` replayed with divmod: every division by the
+    previous pivot must leave remainder 0."""
+    d, pivots, n = 1, [], len(rows)
+    for c in range(cols):
+        k = len(pivots)
+        if k == n:
+            break
+        i = next((i for i in range(k, n) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[k], rows[i] = rows[i], rows[k]
+        top, p = rows[k], rows[k][c]
+        for i, row in enumerate(rows):
+            if i == k:
+                continue
+            f = row[c]
+            for j in range(cols):
+                q, r = divmod(p * row[j] - f * top[j], d)
+                assert r == 0, (c, i, j)
+                row[j] = q
+        d = p
+        pivots.append(c)
+    return pivots, d
+
+
+int_rows = st.integers(min_value=1, max_value=6).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.integers(min_value=-9, max_value=9),
+                 min_size=cols, max_size=cols),
+        min_size=0, max_size=6))
+
+
+@given(int_rows, st.data())
+@settings(max_examples=200)
+def test_every_bareiss_division_is_exact(rows, data):
+    # combinations of earlier rows make the rank deficient
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        if rows:
+            a, b = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+            rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+    cols = len(rows[0]) if rows else 3
+    mine = [list(row) for row in rows]
+    assert (exactarith._gauss_jordan(mine, cols)
+            == _checked_gauss_jordan(rows, cols))
+    assert mine == rows
+
+
+@given(st.integers(min_value=2, max_value=40), st.data())
+def test_decode_inverts_evaluation_at_a_power_of_two(k, data):
+    half = 1 << (k - 1)
+    coeffs = data.draw(st.lists(
+        st.sampled_from([-half + 1, -1, 0, 1, half - 1, half])
+        | st.integers(min_value=-half + 1, max_value=half), max_size=6))
+    p = IntPoly(coeffs)
+    assert exactarith._decode(p.eval(1 << k), k) == p
