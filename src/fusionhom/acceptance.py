@@ -143,28 +143,28 @@ def crit_annular_golden(cfg):
             for c in range(4):
                 for (x, y) in ((0, b), (b, 0)):
                     flip = s ^ (c % 2)
-                    got = annular.boundary(annular.sigma2(x, y, c, s))
-                    want = (annular.single(annular.sigma(y + c, s), dp(x))
-                            - annular.single(annular.sigma(x + c, s), dp(y))
-                            + annular.single(annular.sigma(x + y, flip), dp(c)))
+                    got = annular.shaded_boundary(annular.sigma2(x, y, c), s)
+                    want = [(annular.sigma(y + c), s, dp(x)),
+                            (annular.sigma(x + c), s, -dp(y)),
+                            (annular.sigma(x + y), flip, dp(c))]
                     _check(got == want, f"shaded d2 ({x},{y},{c};s={s})")
                     checked += 1
         for b in range(3):
             for c in range(3):
                 flip = s ^ (c % 2)
-                got = annular.boundary(annular.diagram3(b=b, c=c, shading=s))
-                want = (annular.single(annular.sigma2(b, c, 0, s))
-                        - annular.single(annular.sigma2(0, c, 0, s), dp(b))
-                        + annular.single(annular.sigma2(0, b, 0, s), dp(c))
-                        - annular.single(annular.sigma2(0, b, c, flip)))
+                got = annular.shaded_boundary(annular.diagram3(b=b, c=c), s)
+                want = [(annular.sigma2(b, c, 0), s, dp(0)),
+                        (annular.sigma2(0, c, 0), s, -dp(b)),
+                        (annular.sigma2(0, b, 0), s, dp(c)),
+                        (annular.sigma2(0, b, c), flip, -dp(0))]
                 _check(got == want, f"shaded d3 display1 (0,{b},{c};s={s})")
                 for ell in range(1, 3):
-                    got = annular.boundary(
-                        annular.diagram3(b=b, c=c, ab=ell, shading=s))
-                    want = (annular.single(annular.sigma2(b + ell, c, 0, s))
-                            - annular.single(annular.sigma2(ell, c, 0, s), dp(b))
-                            + annular.single(annular.sigma2(0, b, ell, s), dp(c))
-                            - annular.single(annular.sigma2(0, b, ell + c, flip)))
+                    got = annular.shaded_boundary(
+                        annular.diagram3(b=b, c=c, ab=ell), s)
+                    want = [(annular.sigma2(b + ell, c, 0), s, dp(0)),
+                            (annular.sigma2(ell, c, 0), s, -dp(b)),
+                            (annular.sigma2(0, b, ell), s, dp(c)),
+                            (annular.sigma2(0, b, ell + c), flip, -dp(0))]
                     _check(got == want,
                            f"shaded d3 display2 (l={ell},{b},{c};s={s})")
                     checked += 1

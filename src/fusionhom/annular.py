@@ -1,10 +1,9 @@
-"""Low-degree chain complex of circle diagrams on a punctured sphere.
+"""Chain complex of circle diagrams on a punctured sphere, in any degree.
 
 A degree-k diagram lives on a sphere with finite punctures q_1..q_k (left
 to right) plus one puncture at infinity.  Its circles form a laminar
 family of consecutive blocks [i..j] with multiplicities; crossing blocks
-(such as [1,2] together with [2,3]) are rejected.  Degrees up to 3 are
-supported; that is all the homology checks below need.
+(such as [1,2] together with [2,3]) are rejected.
 
 The boundary is the alternating sum of puncture-filling operators: index
 j < k fills the finite puncture q_{j+1}, and j = k fills the puncture at
@@ -12,12 +11,10 @@ infinity, after which the last finite puncture is promoted to infinity
 (promote-last rule).  Circles whose puncture-free side becomes empty are
 deleted, each contributing a factor delta.
 
-The default mode is unshaded, where boundary . boundary = 0 holds exactly.
-Shaded diagrams carry the shading bit of the region at infinity; the bit
-transport rules reproduce the displayed shaded boundary values (the
-deleted-circle parity at degree 2 and the promoted-region parity at
-degree 3) but do not assemble into a chain complex, so all homology
-computations run unshaded.
+Diagrams are unshaded, where boundary . boundary = 0 holds exactly, and
+every homology computation runs on them.  The shaded values the paper
+displays at degrees 2 and 3 come from one display function,
+`shaded_boundary`, whose bit transport gives no chain complex.
 
 H2 containment (`h2_vanishing_check`) is proved from the delta = 0
 graded pieces of the complex and falls back to exact elimination over
@@ -41,14 +38,18 @@ never raises the total, so each C(<=T) is a subcomplex.
   Homological Algebra, 5.4) read off its first page.
 - kernel_dim = |C2(<=N)| - |C1(<=N)| is exact when the sum of the
   rank d2(=t) is the row count |C1(<=N)|.
-- The proof runs on multiplicity tuples over the block classes.  A fill
-  acts per block: a map of class indices read off single circles (`_FILLS`).
+- The proof runs on multiplicity tuples over the block classes, listed
+  per total by `_codes` without building a diagram.  A fill acts per
+  block: a map of class indices (`_fills`) read off the single-circle
+  fill rule (`_fill_block`).
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from functools import cache
+from itertools import combinations
 from math import comb
+from operator import attrgetter, sub
 
 from .errors import SizeLimit
 from .exactarith import (Echelon, IntPoly, RatFunc, RF_ONE, RF_ZERO,
@@ -57,38 +58,45 @@ from .exactarith import (Echelon, IntPoly, RatFunc, RF_ONE, RF_ZERO,
 
 
 class UnsupportedDegree(ValueError):
-    """Diagram degree outside the implemented range 0..3."""
+    """Shaded display asked for outside its degrees 2 and 3."""
 
 
-# block classes per degree, in canonical order
-_BLOCK_CLASSES = {
-    0: (),
-    1: ((1, 1),),
-    2: ((1, 1), (1, 2), (2, 2)),
-    3: ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)),
-}
+@cache
+def _block_classes(k: int) -> tuple:
+    """The blocks (i, j) with 1 <= i <= j <= k in lexicographic order: the
+    coordinates of a degree-k multiplicity tuple."""
+    return tuple((i, j) for i in range(1, k + 1) for j in range(i, k + 1))
 
 
 def _crossing(b1, b2) -> bool:
+    """Blocks b1 < b2 (lexicographic) overlap without containment."""
     (i1, j1), (i2, j2) = b1, b2
-    if i1 > i2 or (i1 == i2 and j1 > j2):
-        (i1, j1), (i2, j2) = (i2, j2), (i1, j1)
-    # sorted so i1 <= i2; crossing means overlap without containment
-    return i2 <= j1 < j2 and i1 < i2
+    return i1 < i2 <= j1 < j2
+
+
+@cache
+def _supports(k: int) -> tuple:
+    """The pairwise non-crossing sets of degree-k block classes, each an
+    increasing tuple of indices into _block_classes(k)."""
+    classes = _block_classes(k)
+    supports = [()]
+    for idx, block in enumerate(classes):
+        supports += [s + (idx,) for s in supports
+                     if not any(_crossing(classes[a], block) for a in s)]
+    return tuple(supports)
 
 
 class CircleDiagram:
     """Canonical immutable circle diagram.
 
     blocks: sorted tuple of (i, j, mult) consecutive intervals.
-    shading: None in unshaded mode, else the bit of the region at infinity.
     """
 
-    __slots__ = ("degree", "blocks", "shading")
+    __slots__ = ("degree", "blocks")
 
-    def __init__(self, degree, blocks=(), shading=None):
-        if not (0 <= degree <= 3):
-            raise UnsupportedDegree(f"degree {degree} not supported")
+    def __init__(self, degree, blocks=()):
+        if degree < 0:
+            raise ValueError(f"negative degree {degree}")
         norm = {}
         for i, j, m in blocks:
             if m == 0:
@@ -98,31 +106,23 @@ class CircleDiagram:
             if not (1 <= i <= j <= degree):
                 raise ValueError(f"block [{i},{j}] out of range for degree {degree}")
             norm[i, j] = norm.get((i, j), 0) + m
-        for b1, b2 in combinations_with_replacement(sorted(norm), 2):
-            if b1 != b2 and _crossing(b1, b2):
+        for b1, b2 in combinations(sorted(norm), 2):
+            if _crossing(b1, b2):
                 raise ValueError(f"crossing blocks {b1} and {b2}")
-        if shading is not None:
-            if degree == 0:
-                # the two shadings of the empty diagram are identified
-                shading = None
-            elif shading not in (0, 1):
-                raise ValueError("shading must be 0, 1, or None")
-        self._set(degree, norm, shading)
+        self._set(degree, tuple((i, j, norm[i, j]) for i, j in sorted(norm)))
 
-    def _set(self, degree, norm, shading):
+    def _set(self, degree, blocks):
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "blocks",
-                           tuple((i, j, norm[i, j]) for i, j in sorted(norm)))
-        object.__setattr__(self, "shading", shading)
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
-    def _trusted(cls, degree, norm, shading=None) -> "CircleDiagram":
-        """Unvalidated construction from a dict (i, j) -> positive
-        multiplicity already known to be laminar and in range, with no
-        shading at degree 0.  Only fill_puncture, enumerate_diagrams and
-        _fill_target, which produce such dicts, use it."""
+    def _trusted(cls, degree, blocks) -> "CircleDiagram":
+        """Unvalidated construction from a sorted tuple of (i, j, positive
+        multiplicity) blocks already known to be laminar and in range.
+        Only fill_puncture and enumerate_diagrams, which produce such
+        tuples, use it."""
         d = object.__new__(cls)
-        d._set(degree, norm, shading)
+        d._set(degree, blocks)
         return d
 
     def __setattr__(self, *_):
@@ -134,14 +134,13 @@ class CircleDiagram:
     def __eq__(self, other):
         return (isinstance(other, CircleDiagram)
                 and self.degree == other.degree
-                and self.blocks == other.blocks
-                and self.shading == other.shading)
+                and self.blocks == other.blocks)
 
     def __hash__(self):
-        return hash((self.degree, self.blocks, self.shading))
+        return hash((self.degree, self.blocks))
 
     def sort_key(self):
-        return (self.total(), self.blocks, -1 if self.shading is None else self.shading)
+        return self.total(), self.blocks
 
     def encode(self) -> str:
         if self.blocks:
@@ -150,15 +149,12 @@ class CircleDiagram:
                 for i, j, m in self.blocks)
         else:
             body = "-"
-        out = f"k={self.degree}; {body}"
-        if self.shading is not None:
-            out += f"; s={self.shading}"
-        return out
+        return f"k={self.degree}; {body}"
 
     @staticmethod
     def parse(text: str) -> "CircleDiagram":
         parts = [p.strip() for p in text.split(";")]
-        if len(parts) not in (2, 3) or not parts[0].startswith("k="):
+        if len(parts) != 2 or not parts[0].startswith("k="):
             raise ValueError(f"bad diagram encoding {text!r}")
         degree = int(parts[0][2:])
         blocks = []
@@ -175,32 +171,26 @@ class CircleDiagram:
                 else:
                     i = j = int(inner)
                 blocks.append((i, j, int(mult)))
-        shading = None
-        if len(parts) == 3:
-            if not parts[2].startswith("s="):
-                raise ValueError(f"bad shading field in {text!r}")
-            shading = int(parts[2][2:])
-        return CircleDiagram(degree, blocks, shading)
+        return CircleDiagram(degree, blocks)
 
     def __repr__(self):
         return f"CircleDiagram({self.encode()!r})"
 
 
-def sigma(k: int, shading=None) -> CircleDiagram:
+def sigma(k: int) -> CircleDiagram:
     """Degree-1 generator: k parallel circles around the finite puncture."""
-    return CircleDiagram(1, [(1, 1, k)] if k else [], shading)
+    return CircleDiagram(1, [(1, 1, k)] if k else [])
 
 
-def sigma2(a: int, b: int, c: int, shading=None) -> CircleDiagram:
+def sigma2(a: int, b: int, c: int) -> CircleDiagram:
     """Degree-2 generator: a around q1, b around q2, c around both."""
-    return CircleDiagram(2, [(1, 1, a), (2, 2, b), (1, 2, c)], shading)
+    return CircleDiagram(2, [(1, 1, a), (2, 2, b), (1, 2, c)])
 
 
-def diagram3(a=0, b=0, c=0, ab=0, bc=0, abc=0, shading=None) -> CircleDiagram:
+def diagram3(a=0, b=0, c=0, ab=0, bc=0, abc=0) -> CircleDiagram:
     """Degree-3 diagram with the named block multiplicities."""
     return CircleDiagram(3, [(1, 1, a), (2, 2, b), (3, 3, c),
-                             (1, 2, ab), (2, 3, bc), (1, 3, abc)],
-                         shading)
+                             (1, 2, ab), (2, 3, bc), (1, 3, abc)])
 
 
 class ChainVector:
@@ -261,53 +251,47 @@ def single(d: CircleDiagram, coeff=RF_ONE) -> ChainVector:
 # Puncture filling and the boundary
 # ---------------------------------------------------------------------------
 
+def _fill_block(k: int, block: tuple, j: int):
+    """The block that fill j sends one circle around block (i, j') of a
+    degree-k diagram to, or None when that circle is deleted.
+
+    A fill acts on each circle on its own: fill j < k removes q_{j+1},
+    deleting a circle around it alone; fill k closes infinity and
+    promotes q_k, so a circle around q_k now bounds the punctures on its
+    other side, and is deleted when there are none.
+    """
+    i0, j0 = block
+    if j < k:
+        p = j + 1
+        if i0 <= p <= j0:
+            return None if i0 == j0 else (i0, j0 - 1)
+        return (i0 - 1 if i0 > p else i0), (j0 - 1 if j0 > p else j0)
+    if j0 == k:
+        return None if i0 == 1 else (1, i0 - 1)
+    return block
+
+
 def fill_puncture(d: CircleDiagram, j: int) -> tuple[CircleDiagram, int]:
     """Fill puncture j (finite q_{j+1} for j < k, infinity for j = k).
 
     Returns (surviving diagram of degree k-1, number of deleted circles);
-    the fill is delta^deleted times that diagram.  Shading transport:
-    finite fills keep the bit; filling infinity flips it by the
-    deleted-circle parity at degree 2 and by the total multiplicity around
-    the promoted puncture at degree 3.
+    the fill is delta^deleted times that diagram.
     """
     k = d.degree
     if k < 1:
-        raise UnsupportedDegree("cannot fill punctures of a degree-0 diagram")
+        raise ValueError("cannot fill punctures of a degree-0 diagram")
     if not (0 <= j <= k):
         raise ValueError(f"fill index {j} out of range 0..{k}")
     deleted = 0
     norm = {}  # surviving blocks; filling keeps the family laminar
-    if j < k:
-        p = j + 1
-        for (i0, j0, m) in d.blocks:
-            if i0 <= p <= j0:
-                if i0 == j0:
-                    deleted += m  # circle loses its only puncture
-                    continue
-                key = i0, j0 - 1
-            else:
-                key = (i0 - 1 if i0 > p else i0), (j0 - 1 if j0 > p else j0)
-            norm[key] = norm.get(key, 0) + m
-        bit = d.shading
-    else:
-        flip = 0
-        for (i0, j0, m) in d.blocks:
-            if j0 == k:
-                flip += m  # circles around the promoted puncture
-                if i0 == 1:
-                    deleted += m  # nothing left on the far side
-                    continue
-                key = 1, i0 - 1
-            else:
-                key = i0, j0
-            norm[key] = norm.get(key, 0) + m
-        if d.shading is None:
-            bit = None
-        elif k == 2:
-            bit = d.shading ^ (deleted & 1)
+    for i0, j0, m in d.blocks:
+        key = _fill_block(k, (i0, j0), j)
+        if key is None:
+            deleted += m
         else:
-            bit = d.shading ^ (flip & 1)
-    return CircleDiagram._trusted(k - 1, norm, bit if k > 1 else None), deleted
+            norm[key] = norm.get(key, 0) + m
+    blocks = tuple((i, j, norm[i, j]) for i, j in sorted(norm))
+    return CircleDiagram._trusted(k - 1, blocks), deleted
 
 
 def _boundary_counts(d: CircleDiagram) -> dict:
@@ -336,35 +320,53 @@ def boundary(d: CircleDiagram) -> ChainVector:
     return ChainVector(d.degree - 1, {e: RatFunc(p) for e, p in sums.items()})
 
 
-def _code(d: CircleDiagram) -> tuple:
-    """Multiplicity tuple of an unshaded d over _BLOCK_CLASSES[d.degree]."""
-    mult = {(i, j): m for i, j, m in d.blocks}
-    return tuple(mult.get(c, 0) for c in _BLOCK_CLASSES[d.degree])
+def shaded_boundary(d: CircleDiagram, shading: int) -> list:
+    """The displayed shaded boundary of d when its region at infinity has
+    this shading bit: one (face, face bit, (-1)^j delta^deleted) term per
+    fill j, in fill order.
+
+    Finite fills keep the bit.  Filling infinity flips it by the parity
+    of the deleted circles at degree 2 and of the circles around the
+    promoted puncture at degree 3.  These rules reproduce the paper's
+    displayed values but give no chain complex, so they are defined at
+    degrees 2 and 3 only and serve display alone.
+    """
+    k = d.degree
+    if k not in (2, 3):
+        raise UnsupportedDegree(f"shading is displayed at degrees 2 and 3, "
+                                f"not {k}")
+    promoted = sum(m for _, j0, m in d.blocks if j0 == k)
+    terms = []
+    for j in range(k + 1):
+        face, deleted = fill_puncture(d, j)
+        flip = 0 if j < k else (deleted if k == 2 else promoted) & 1
+        coeff = RatFunc.delta_power(deleted)
+        terms.append((face, shading ^ flip, -coeff if j % 2 else coeff))
+    return terms
 
 
-def _fill_target(k: int, c: tuple, j: int) -> int:
-    """The class index that fill j sends one degree-k circle of class c to."""
-    face, deleted = fill_puncture(CircleDiagram._trusted(k, {c: 1}), j)
-    below = _BLOCK_CLASSES[k - 1]
-    return len(below) if deleted else below.index(face.blocks[0][:2])
-
-
-# _FILLS[k][j]: the class targets of fill j at degree k, one past the last
-# class where the circle is deleted
-_FILLS = {k: tuple(tuple(_fill_target(k, c, j) for c in _BLOCK_CLASSES[k])
-                   for j in range(k + 1)) for k in (1, 2, 3)}
+@cache
+def _fills(k: int) -> tuple:
+    """_fills(k)[j]: the class index that fill j sends each degree-k class
+    to, one past the last class of degree k-1 where the circle is
+    deleted."""
+    below = {c: n for n, c in enumerate(_block_classes(k - 1))}
+    below[None] = len(below)  # the deleted circles
+    return tuple(tuple(below[_fill_block(k, block, j)]
+                       for block in _block_classes(k))
+                 for j in range(k + 1))
 
 
 def _fill_code(code: tuple, degree: int, j: int) -> tuple[tuple, int]:
-    """fill_puncture on a coded unshaded diagram: (face code, deleted)."""
-    face = [0] * (len(_BLOCK_CLASSES[degree - 1]) + 1)
-    for m, target in zip(code, _FILLS[degree][j]):
+    """fill_puncture on a coded diagram: (face code, deleted)."""
+    face = [0] * (len(_block_classes(degree - 1)) + 1)
+    for m, target in zip(code, _fills(degree)[j]):
         face[target] += m
     return tuple(face[:-1]), face[-1]
 
 
 def _code_counts(code: tuple, degree: int) -> dict:
-    """_boundary_counts of a coded unshaded diagram, keyed by face codes."""
+    """_boundary_counts of a coded diagram, keyed by face codes."""
     counts = {}
     for j in range(degree + 1):
         key = _fill_code(code, degree, j)
@@ -373,44 +375,54 @@ def _code_counts(code: tuple, degree: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration and matrices (unshaded)
+# Enumeration and matrices
 # ---------------------------------------------------------------------------
 
+def _compositions(t: int, r: int) -> list:
+    """The r-tuples of positive integers that sum to t."""
+    if r == 0 or t == 0:
+        return [()] if r == t else []
+    return [tuple(map(sub, cuts + (t,), (0,) + cuts))
+            for cuts in combinations(range(1, t), r - 1)]
+
+
+def _codes(degree: int, t: int) -> list:
+    """The multiplicity tuples over _block_classes(degree) of the diagrams
+    of total t: each non-crossing support given each positive
+    composition of t, not sorted."""
+    width = len(_block_classes(degree))
+    out = []
+    for support in _supports(degree):
+        for parts in _compositions(t, len(support)):
+            code = [0] * width
+            for idx, m in zip(support, parts):
+                code[idx] = m
+            out.append(tuple(code))
+    return out
+
+
 def enumerate_diagrams(degree: int, max_total: int):
-    """All unshaded diagrams of the degree with total multiplicity <= T,
-    deterministically ordered."""
-    if not (0 <= degree <= 3):
-        raise UnsupportedDegree(f"degree {degree} not supported")
+    """All diagrams of the degree with total multiplicity <= T, ordered by
+    CircleDiagram.sort_key."""
+    if degree < 0:
+        raise ValueError(f"negative degree {degree}")
     if max_total < 0:
         raise ValueError(f"max_total {max_total} must be >= 0")
-    classes = _BLOCK_CLASSES[degree]
+    classes = _block_classes(degree)
     out = []
-
-    def rec(idx, remaining, chosen):
-        if idx == len(classes):
-            out.append(CircleDiagram._trusted(degree, chosen))
-            return
-        block = classes[idx]
-        # a class crossing a block already chosen can only stay empty
-        crossed = any(_crossing(block, b) for b in chosen)
-        for m in range(1 if crossed else remaining + 1):
-            if m:
-                chosen[block] = m
-            rec(idx + 1, remaining - m, chosen)
-            chosen.pop(block, None)
-
-    rec(0, max_total, {})
-    out.sort(key=CircleDiagram.sort_key)
+    for t in range(max_total + 1):  # sort_key orders by total first
+        # the classes are in lexicographic order, so are the blocks
+        level = [CircleDiagram._trusted(degree, tuple(
+                     (i, j, m) for (i, j), m in zip(classes, code) if m))
+                 for code in _codes(degree, t)]
+        out += sorted(level, key=attrgetter("blocks"))
     return out
 
 
 def _count_diagrams(degree: int, max_total: int) -> int:
-    """len(enumerate_diagrams(degree, max_total)), counted: s pairwise
-    non-crossing classes take C(max_total, s) positive multiplicities."""
-    classes = _BLOCK_CLASSES[degree]
-    return sum(comb(max_total, r) for r in range(len(classes) + 1)
-               for chosen in combinations(classes, r)
-               if not any(_crossing(*p) for p in combinations(chosen, 2)))
+    """len(enumerate_diagrams(degree, max_total)), counted: a support of
+    s classes takes C(max_total, s) positive multiplicities."""
+    return sum(comb(max_total, len(s)) for s in _supports(degree))
 
 
 def boundary_matrix(degree: int, window: int) -> SparseMat:
@@ -498,7 +510,7 @@ def h2_vanishing_check(N: int, margin: int = 2,
     if available > diagram_cap:
         raise SizeLimit(
             f"{available} degree-3 diagrams exceed cap {diagram_cap}")
-    found = _h2_graded(N, enumerate_diagrams(3, N))
+    found = _h2_graded(N)
     if found is None:
         gen3 = enumerate_diagrams(3, window3)
         return {**_h2_exact(N, window3, gen3), "method": "exact"}
@@ -569,40 +581,33 @@ def _rank_at_zero(columns, degree, row_of, memo=None, bound=None):
     return len(ech.pivots)
 
 
-def _h2_graded(N, gen3):
-    """The graded proof on C(<=N), using the columns of gen3 of total
-    <= N.
+def _h2_graded(N):
+    """The graded proof on C(<=N), on the codes `_codes` lists per total;
+    no diagram is built.
 
-    Each diagram is coded once (`_code`); the counts, the d2 d3 = 0
-    checks and the delta = 0 blocks run on the codes through `_FILLS`.
-    Returns (kernel_dim, columns_used, per-total ranks), or None when a
-    graded summand is nonzero, a column is not a cycle, or the d2 ranks
-    fall short of |C1(<=N)|.
+    The counts, the d2 d3 = 0 checks and the delta = 0 blocks run on the
+    codes through `_fills`.  Returns (kernel_dim, columns_used, per-total
+    ranks), or None when a graded summand is nonzero, a column is not a
+    cycle, or the d2 ranks fall short of |C1(<=N)|.
     """
-    def by_total(diagrams):
-        blocks = [[] for _ in range(N + 1)]
-        for code in map(_code, diagrams):
-            if sum(code) <= N:
-                blocks[sum(code)].append(code)
-        return blocks
-
-    c1, c2, c3 = (by_total(enumerate_diagrams(1, N)),
-                  by_total(enumerate_diagrams(2, N)), by_total(gen3))
     memo = {}
     graded = {"dim_c2": [], "rank_d2": [], "rank_d3": []}
+    kernel_dim = columns_used = 0
     for t in range(N + 1):
-        row1 = {code: i for i, code in enumerate(c1[t])}
-        row2 = {code: i for i, code in enumerate(c2[t])}
+        c1, c2, c3 = (_codes(k, t) for k in (1, 2, 3))
+        row1 = {code: i for i, code in enumerate(c1)}
+        row2 = {code: i for i, code in enumerate(c2)}
         # d2 d3 = 0 gives rank d3(=t) <= |C2(=t)| - rank d2(=t)
-        rank2 = _rank_at_zero(c2[t], 2, row1)
-        rank3 = _rank_at_zero(c3[t], 3, row2, memo, len(c2[t]) - rank2)
-        if rank3 is None or rank2 != len(c1[t]) or rank2 + rank3 != len(c2[t]):
+        rank2 = _rank_at_zero(c2, 2, row1)
+        rank3 = _rank_at_zero(c3, 3, row2, memo, len(c2) - rank2)
+        if rank3 is None or rank2 != len(c1) or rank2 + rank3 != len(c2):
             return None
-        graded["dim_c2"].append(len(c2[t]))
+        graded["dim_c2"].append(len(c2))
         graded["rank_d2"].append(rank2)
         graded["rank_d3"].append(rank3)
-    kernel_dim = sum(map(len, c2)) - sum(map(len, c1))
-    return kernel_dim, sum(map(len, c3)), graded
+        kernel_dim += len(c2) - len(c1)
+        columns_used += len(c3)
+    return kernel_dim, columns_used, graded
 
 
 def _h2_exact(N: int, window3: int, gen3) -> dict:

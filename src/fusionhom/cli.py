@@ -236,16 +236,12 @@ def cmd_homology_tube(args, report):
 
 
 def cmd_homology_tlj(args, report):
-    if args.mode != "unshaded":
-        raise InputError("homology runs unshaded; shaded diagrams are a "
-                         "display convention only")
     for flag, value, low in (("--h0", args.h0, 0), ("--h1", args.h1, 0),
                              ("--h2", args.h2, 1),
                              ("--margin", args.margin, 0)):
         if value is not None and value < low:
             raise InputError(f"{flag} {value}: must be >= {low}")
     results = report.results
-    results["mode"] = args.mode
     if args.h0 is not None:
         results["h0"] = {"window": args.h0, "dimension":
                          annular.h0_report(args.h0)}
@@ -527,8 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chain-cap", type=_intarg, default=50000)
 
     p = add_parser("homology-tlj", help="annular homology checks")
-    p.add_argument("--mode", choices=("unshaded", "shaded"),
-                   default="unshaded")
     p.add_argument("--h0", type=_intarg, nargs="?", const=5,
                    help="degree-0 dimension on this window")
     p.add_argument("--h1", type=_labelled_intarg("K"), metavar="K",

@@ -1,6 +1,7 @@
 """Circle diagrams and the low-degree annular chain complex."""
 
 import hashlib
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -8,8 +9,8 @@ from fusionhom import annular
 from fusionhom.annular import (ChainVector, CircleDiagram, UnsupportedDegree,
                                boundary, boundary_matrix, diagram3,
                                enumerate_diagrams, fill_puncture, h0_report,
-                               h1_vanishing_check, h2_vanishing_check, sigma,
-                               sigma2, single)
+                               h1_vanishing_check, h2_vanishing_check,
+                               shaded_boundary, sigma, sigma2, single)
 from fusionhom.errors import SizeLimit
 from fusionhom.exactarith import RatFunc, parse_scalar, rank
 
@@ -19,8 +20,9 @@ dp = RatFunc.delta_power
 def test_encode_parse_round_trip():
     for text in ("k=0; -",
                  "k=1; [1]^3",
-                 "k=2; [1]^1 [1,2]^2; s=0",
-                 "k=3; [1,3]^1 [2,3]^1; s=1"):
+                 "k=2; [1]^1 [1,2]^2",
+                 "k=3; [1,3]^1 [2,3]^1",
+                 "k=4; [1,4]^1 [2,3]^2 [4]^1"):
         d = CircleDiagram.parse(text)
         assert d.encode() == text
         assert CircleDiagram.parse(d.encode()) == d
@@ -58,14 +60,14 @@ def test_block_validation():
         CircleDiagram(0, [(1, 1, 1)])
 
 
-def test_degree_zero_shadings_identified():
-    assert CircleDiagram(0, [], 1).shading is None
-    assert CircleDiagram(0, [], 0) == CircleDiagram(0, [], 1)
-
-
 def test_degree_four_unsupported():
-    with pytest.raises(UnsupportedDegree):
-        CircleDiagram(4, [])
+    # only the shaded display stops at degree 3; diagrams have no cap
+    d = CircleDiagram(4, [(1, 4, 1)])
+    for shown in (d, sigma(1)):
+        with pytest.raises(UnsupportedDegree):
+            shaded_boundary(shown, 0)
+    # the four finite fills cancel; filling infinity deletes the circle
+    assert boundary(d) == single(CircleDiagram(3), dp(1))
 
 
 def test_diagrams_are_immutable_and_hashable():
@@ -73,13 +75,6 @@ def test_diagrams_are_immutable_and_hashable():
     with pytest.raises(AttributeError):
         d.degree = 3
     assert len({sigma(2), sigma(2), sigma(3)}) == 2
-
-
-def test_shaded_sigma0_is_a_degree_one_diagram():
-    s = sigma(0, shading=1)
-    assert s.degree == 1
-    assert s.shading == 1
-    assert s.encode() == "k=1; -; s=1"
 
 
 def test_enumeration_counts():
@@ -90,11 +85,11 @@ def test_enumeration_counts():
 
 
 def test_fill_puncture_counts_deleted_circles():
-    d = CircleDiagram.parse("k=2; [1]^1 [1,2]^2; s=0")
+    d = CircleDiagram.parse("k=2; [1]^1 [1,2]^2")
     # filling puncture 1 merges the lone circle into the spanning ones
-    assert fill_puncture(d, 1) == (CircleDiagram.parse("k=1; [1]^3; s=0"), 0)
+    assert fill_puncture(d, 1) == (CircleDiagram.parse("k=1; [1]^3"), 0)
     # filling puncture 2 deletes two closed circles, each worth delta
-    assert fill_puncture(d, 2) == (CircleDiagram.parse("k=1; [1]^1; s=0"), 2)
+    assert fill_puncture(d, 2) == (CircleDiagram.parse("k=1; [1]^1"), 2)
 
 
 def test_sigma_is_a_cycle():
@@ -111,15 +106,11 @@ def test_degree_two_boundary_closed_form():
 
 def test_shaded_boundary_parity_flip():
     # odd c flips the shading bit on the last term only
-    got = boundary(sigma2(0, 2, 1, shading=0))
-    want = (single(sigma(3, 0), dp(0)) - single(sigma(1, 0), dp(2))
-            + single(sigma(2, 1), dp(1)))
-    assert got == want
+    assert shaded_boundary(sigma2(0, 2, 1), 0) == [
+        (sigma(3), 0, dp(0)), (sigma(1), 0, -dp(2)), (sigma(2), 1, dp(1))]
     # even c keeps every bit
-    got = boundary(sigma2(0, 2, 2, shading=0))
-    want = (single(sigma(4, 0), dp(0)) - single(sigma(2, 0), dp(2))
-            + single(sigma(2, 0), dp(2)))
-    assert got == want
+    assert shaded_boundary(sigma2(0, 2, 2), 0) == [
+        (sigma(4), 0, dp(0)), (sigma(2), 0, -dp(2)), (sigma(2), 0, dp(2))]
 
 
 def test_degree_three_boundary_reaches_degree_two():
@@ -151,6 +142,26 @@ def test_enumeration_order_is_pinned(degree):
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     count = len(enumerate_diagrams(degree, 10))
     assert (count, digest) == ENUMERATION_PINS[degree]
+
+
+@pytest.mark.parametrize("degree", [4, 5])
+def test_enumeration_matches_every_valid_block_multiset(degree):
+    # the pins stop at degree 3; above it, build every multiset of at most
+    # T blocks with the validating constructor and drop the crossing ones
+    classes = [(i, j) for i in range(1, degree + 1)
+               for j in range(i, degree + 1)]
+    for T in range(5):
+        valid = set()
+        for r in range(T + 1):
+            for chosen in combinations_with_replacement(classes, r):
+                try:
+                    valid.add(CircleDiagram(degree,
+                                            [(i, j, 1) for i, j in chosen]))
+                except ValueError as exc:
+                    assert "crossing" in str(exc)
+        listed = enumerate_diagrams(degree, T)
+        assert len(listed) == len(valid) == annular._count_diagrams(degree, T)
+        assert listed == sorted(valid, key=CircleDiagram.sort_key)
 
 
 def test_diagram_count_matches_enumeration():
@@ -185,6 +196,9 @@ def test_boundary_matrix_shapes_and_composition():
     assert m2.rows == len(enumerate_diagrams(1, 4))
     m3 = boundary_matrix(3, 4)
     assert m2.mat_mul(m3).is_zero()
+    m4 = boundary_matrix(4, 4)
+    assert (m4.rows, m4.cols) == (m3.cols, len(enumerate_diagrams(4, 4)))
+    assert m3.mat_mul(m4).is_zero()
 
 
 def test_h0_is_one_dimensional():
@@ -213,10 +227,19 @@ def test_h2_window_contains_kernel():
         assert (report["kernel_dim"], report["columns_used"]) == pinned
 
 
-def test_h2_with_no_generators_fails_honestly():
+def without_codes(monkeypatch, drop):
+    """Make annular._codes list no code of the (degree, total) pairs that
+    drop selects; enumerate_diagrams decodes the same listing."""
+    codes = annular._codes
+    monkeypatch.setattr(annular, "_codes", lambda k, t: [] if drop(k, t)
+                        else codes(k, t))
+
+
+def test_h2_with_no_generators_fails_honestly(monkeypatch):
     # the graded proof cannot close on an empty column set, so the exact
     # oracle decides, and it is the only source of failing vectors
-    assert annular._h2_graded(4, []) is None
+    without_codes(monkeypatch, lambda k, t: k == 3)
+    assert annular._h2_graded(4) is None
     report = annular._h2_exact(4, 6, [])
     assert not report["contained"]
     assert report["failing_vectors"]
@@ -262,15 +285,10 @@ def test_h2_graded_ranks_fall_back_to_exact_elimination(monkeypatch):
 def test_h2_falls_back_to_exact_on_a_column_subset(monkeypatch):
     # without the total-4 columns rank d3(=4) is 0, so the exact oracle
     # decides; the columns of total 5 and 6 still contain the kernel
-    enumerate_all = annular.enumerate_diagrams
-
-    def without_total_4(degree, max_total):
-        out = enumerate_all(degree, max_total)
-        return [d for d in out if d.total() != 4] if degree == 3 else out
-
-    gens = without_total_4(3, 6)
-    assert annular._h2_graded(4, gens) is None
-    monkeypatch.setattr(annular, "enumerate_diagrams", without_total_4)
+    without_codes(monkeypatch, lambda k, t: (k, t) == (3, 4))
+    gens = enumerate_diagrams(3, 6)
+    assert {d.total() for d in gens} == {0, 1, 2, 3, 5, 6}
+    assert annular._h2_graded(4) is None
     fallback = h2_vanishing_check(4)
     assert fallback["method"] == "exact"
     assert "graded" not in fallback
@@ -307,37 +325,67 @@ def test_h2_graded_proof_checks_each_column_is_a_cycle(monkeypatch):
         return counts
 
     monkeypatch.setattr(annular, "_code_counts", broken)
-    assert annular._h2_graded(3, enumerate_diagrams(3, 3)) is None
+    assert annular._h2_graded(3) is None
+
+
+def test_graded_h2_builds_no_diagram(monkeypatch):
+    built = []
+    init, trusted = CircleDiagram.__init__, CircleDiagram._trusted.__func__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counting_trusted(cls, *args):
+        built.append(args)
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(CircleDiagram, "__init__", counting_init)
+    monkeypatch.setattr(CircleDiagram, "_trusted",
+                        classmethod(counting_trusted))
+    assert h2_vanishing_check(8, 2)["method"] == "graded"
+    assert built == []
+    # both counters are live
+    sigma(1)
+    assert len(enumerate_diagrams(1, 2)) == 3
+    assert len(built) == 4
+
+
+def code(d):
+    """Multiplicity tuple of d over the block classes of its degree."""
+    mult = {(i, j): m for i, j, m in d.blocks}
+    return tuple(mult.get(c, 0) for c in annular._block_classes(d.degree))
 
 
 def test_coded_boundary_counts_equal_the_diagram_counts():
-    # the fill maps, derived from fill_puncture on single circles, give
-    # the boundary of every diagram, not only of the single circles
+    # the fill maps, derived from the single-circle fill rule, give the
+    # boundary of every diagram, not only of the single circles
     diagrams = [d for k in (1, 2, 3) for d in enumerate_diagrams(k, 7)]
-    assert len(diagrams) == 1382
+    diagrams += enumerate_diagrams(4, 5)
+    assert len(diagrams) == 1382 + 1902
     for d in diagrams:
-        expected = {(annular._code(face), deleted): count
+        expected = {(code(face), deleted): count
                     for (face, deleted), count
                     in annular._boundary_counts(d).items()}
-        assert annular._code_counts(annular._code(d), d.degree) == expected
+        assert annular._code_counts(code(d), d.degree) == expected
 
 
 @pytest.mark.parametrize("k, contained", [(16, False), (20, True)])
 def test_h2_partial_generators_get_the_oracle_verdict(k, contained):
-    # total-3 columns only: the graded proof on C(<=2) has none of them,
-    # and 20 of them contain ker d2(<=2) without spanning ker d2(<=3)
+    # total-3 columns only: 20 of them contain ker d2(<=2) without
+    # spanning ker d2(<=3)
     gens = [d for d in enumerate_diagrams(3, 3) if d.total() == 3][:k]
-    assert annular._h2_graded(2, gens) is None
     report = annular._h2_exact(2, 3, gens)
     assert report["contained"] is contained
     assert bool(report["failing_vectors"]) is not contained
 
 
 def test_h2_certified_window_stays_inside_the_row_window():
-    # a total-4 generator ahead of C3(<=3): the graded proof on C(<=3)
-    # skips it, while the exact oracle, taking columns in order, uses it
+    # the graded proof on C(<=3) lists the columns of total <= 3 only,
+    # while the exact oracle, taking columns in order, uses a total-4
+    # generator put ahead of C3(<=3)
     gens = [diagram3(a=1, b=1, c=1, abc=1)] + enumerate_diagrams(3, 3)
-    kernel_dim, columns_used, graded = annular._h2_graded(3, gens)
+    kernel_dim, columns_used, graded = annular._h2_graded(3)
     assert columns_used == len(gens) - 1
     assert len(graded["rank_d3"]) == 4
     exact = annular._h2_exact(3, 3, gens)
@@ -345,18 +393,15 @@ def test_h2_certified_window_stays_inside_the_row_window():
     assert exact["columns_used"] == 70
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
 @pytest.mark.parametrize("T", [0, 1, 2, 3, 4])
 def test_graded_ranks_equal_the_exact_rank(degree, T):
     # at these sizes the ranks do not drop at delta = 0
-    def codes(k, t):
-        return [annular._code(d) for d in enumerate_diagrams(k, T)
-                if d.total() == t]
-
     graded = 0
     for t in range(T + 1):
-        rows = {code: i for i, code in enumerate(codes(degree - 1, t))}
-        graded += annular._rank_at_zero(codes(degree, t), degree, rows)
+        rows = {c: i for i, c in enumerate(annular._codes(degree - 1, t))}
+        graded += annular._rank_at_zero(annular._codes(degree, t), degree,
+                                        rows)
     assert graded == rank(boundary_matrix(degree, T))
 
 
@@ -368,3 +413,8 @@ def test_parse_keeps_the_block_checks():
         CircleDiagram.parse("k=2; [1,3]^1")
     with pytest.raises(ValueError, match="out of range for degree 0"):
         CircleDiagram.parse("k=0; [1]^1")
+    # shading is display only, and no degree is negative
+    with pytest.raises(ValueError, match="bad diagram encoding"):
+        CircleDiagram.parse("k=2; [1]^1; s=0")
+    with pytest.raises(ValueError, match="negative degree -1"):
+        CircleDiagram.parse("k=-1; -")

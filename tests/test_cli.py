@@ -204,8 +204,8 @@ def test_chain_cap_is_inconclusive():
 
 
 def test_homology_tlj_example():
-    code, report = run_json("homology-tlj", "--mode", "unshaded",
-                            "--h1", "K=6", "--h2", "N=4", "--margin", "2")
+    code, report = run_json("homology-tlj", "--h1", "K=6", "--h2", "N=4",
+                            "--margin", "2")
     assert code == 0
     assert report["results"]["h1"]["contained"]
     assert report["results"]["h2"]["contained"]
@@ -237,7 +237,7 @@ def test_bare_homology_tlj_echoes_the_h0_it_runs():
     assert bare["inputs"] == flag["inputs"]
     assert bare["inputs"]["params"]["h0"] == 5
     assert bare["inputs"]["digest"] == (
-        "9ac575ae171ae1def800844c78a75231f218b18c8cd3315259c66890ab1653ff")
+        "c309f7e470a92c040d34757cf0f228f05716c487b4ca4b2c7848af1aa1553b89")
     assert bare["results"] == flag["results"]
 
 
@@ -359,10 +359,12 @@ def test_fusion_ladder_summary(width, delta):
     ("betti", "--fuss-catalan", "5"),
     ("amenability", "--check", "kesten", "--ladder-delta", "3.0",
      "--generator", "f1"),
+    ("homology-tlj", "--mode", "unshaded"),
     ("no-such-command",),
     (),
 ], ids=["unknown-flag", "h1-not-an-integer", "fuss-catalan-one-value",
-        "generator-flag-gone", "unknown-command", "no-command"])
+        "generator-flag-gone", "mode-flag-gone", "unknown-command",
+        "no-command"])
 def test_bad_command_lines_are_input_errors(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 1
@@ -479,8 +481,9 @@ def test_readme_example_runs(argv):
 
 
 # inputs.params and inputs.digest as printed before the parameter echo was
-# read from the parser, except that amenability has no --generator flag to
-# echo any more; verify-all stops at its missing tube file (exit 1)
+# read from the parser, except that amenability has no --generator flag and
+# homology-tlj no --mode flag to echo any more; verify-all stops at its
+# missing tube file (exit 1)
 PARAMS_PINS = {
     ("fusion", "--ladder", "8", "--delta", "2.0", "--verify"): (
         {"delta": 2.0, "ladder": 8, "verify": True},
@@ -492,9 +495,8 @@ PARAMS_PINS = {
         {"chain-cap": 50000, "degree": 2, "group": "Z3"},
         "fa4bf933ca579dc354cb2c2f78c2b50207b48d30271a640a4e693425f76a8b42"),
     ("homology-tlj", "--h0", "4", "--h1", "3"): (
-        {"diagram-cap": 100000, "h0": 4, "h1": 3, "margin": 2,
-         "mode": "unshaded"},
-        "f975e3f222121573b9af41a6c8bf8f8e1577255bfbedbdfbd4993538bbbdfbf1"),
+        {"diagram-cap": 100000, "h0": 4, "h1": 3, "margin": 2},
+        "42b59328f21c078e81f8f761a6cbc725690921b779dba6fd2a9e65e8cb59cc45"),
     ("betti", "--fuss-catalan", "5", "5"): (
         {"fuss-catalan": [5, 5], "point": False},
         "16079da7e921b510b1148ae70aed3141a70426be34201ec9043ebf456e097e60"),
@@ -529,7 +531,7 @@ def test_successive_main_calls_echo_only_their_own_flags():
     code, report = main_json("homology-tlj", "--h0", "2")
     assert code == 0
     assert report["inputs"]["params"] == {
-        "diagram-cap": 100000, "h0": 2, "margin": 2, "mode": "unshaded"}
+        "diagram-cap": 100000, "h0": 2, "margin": 2}
 
 
 def test_capped_report_keeps_the_finished_h1_block():
