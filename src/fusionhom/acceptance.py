@@ -88,14 +88,18 @@ def crit_tube_identities(cfg):
 
 
 def crit_tube_homology(cfg):
-    """Trivial-module homology dims are (1, 0, 0) for group tubes and
-    consecutive boundaries compose to zero exactly."""
+    """Trivial-module homology dims are (1, 0, 0) for group tubes, the
+    trace of the invariant projection is exactly beta0, and consecutive
+    bar boundaries compose to zero exactly."""
     cap = cfg.get("chain_cap") or 50000
     details = []
     for grp in _TUBE_GROUPS:
         algebra = tube.tube_from_group(grp)
         rep = tube.trivial_homology(algebra, 2, chain_cap=cap)
         _check(rep.dims == (1, 0, 0), f"{grp.name}: dims {rep.dims}")
+        beta0 = fusion.beta0(fusion.from_group(grp)).beta0_exact
+        _check(rep.tau_p == beta0,
+               f"{grp.name}: tau(p) {rep.tau_p} != beta0 {beta0}")
         b1 = tube.bar_boundary_matrix(algebra, 1)
         b2 = tube.bar_boundary_matrix(algebra, 2)
         b3 = tube.bar_boundary_matrix(algebra, 3)

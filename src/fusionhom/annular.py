@@ -425,15 +425,19 @@ def _count_diagrams(degree: int, max_total: int) -> int:
     return sum(comb(max_total, len(s)) for s in _supports(degree))
 
 
-def boundary_matrix(degree: int, window: int) -> SparseMat:
+def boundary_matrix(degree: int, window: int, domain=None,
+                    codomain=None) -> SparseMat:
     """Matrix of the boundary on the truncated window.
 
-    Columns follow enumerate_diagrams(degree, window), rows
-    enumerate_diagrams(degree-1, window).  Filling never increases the
-    total, so the rows hold every face of every column.
+    Columns follow domain, by default enumerate_diagrams(degree, window),
+    rows codomain, by default enumerate_diagrams(degree-1, window); a
+    caller that has enumerated either passes it in.  Filling never
+    increases the total, so the rows hold every face of every column.
     """
-    domain = enumerate_diagrams(degree, window)
-    codomain = enumerate_diagrams(degree - 1, window)
+    if domain is None:
+        domain = enumerate_diagrams(degree, window)
+    if codomain is None:
+        codomain = enumerate_diagrams(degree - 1, window)
     row_of = {d: i for i, d in enumerate(codomain)}
     m = SparseMat(len(codomain), len(domain))
     for col, d in enumerate(domain):
@@ -463,7 +467,7 @@ def h1_vanishing_check(K: int) -> dict:
     domain = enumerate_diagrams(2, window)
     codomain = enumerate_diagrams(1, window)
     row_of = {d: i for i, d in enumerate(codomain)}
-    matrix = boundary_matrix(2, window)
+    matrix = boundary_matrix(2, window, domain, codomain)
     targets = []
     for m in range(K + 1):
         target = [RF_ZERO] * len(codomain)
@@ -621,10 +625,8 @@ def _h2_exact(N: int, window3: int, gen3) -> dict:
     soon as every kernel vector has reduced to zero, so columns_used does
     not depend on the kernel basis.
     """
-    d2 = boundary_matrix(2, N)
-    kernel = kernel_basis(d2)
-
     cols2_small = enumerate_diagrams(2, N)
+    kernel = kernel_basis(boundary_matrix(2, N, cols2_small))
     rows_big = enumerate_diagrams(2, window3)
     row_of = {d: i for i, d in enumerate(rows_big)}
 

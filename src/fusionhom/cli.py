@@ -201,38 +201,50 @@ def cmd_tube(args, report):
     results = report.results
     results.update(name=algebra.name, dim=algebra.dim(),
                    corners=len(algebra.corners))
+    identities = None
     if args.verify:
-        rep = tube.verify_identities(algebra)
+        identities = tube.verify_identities(algebra)
         results["identities"] = {
-            check: {"count": rep.counts[check],
+            check: {"count": identities.counts[check],
                     "failures": [str(f) for f in fails]}
-            for check, fails in rep.failures.items()
+            for check, fails in identities.failures.items()
         }
-        results["all_passed"] = rep.all_passed
-        for check, notes in rep.notes.items():
+        results["all_passed"] = identities.all_passed
+        for check, notes in identities.notes.items():
             for note in notes:
                 report.warnings.append(f"{check}: {note}")
-        if not rep.all_passed:
-            check, first = rep.first_failure()
-            raise VerificationFailure(f"{check} fails at {first}")
+        _raise_on_failure(identities)
     if args.homology is not None:
-        results["homology"] = _tube_homology_block(algebra, args.homology,
-                                                   args.chain_cap)
+        _tube_homology(args, report, algebra, args.homology, identities)
 
 
-def _tube_homology_block(algebra, degree, chain_cap):
+def _raise_on_failure(identities):
+    if not identities.all_passed:
+        check, first = identities.first_failure()
+        raise VerificationFailure(f"{check} fails at {first}")
+
+
+def _tube_homology(args, report, algebra, degree, identities=None):
+    """Fill the homology results and diagnostics.  A file algebra is
+    verified first, once (identities is the --verify report if any):
+    both homology methods need d . d = 0."""
     if not 0 <= degree <= 3:
         raise InputError("homology degree must be within 0..3")
-    rep = tube.trivial_homology(algebra, degree, chain_cap=chain_cap)
-    return {"degrees": list(range(degree + 1)),
-            "dims": list(rep.dims), "chain_dims": list(rep.chain_dims)}
+    if args.file and identities is None:
+        _raise_on_failure(tube.verify_identities(algebra))
+    rep = tube.trivial_homology(algebra, degree, chain_cap=args.chain_cap)
+    report.results["homology"] = {
+        "degrees": list(range(degree + 1)), "dims": list(rep.dims),
+        "chain_dims": list(rep.chain_dims)}
+    report.diagnostics["homology"] = {
+        "method": rep.method,
+        "tau_p": None if rep.tau_p is None else str(rep.tau_p)}
 
 
 def cmd_homology_tube(args, report):
     algebra = _build_tube(args, report.files)
     report.results["name"] = algebra.name
-    report.results["homology"] = _tube_homology_block(algebra, args.degree,
-                                                      args.chain_cap)
+    _tube_homology(args, report, algebra, args.degree)
 
 
 def cmd_homology_tlj(args, report):

@@ -9,14 +9,23 @@ file format and is verified on load.
 
 The trivial-coefficient bar homology collapses both ends of the relative
 bar complex along the counit; chains are tuples of composable basis
-elements starting and ending at the distinguished corner.
+elements starting and ending at the distinguished corner.  The boundary
+d_1 is zero, so H_0 is one-dimensional.  When the distinguished corner
+holds an invariant projection p, counit(p) = 1 and p . x = counit(x) p
+for every basis element x, the map h(x_1..x_n) = (p, x_1..x_n) is a
+contracting homotopy: d h + h d = 1 in every degree n >= 1 (Weibel, An
+Introduction to Homological Algebra, 9.2), so H_n = 0 for n >= 1.  The
+homotopy needs d . d = 0, which follows from associativity and counit
+multiplicativity; a file algebra must therefore pass verify_identities
+first.  Without such a p, the ranks of the bar boundaries decide, and
+they stay the oracle.  For a group, tau(p) = 1/|G| = beta_0.
 """
 
 from __future__ import annotations
 
 from .errors import SizeLimit, ParseError, InvariantViolation
 from .exactarith import (RatFunc, RF_ONE, RF_ZERO, SparseMat, rank,
-                         parse_scalar)
+                         parse_scalar, span_solve)
 from .groups import Group, NotAGroup
 
 MAX_WITNESSES = 5  # failures kept per identity channel
@@ -356,16 +365,73 @@ def fusion_corner(A: TubeAlgebra, ring, bijection=None) -> dict:
 # ---------------------------------------------------------------------------
 
 class HomologyReport:
-    """Exact homology dimensions of the collapsed bar complex."""
+    """Exact homology dimensions of the collapsed bar complex.
 
-    def __init__(self, dims, chain_dims):
+    method is "invariant-projection" or "bar-complex"; tau_p is the exact
+    trace of the invariant projection, None on the bar path.
+    """
+
+    def __init__(self, dims, chain_dims, method, tau_p=None):
         self.dims = tuple(dims)
         self.chain_dims = tuple(chain_dims)
+        self.method = method
+        self.tau_p = tau_p
         if any(d < 0 for d in self.dims):
             raise ValueError(f"negative homology dimension: {self.dims}")
 
     def __repr__(self):
-        return f"HomologyReport(dims={self.dims}, chains={self.chain_dims})"
+        return (f"HomologyReport(dims={self.dims}, chains={self.chain_dims}, "
+                f"method={self.method})")
+
+
+def invariant_projection(A: TubeAlgebra):
+    """The invariant projection of the distinguished corner, or None.
+
+    p is a combination {name: RatFunc} of corner basis elements with
+    counit(p) = 1 and p . x = counit(x) p for every basis element x.  One
+    span_solve over the corner basis finds a candidate from the equations
+    for the x that start at the distinguished corner; it is returned only
+    after p . x = counit(x) p is checked exactly on every basis element.
+
+    >>> from fusionhom.groups import cyclic
+    >>> p = invariant_projection(tube_from_group(cyclic(2)))
+    >>> sorted((b, str(c)) for b, c in p.items())
+    [((0, 0), '1/2'), ((0, 1), '1/2')]
+    """
+    eps, counit = A.eps_corner, A.counit_vec
+    corner = A.corner_basis(eps, eps)
+    row_of = {}  # equation -> row
+    entries = {}
+
+    def add(equation, j, v):
+        r = row_of.setdefault(equation, len(row_of))
+        entries[r, j] = entries.get((r, j), RF_ZERO) + v
+
+    for j, b in enumerate(corner):
+        for x in A.basis:
+            if A.src[x] == eps:
+                for c, coeff in A.mult_elems(b, x).items():
+                    add((x, c), j, coeff)
+                if x in counit:
+                    add((x, b), j, -counit[x])
+    # counit(p) = 1 comes last: the sparse rows before it keep the
+    # elimination free of fill-in
+    for j, b in enumerate(corner):
+        add("counit", j, counit.get(b, RF_ZERO))
+    target = [RF_ZERO] * (len(row_of) - 1) + [RF_ONE]
+    coeffs = span_solve(SparseMat(len(row_of), len(corner), entries),
+                        [target])[0]
+    if coeffs is None:
+        return None
+    p = {b: c for b, c in zip(corner, coeffs) if c}
+    if _evaluate(counit, p) != RF_ONE:
+        return None
+    for x in A.basis:
+        e = counit.get(x)
+        if A.mult_combs(p, {x: RF_ONE}) != (
+                {b: e * c for b, c in p.items()} if e else {}):
+            return None
+    return p
 
 
 def bar_chain_basis(A: TubeAlgebra, n: int):
@@ -419,8 +485,12 @@ def bar_boundary_matrix(A: TubeAlgebra, n: int, basis_n=None, basis_prev=None):
 def trivial_homology(A: TubeAlgebra, n_max: int, chain_cap=50000) -> HomologyReport:
     """Homology of the counit-collapsed bar complex up to degree n_max.
 
-    Raises SizeLimit when any needed chain space (including degree
-    n_max + 1 for the incoming boundary) exceeds chain_cap.
+    With an invariant projection the dims are (1, 0, .., 0) by the
+    contracting homotopy of the module docstring; otherwise the ranks of
+    the bar boundaries give them.  Either way A must satisfy d . d = 0
+    (verify_identities).  Raises SizeLimit when any needed chain space
+    (including degree n_max + 1 for the incoming boundary) exceeds
+    chain_cap.
     """
     if n_max < 0 or n_max > 3:
         raise ValueError("n_max must be between 0 and 3")
@@ -431,13 +501,18 @@ def trivial_homology(A: TubeAlgebra, n_max: int, chain_cap=50000) -> HomologyRep
             raise SizeLimit(
                 f"chain dimension {len(basis_n)} at degree {n} exceeds cap {chain_cap}")
         bases.append(basis_n)
+    chain_dims = [len(b) for b in bases[:n_max + 1]]
+    p = invariant_projection(A)
+    if p is not None:
+        return HomologyReport([1] + [0] * n_max, chain_dims,
+                              "invariant-projection", _evaluate(A.trace_vec, p))
     ranks = [0]  # rank of boundary_0 is 0
     for n in range(1, n_max + 2):
         ranks.append(rank(bar_boundary_matrix(A, n, bases[n], bases[n - 1])))
     dims = []
     for n in range(n_max + 1):
         dims.append(len(bases[n]) - ranks[n] - ranks[n + 1])
-    return HomologyReport(dims, [len(b) for b in bases[:n_max + 1]])
+    return HomologyReport(dims, chain_dims, "bar-complex")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fusionhom import acceptance
+from fusionhom import acceptance, tube
 
 # the detail of every criterion as `verify-all` prints it; a change here
 # changes the results block and is a behaviour change
@@ -51,3 +51,11 @@ def test_matrix_covers_every_criterion():
     keys = acceptance.criterion_keys()
     assert len(keys) == 13
     assert len(set(keys)) == 13
+
+
+def test_tube_homology_needs_the_projection_trace(monkeypatch):
+    # the bar complex alone gives the dims but no tau(p) to match beta0
+    monkeypatch.setattr(tube, "invariant_projection", lambda A: None)
+    report = acceptance.run_criterion("tube-homology")
+    assert report["status"] == "FAIL"
+    assert report["detail"] == "Z/2: tau(p) None != beta0 1/2"

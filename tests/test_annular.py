@@ -201,6 +201,21 @@ def test_boundary_matrix_shapes_and_composition():
     assert m3.mat_mul(m4).is_zero()
 
 
+def test_each_window_is_enumerated_once(monkeypatch):
+    calls = []
+
+    def counting(degree, window):
+        calls.append((degree, window))
+        return enumerate_diagrams(degree, window)
+
+    monkeypatch.setattr(annular, "enumerate_diagrams", counting)
+    assert h1_vanishing_check(3)["contained"]
+    assert calls == [(2, 4), (1, 4)]
+    calls.clear()
+    annular._h2_exact(3, 4, [])
+    assert calls == [(2, 3), (1, 3), (2, 4)]
+
+
 def test_h0_is_one_dimensional():
     assert h0_report(4) == 1
 

@@ -13,9 +13,9 @@ from pathlib import Path
 import pytest
 
 import fusionhom
-from fusionhom import cli
+from fusionhom import cli, tube
 from fusionhom.acceptance import CRITERIA
-from fusionhom.groups import cyclic
+from fusionhom.groups import cyclic, symmetric
 from fusionhom.tube import tube_from_group
 
 from test_tube import NEGATIVE_TRACE, tube_to_text
@@ -185,6 +185,56 @@ def test_negative_trace_tube_file_fails_verification(tmp_path):
     code, report = run_json("tube", "--file", str(path), "--verify")
     assert code == 2
     assert report["results"]["identities"]["gram-psd"]["failures"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("homology-tube", "--degree", "2"),
+    ("tube", "--homology", "2"),
+    ("tube", "--verify", "--homology", "2")], ids=lambda a: " ".join(a))
+def test_homology_of_an_unverified_file_fails_verification(tmp_path, argv):
+    # an idempotent of a corner other than eps is broken: homology must
+    # not be reported for an algebra whose identities fail
+    txt = tube_to_text(tube_from_group(symmetric(3)))
+    bad = txt.replace("\na6 a6 a6 1\n", "\na6 a6 a6 2\n")
+    assert bad != txt
+    path = tmp_path / "bad-unit.tube"
+    path.write_text(bad)
+    code, report = main_json(*argv, "--file", str(path))
+    assert code == 2
+    assert report["error"] == {
+        "type": "VerificationFailure",
+        "message": "projections fails at p_c1 not idempotent"}
+    assert "homology" not in report["results"]
+    assert "diagnostics" not in report
+
+
+@pytest.mark.parametrize("argv, tau_p", [
+    (("tube", "--group", "S3", "--homology", "2"), "1/6"),
+    (("homology-tube", "--group", "Z3", "--degree", "2"), "1/3")],
+    ids=["tube", "homology-tube"])
+def test_homology_diagnostics_name_the_method(argv, tau_p):
+    code, report = main_json(*argv)
+    assert code == 0
+    assert report["diagnostics"] == {"homology": {
+        "method": "invariant-projection", "tau_p": tau_p}}
+    assert report["results"]["homology"]["dims"] == [1, 0, 0]
+
+
+def test_bar_complex_fallback_reports_no_projection(monkeypatch):
+    argv = ("homology-tube", "--group", "Z3", "--degree", "2")
+    _, fast = main_json(*argv)
+    monkeypatch.setattr(tube, "invariant_projection", lambda A: None)
+    code, report = main_json(*argv)
+    assert code == 0
+    assert report["diagnostics"] == {"homology": {
+        "method": "bar-complex", "tau_p": None}}
+    assert report["results"] == fast["results"]
+
+
+def test_verified_file_homology_reports_its_projection(tube_file):
+    code, report = main_json("homology-tube", "--file", tube_file)
+    assert code == 0
+    assert report["diagnostics"]["homology"]["tau_p"] == "1/2"
 
 
 def test_unknown_group_is_an_input_error():

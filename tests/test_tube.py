@@ -2,12 +2,14 @@
 
 import pytest
 
+from fusionhom import tube
 from fusionhom.errors import InvariantViolation, ParseError, SizeLimit
 from fusionhom.exactarith import RF_ONE, RatFunc
-from fusionhom.fusion import from_group
+from fusionhom.fusion import beta0, from_group
 from fusionhom.groups import cyclic, dihedral, symmetric
 from fusionhom.tube import (TubeAlgebra, bar_boundary_matrix,
-                            bar_chain_basis, fusion_corner, trivial_homology,
+                            bar_chain_basis, fusion_corner,
+                            invariant_projection, trivial_homology,
                             MAX_WITNESSES, tube_from_group, tube_from_text,
                             verify_identities)
 
@@ -185,6 +187,53 @@ def test_homology_respects_chain_cap():
     A = tube_from_group(symmetric(3))
     with pytest.raises(SizeLimit):
         trivial_homology(A, 3, chain_cap=100)
+
+
+@pytest.mark.parametrize("grp,degree", [
+    (cyclic(2), 2), (cyclic(3), 2), (symmetric(3), 2), (dihedral(4), 2),
+    (symmetric(3), 3)], ids=["Z2", "Z3", "S3", "D4", "S3-degree3"])
+def test_projection_agrees_with_the_bar_complex(grp, degree, monkeypatch):
+    A = tube_from_group(grp)
+    fast = trivial_homology(A, degree)
+    monkeypatch.setattr(tube, "invariant_projection", lambda A: None)
+    bar = trivial_homology(A, degree)
+    assert (fast.method, bar.method) == ("invariant-projection", "bar-complex")
+    assert fast.dims == bar.dims == (1,) + (0,) * degree
+    assert fast.chain_dims == bar.chain_dims
+    assert bar.tau_p is None
+
+
+@pytest.mark.parametrize("grp", [cyclic(2), cyclic(3), symmetric(3),
+                                 dihedral(4), symmetric(4)],
+                         ids=["Z2", "Z3", "S3", "D4", "S4"])
+def test_trace_of_the_projection_is_beta0(grp):
+    rep = trivial_homology(tube_from_group(grp), 1)
+    assert rep.tau_p == beta0(from_group(grp)).beta0_exact
+    assert rep.tau_p == RatFunc.from_int(1) / RatFunc.from_int(len(grp.elements))
+
+
+@pytest.mark.parametrize("table, entry", [
+    ("counit_vec", {(0, 1): RatFunc.from_int(2)}),
+    ("mult", {((0, 1), (0, 1)): {(0, 0): RatFunc.from_int(2)}}),
+    # solvable from the rows at eps; only the check on every x rejects it
+    ("mult", {((0, 0), (1, 0)): {(1, 0): RF_ONE}})],
+    ids=["counit", "corner-product", "across-grading"])
+def test_tampering_leaves_no_projection_and_the_bar_complex_runs(
+        table, entry, monkeypatch):
+    A = tube_from_group(cyclic(2))
+    getattr(A, table).update(entry)
+    assert not verify_identities(A).all_passed
+    assert invariant_projection(A) is None
+    calls = []
+
+    def spy(*args):
+        calls.append(args[1])
+        return bar_boundary_matrix(*args)
+
+    monkeypatch.setattr(tube, "bar_boundary_matrix", spy)
+    rep = trivial_homology(A, 1)
+    assert calls == [1, 2]
+    assert rep.method == "bar-complex" and rep.tau_p is None
 
 
 def test_text_round_trip():
