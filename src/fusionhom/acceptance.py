@@ -91,7 +91,7 @@ def crit_tube_homology(cfg):
     """Trivial-module homology dims are (1, 0, 0) for group tubes, the
     trace of the invariant projection is exactly beta0, and consecutive
     bar boundaries compose to zero exactly."""
-    cap = cfg.get("chain_cap") or 50000
+    cap = cfg.get("chain_cap", 50000)
     details = []
     for grp in _TUBE_GROUPS:
         algebra = tube.tube_from_group(grp)
@@ -100,9 +100,10 @@ def crit_tube_homology(cfg):
         beta0 = fusion.beta0(fusion.from_group(grp)).beta0_exact
         _check(rep.tau_p == beta0,
                f"{grp.name}: tau(p) {rep.tau_p} != beta0 {beta0}")
-        b1 = tube.bar_boundary_matrix(algebra, 1)
-        b2 = tube.bar_boundary_matrix(algebra, 2)
-        b3 = tube.bar_boundary_matrix(algebra, 3)
+        bases = [tube.bar_chain_basis(algebra, n) for n in range(4)]
+        b1, b2, b3 = (tube.bar_boundary_matrix(algebra, n, bases[n],
+                                               bases[n - 1])
+                      for n in (1, 2, 3))
         _check(b1.mat_mul(b2).is_zero(), f"{grp.name}: d1.d2 != 0")
         _check(b2.mat_mul(b3).is_zero(), f"{grp.name}: d2.d3 != 0")
         details.append(f"{grp.name}: chains {rep.chain_dims}")
@@ -177,11 +178,13 @@ def crit_annular_golden(cfg):
 
 
 def crit_d2_d3_zero(cfg):
-    """Degree-3 boundary followed by degree-2 boundary is zero at T=6."""
-    m2 = annular.boundary_matrix(2, 6)
-    m3 = annular.boundary_matrix(3, 6)
-    _check(m2.mat_mul(m3).is_zero(), "d2.d3 != 0 at T=6")
-    return f"zero on a {m3.rows}x{m3.cols} times {m2.rows}x{m2.cols} pair"
+    """d2(d3(d)) = 0 in every power of delta for each d in C3(<=6)."""
+    memo = {}
+    for code in (c for t in range(7) for c in annular._codes(3, t)):
+        _check(annular._dd_vanishes(annular._code_counts(code, 3), 3, memo),
+               "d2.d3 != 0 at T=6")
+    n1, n2, n3 = (annular._count_diagrams(k, 6) for k in (1, 2, 3))
+    return f"zero on a {n2}x{n3} times {n1}x{n2} pair"
 
 
 def crit_h1_vanishing(cfg):
@@ -199,7 +202,7 @@ def crit_h1_vanishing(cfg):
 def crit_h2_vanishing(cfg):
     """The full degree-2 cycle space at N=8 lies in the degree-3
     boundary span."""
-    cap = cfg.get("diagram_cap") or 100000
+    cap = cfg.get("diagram_cap", 100000)
     t0 = time.perf_counter()
     rep = annular.h2_vanishing_check(8, margin=2, diagram_cap=cap)
     elapsed = time.perf_counter() - t0

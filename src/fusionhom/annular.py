@@ -38,10 +38,12 @@ never raises the total, so each C(<=T) is a subcomplex.
   Homological Algebra, 5.4) read off its first page.
 - kernel_dim = |C2(<=N)| - |C1(<=N)| is exact when the sum of the
   rank d2(=t) is the row count |C1(<=N)|.
-- The proof runs on multiplicity tuples over the block classes, listed
-  per total by `_codes` without building a diagram.  A fill acts per
-  block: a map of class indices (`_fills`) read off the single-circle
-  fill rule (`_fill_block`).
+
+One fill rule serves the complex: a fill maps block classes (`_fills`,
+read off the single-circle rule `_fill_block`), and every boundary,
+boundary matrix and d . d check runs on multiplicity tuples (`_code`),
+listed per total by `_codes`.  Diagrams are decoded (`_diagram`) only
+at the API edge.
 """
 
 from __future__ import annotations
@@ -118,9 +120,8 @@ class CircleDiagram:
     @classmethod
     def _trusted(cls, degree, blocks) -> "CircleDiagram":
         """Unvalidated construction from a sorted tuple of (i, j, positive
-        multiplicity) blocks already known to be laminar and in range.
-        Only fill_puncture and enumerate_diagrams, which produce such
-        tuples, use it."""
+        multiplicity) blocks already known to be laminar and in range;
+        _diagram, which decodes a multiplicity tuple, is its only caller."""
         d = object.__new__(cls)
         d._set(degree, blocks)
         return d
@@ -282,42 +283,21 @@ def fill_puncture(d: CircleDiagram, j: int) -> tuple[CircleDiagram, int]:
         raise ValueError("cannot fill punctures of a degree-0 diagram")
     if not (0 <= j <= k):
         raise ValueError(f"fill index {j} out of range 0..{k}")
-    deleted = 0
-    norm = {}  # surviving blocks; filling keeps the family laminar
-    for i0, j0, m in d.blocks:
-        key = _fill_block(k, (i0, j0), j)
-        if key is None:
-            deleted += m
-        else:
-            norm[key] = norm.get(key, 0) + m
-    blocks = tuple((i, j, norm[i, j]) for i, j in sorted(norm))
-    return CircleDiagram._trusted(k - 1, blocks), deleted
-
-
-def _boundary_counts(d: CircleDiagram) -> dict:
-    """Boundary of d over Z: (diagram, deleted) -> signed count.
-
-    The coefficient of a diagram in boundary(d) is the sum of
-    count * delta^deleted over its entries.
-    """
-    counts = {}
-    for j in range(d.degree + 1):
-        key = fill_puncture(d, j)
-        counts[key] = counts.get(key, 0) + (-1) ** j
-    return counts
+    face, deleted = _fill_code(_code(d), k, j)
+    return _diagram(face, k - 1), deleted
 
 
 def boundary(d: CircleDiagram) -> ChainVector:
     """Boundary of one diagram: sum over j of (-1)^j fill_puncture(d, j).
 
-    Every coefficient is an integer polynomial, a sum of +-delta^deleted
-    terms; it is summed per output diagram as an IntPoly and wrapped in a
-    RatFunc once.  Terms that cancel are dropped.
+    The coefficients are summed over Z[delta] by `_boundary_polys` and
+    wrapped in a RatFunc once; terms that cancel are dropped.
     """
-    sums = {}
-    for (out, deleted), count in _boundary_counts(d).items():
-        sums[out] = sums.get(out, ZERO_POLY) + IntPoly((0,) * deleted + (count,))
-    return ChainVector(d.degree - 1, {e: RatFunc(p) for e, p in sums.items()})
+    if d.degree < 1:
+        raise ValueError("cannot fill punctures of a degree-0 diagram")
+    return ChainVector(d.degree - 1, {
+        _diagram(face, d.degree - 1): RatFunc(p)
+        for face, p in _boundary_polys(_code(d), d.degree).items()})
 
 
 def shaded_boundary(d: CircleDiagram, shading: int) -> list:
@@ -345,6 +325,18 @@ def shaded_boundary(d: CircleDiagram, shading: int) -> list:
     return terms
 
 
+def _code(d: CircleDiagram) -> tuple:
+    """The multiplicity tuple of d over _block_classes(d.degree)."""
+    mult = {(i, j): m for i, j, m in d.blocks}
+    return tuple(mult.get(c, 0) for c in _block_classes(d.degree))
+
+
+def _diagram(code: tuple, degree: int) -> CircleDiagram:
+    """Decode a multiplicity tuple (lexicographic classes, sorted blocks)."""
+    return CircleDiagram._trusted(degree, tuple(
+        (i, j, m) for (i, j), m in zip(_block_classes(degree), code) if m))
+
+
 @cache
 def _fills(k: int) -> tuple:
     """_fills(k)[j]: the class index that fill j sends each degree-k class
@@ -358,7 +350,7 @@ def _fills(k: int) -> tuple:
 
 
 def _fill_code(code: tuple, degree: int, j: int) -> tuple[tuple, int]:
-    """fill_puncture on a coded diagram: (face code, deleted)."""
+    """Fill j of a coded diagram: (face code, deleted circles)."""
     face = [0] * (len(_block_classes(degree - 1)) + 1)
     for m, target in zip(code, _fills(degree)[j]):
         face[target] += m
@@ -366,12 +358,23 @@ def _fill_code(code: tuple, degree: int, j: int) -> tuple[tuple, int]:
 
 
 def _code_counts(code: tuple, degree: int) -> dict:
-    """_boundary_counts of a coded diagram, keyed by face codes."""
+    """Boundary of a coded diagram over Z: (face code, deleted) -> count;
+    a face's coefficient is the sum of count * delta^deleted."""
     counts = {}
     for j in range(degree + 1):
         key = _fill_code(code, degree, j)
         counts[key] = counts.get(key, 0) + (-1) ** j
     return counts
+
+
+def _boundary_polys(code: tuple, degree: int) -> dict:
+    """Boundary of a coded diagram over Z[delta]: face code -> nonzero
+    IntPoly, the counts of `_code_counts` summed per face."""
+    polys = {}
+    for (face, deleted), count in _code_counts(code, degree).items():
+        term = IntPoly((0,) * deleted + (count,))
+        polys[face] = polys.get(face, ZERO_POLY) + term
+    return {face: p for face, p in polys.items() if p}
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +411,9 @@ def enumerate_diagrams(degree: int, max_total: int):
         raise ValueError(f"negative degree {degree}")
     if max_total < 0:
         raise ValueError(f"max_total {max_total} must be >= 0")
-    classes = _block_classes(degree)
     out = []
     for t in range(max_total + 1):  # sort_key orders by total first
-        # the classes are in lexicographic order, so are the blocks
-        level = [CircleDiagram._trusted(degree, tuple(
-                     (i, j, m) for (i, j), m in zip(classes, code) if m))
-                 for code in _codes(degree, t)]
+        level = [_diagram(code, degree) for code in _codes(degree, t)]
         out += sorted(level, key=attrgetter("blocks"))
     return out
 
@@ -438,11 +437,11 @@ def boundary_matrix(degree: int, window: int, domain=None,
         domain = enumerate_diagrams(degree, window)
     if codomain is None:
         codomain = enumerate_diagrams(degree - 1, window)
-    row_of = {d: i for i, d in enumerate(codomain)}
+    row_of = {_code(d): i for i, d in enumerate(codomain)}
     m = SparseMat(len(codomain), len(domain))
     for col, d in enumerate(domain):
-        for out_d, coeff in boundary(d).terms.items():
-            m[row_of[out_d], col] = coeff
+        for face, p in _boundary_polys(_code(d), degree).items():
+            m[row_of[face], col] = RatFunc(p)
     return m
 
 
@@ -567,12 +566,9 @@ def _rank_at_zero(columns, degree, row_of, memo=None, bound=None):
             if memo is not None and not _dd_vanishes(counts, degree, memo):
                 failed.append(code)
                 return
-            col = {}
-            for (out, deleted), count in counts.items():
-                if not deleted:
-                    r = row_of[out]
-                    col[r] = col.get(r, 0) + count
-            yield {r: v for r, v in col.items() if v}
+            # the faces of one code are distinct keys
+            yield {row_of[out]: count for (out, deleted), count
+                   in counts.items() if count and not deleted}
 
     rank_p = rank_mod_p(integer_columns())
     if failed:
@@ -628,14 +624,14 @@ def _h2_exact(N: int, window3: int, gen3) -> dict:
     cols2_small = enumerate_diagrams(2, N)
     kernel = kernel_basis(boundary_matrix(2, N, cols2_small))
     rows_big = enumerate_diagrams(2, window3)
-    row_of = {d: i for i, d in enumerate(rows_big)}
+    row_of = {_code(d): i for i, d in enumerate(rows_big)}
 
     # kernel vectors re-indexed into the larger degree-2 window
     residuals = []
     supports = []
     for vec in kernel:
         residuals.append(clear_denominators(
-            {row_of[cols2_small[i]]: c for i, c in enumerate(vec) if c}))
+            {row_of[_code(cols2_small[i])]: c for i, c in enumerate(vec) if c}))
         supports.append(sorted(cols2_small[i].encode()
                                for i, c in enumerate(vec) if c))
 
@@ -659,7 +655,8 @@ def _h2_exact(N: int, window3: int, gen3) -> dict:
         if not unresolved:
             break
         columns_used += 1
-        col = {row_of[e]: c for e, c in boundary(d).terms.items()}
+        col = {row_of[face]: RatFunc(p)
+               for face, p in _boundary_polys(_code(d), 3).items()}
         for rid in stalled.pop(ech.insert(clear_denominators(col)), ()):
             settle(rid)
 

@@ -462,8 +462,8 @@ def bar_boundary_matrix(A: TubeAlgebra, n: int, basis_n=None, basis_prev=None):
     m = SparseMat(len(basis_prev), len(basis_n))
 
     def add(r, c, v):
-        cur = m[r, c] + v
-        m[r, c] = cur
+        old = m.entries.get((r, c))
+        m[r, c] = v if old is None else old + v
 
     for col, chain in enumerate(basis_n):
         eps_first = A.counit_vec.get(chain[0], RF_ZERO)

@@ -5,14 +5,15 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from fusionhom import annular
+from fusionhom import acceptance, annular
 from fusionhom.annular import (ChainVector, CircleDiagram, UnsupportedDegree,
                                boundary, boundary_matrix, diagram3,
                                enumerate_diagrams, fill_puncture, h0_report,
                                h1_vanishing_check, h2_vanishing_check,
                                shaded_boundary, sigma, sigma2, single)
 from fusionhom.errors import SizeLimit
-from fusionhom.exactarith import RatFunc, parse_scalar, rank
+from fusionhom.exactarith import (RF_ZERO, RatFunc, SparseMat, parse_scalar,
+                                  rank)
 
 dp = RatFunc.delta_power
 
@@ -326,9 +327,9 @@ def test_h2_certificate_rejects_columns_that_are_not_cycles(monkeypatch):
     assert h2_vanishing_check(3)["method"] == "exact"
 
 
-def test_h2_graded_proof_checks_each_column_is_a_cycle(monkeypatch):
-    # an extra delta-power face leaves every delta = 0 block, and so every
-    # graded rank, as it was; only the exact d2 d3 = 0 check sees it
+def add_a_delta_power_face(monkeypatch):
+    """Give every degree-3 boundary an extra face, its face at infinity
+    times one more power of delta than that fill carries."""
     counts_of = annular._code_counts
 
     def broken(code, degree):
@@ -340,7 +341,33 @@ def test_h2_graded_proof_checks_each_column_is_a_cycle(monkeypatch):
         return counts
 
     monkeypatch.setattr(annular, "_code_counts", broken)
+
+
+def test_h2_graded_proof_checks_each_column_is_a_cycle(monkeypatch):
+    # an extra delta-power face leaves every delta = 0 block, and so every
+    # graded rank, as it was; only the exact d2 d3 = 0 check sees it
+    add_a_delta_power_face(monkeypatch)
     assert annular._h2_graded(3) is None
+
+
+def test_d2_d3_zero_checks_every_power_of_delta(monkeypatch):
+    # the extra face is invisible at delta = 0, so a check there would pass
+    add_a_delta_power_face(monkeypatch)
+    report = acceptance.run_criterion("d2-d3-zero")
+    assert (report["status"], report["detail"]) == ("FAIL",
+                                                    "d2.d3 != 0 at T=6")
+
+
+def test_d2_d3_zero_multiplies_no_matrix(monkeypatch):
+    def no_product(self, other):
+        raise AssertionError("mat_mul called")
+
+    monkeypatch.setattr(SparseMat, "mat_mul", no_product)
+    with pytest.raises(AssertionError, match="mat_mul called"):
+        boundary_matrix(2, 1).mat_mul(boundary_matrix(3, 1))
+    report = acceptance.run_criterion("d2-d3-zero")
+    assert (report["status"], report["detail"]) == (
+        "PASS", "zero on a 84x714 times 7x84 pair")
 
 
 def test_graded_h2_builds_no_diagram(monkeypatch):
@@ -366,10 +393,31 @@ def test_graded_h2_builds_no_diagram(monkeypatch):
     assert len(built) == 4
 
 
-def code(d):
-    """Multiplicity tuple of d over the block classes of its degree."""
-    mult = {(i, j): m for i, j, m in d.blocks}
-    return tuple(mult.get(c, 0) for c in annular._block_classes(d.degree))
+def reference_fill(d, j):
+    """Fill j of d on diagram objects: each block through the
+    single-circle rule, the surviving circles summed per block and
+    rebuilt by the validating constructor, so a fill that broke
+    laminarity would raise.  Returns (face, deleted circles)."""
+    deleted = 0
+    norm = {}
+    for i0, j0, m in d.blocks:
+        key = annular._fill_block(d.degree, (i0, j0), j)
+        if key is None:
+            deleted += m
+        else:
+            norm[key] = norm.get(key, 0) + m
+    blocks = [(i, j, m) for (i, j), m in norm.items()]
+    return CircleDiagram(d.degree - 1, blocks), deleted
+
+
+def reference_counts(d):
+    """Boundary of d over Z from reference_fill: (face, deleted) ->
+    signed count."""
+    counts = {}
+    for j in range(d.degree + 1):
+        key = reference_fill(d, j)
+        counts[key] = counts.get(key, 0) + (-1) ** j
+    return counts
 
 
 def test_coded_boundary_counts_equal_the_diagram_counts():
@@ -379,10 +427,47 @@ def test_coded_boundary_counts_equal_the_diagram_counts():
     diagrams += enumerate_diagrams(4, 5)
     assert len(diagrams) == 1382 + 1902
     for d in diagrams:
-        expected = {(code(face), deleted): count
-                    for (face, deleted), count
-                    in annular._boundary_counts(d).items()}
-        assert annular._code_counts(code(d), d.degree) == expected
+        expected = {(annular._code(face), deleted): count
+                    for (face, deleted), count in reference_counts(d).items()}
+        assert annular._code_counts(annular._code(d), d.degree) == expected
+        for j in range(d.degree + 1):
+            assert fill_puncture(d, j) == reference_fill(d, j)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_boundary_matrix_equals_the_reference_fills(degree):
+    for T in range(6):
+        rows = {d: r for r, d in enumerate(enumerate_diagrams(degree - 1, T))}
+        expected = {}
+        for c, d in enumerate(enumerate_diagrams(degree, T)):
+            for (face, deleted), count in reference_counts(d).items():
+                key = rows[face], c
+                expected[key] = (expected.get(key, RF_ZERO)
+                                 + RatFunc.from_fraction(count) * dp(deleted))
+        expected = {key: v for key, v in expected.items() if v}
+        assert boundary_matrix(degree, T).entries == expected
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_codes_round_trip(degree):
+    for d in enumerate_diagrams(degree, 5):
+        assert annular._diagram(annular._code(d), degree) == d
+
+
+def test_boundary_matrix_builds_no_chain_vector(monkeypatch):
+    built = []
+    init = ChainVector.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ChainVector, "__init__", counting_init)
+    assert boundary_matrix(2, 11).entries
+    assert built == []
+    # the counter is live
+    boundary(sigma2(1, 1, 1))
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("k, contained", [(16, False), (20, True)])
@@ -421,7 +506,7 @@ def test_graded_ranks_equal_the_exact_rank(degree, T):
 
 
 def test_parse_keeps_the_block_checks():
-    # fill_puncture and enumerate_diagrams skip validation; parse does not
+    # decoded diagrams skip validation; parse does not
     with pytest.raises(ValueError, match="crossing"):
         CircleDiagram.parse("k=3; [1,2]^1 [2,3]^1")
     with pytest.raises(ValueError, match="out of range"):

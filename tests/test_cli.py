@@ -247,6 +247,17 @@ def test_two_input_sources_rejected(tube_file):
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("flag, key", [("--diagram-cap", "h2-vanishing"),
+                                       ("--chain-cap", "tube-homology")])
+def test_verify_all_zero_cap_is_a_cap(flag, key):
+    # a cap of 0 caps every chain space, it does not fall back to the default
+    code, report = main_json("verify-all", flag, "0")
+    assert code == 3
+    row, = [r for r in report["results"]["criteria"] if r["criterion"] == key]
+    assert row["status"] == "INCONCLUSIVE"
+    assert "cap 0" in row["detail"]
+
+
 def test_chain_cap_is_inconclusive():
     proc = run_cli("homology-tube", "--group", "S3", "--degree", "2",
                    "--chain-cap", "10")
