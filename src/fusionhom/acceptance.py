@@ -8,7 +8,6 @@ INCONCLUSIVE instead of failed, so capped runs degrade honestly.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -91,7 +90,7 @@ def crit_tube_homology(cfg):
     """Trivial-module homology dims are (1, 0, 0) for group tubes, the
     trace of the invariant projection is exactly beta0, and consecutive
     bar boundaries compose to zero exactly."""
-    cap = cfg.get("chain_cap", 50000)
+    cap = cfg.get("chain_cap", tube.CHAIN_CAP)
     details = []
     for grp in _TUBE_GROUPS:
         algebra = tube.tube_from_group(grp)
@@ -202,7 +201,7 @@ def crit_h1_vanishing(cfg):
 def crit_h2_vanishing(cfg):
     """The full degree-2 cycle space at N=8 lies in the degree-3
     boundary span."""
-    cap = cfg.get("diagram_cap", 100000)
+    cap = cfg.get("diagram_cap", annular.DIAGRAM_CAP)
     t0 = time.perf_counter()
     rep = annular.h2_vanishing_check(8, margin=2, diagram_cap=cap)
     elapsed = time.perf_counter() - t0

@@ -58,6 +58,8 @@ from .exactarith import (Echelon, IntPoly, RatFunc, RF_ONE, RF_ZERO,
                          SparseMat, ZERO_POLY, clear_denominators,
                          kernel_basis, rank, rank_mod_p, span_solve)
 
+DIAGRAM_CAP = 100000  # default bound on the degree-3 diagrams of the h2 check
+
 
 class UnsupportedDegree(ValueError):
     """Shaded display asked for outside its degrees 2 and 3."""
@@ -486,7 +488,7 @@ def h1_vanishing_check(K: int) -> dict:
 
 
 def h2_vanishing_check(N: int, margin: int = 2,
-                       diagram_cap: int = 100000) -> dict:
+                       diagram_cap: int = DIAGRAM_CAP) -> dict:
     """Check ker(boundary_2) on total <= N against the degree-3 image.
 
     The degree-3 boundaries are taken over diagrams with total <= N+margin.

@@ -4,8 +4,9 @@ Values are exact: a rational linear combination of monomials in the atoms
 SinSq(m) = 4 sin^2(pi/m)/m.  Atoms with m in {1, 2, 3, 4, 6} fold into
 the rational coefficient (the only m for which sin^2(pi/m) is rational),
 and m = infinity folds to 0.  Every atom lies in a real cyclotomic field,
-so equality and sign are decided exactly in Q(zeta_L), L the lcm of the
-atoms involved.
+so equality is decided by an exact zero test in Q(zeta_L), L the lcm of
+the atoms involved; sign by a double with a proven error bound, falling
+back to that zero test.
 
 Profiles are finite sequences (beta_0, ..., beta_D) with everything above
 D declared zero.
@@ -112,8 +113,7 @@ class BettiValue:
         return self.terms == other.terms or not (self - other)
 
     def __bool__(self):
-        value, scale = self._float_and_scale()
-        return abs(value) > _SIGN_BOUND * scale or not self._is_zero()
+        return not self._is_zero()
 
     def sign(self) -> int:
         """-1, 0 or 1, never guessed.

@@ -144,7 +144,7 @@ def _build_ring(args, files):
         raise InputError("choose exactly one of --tlj/--group/--ladder/--ring")
     kind = chosen[0]
     if kind == "group":
-        return fusion.relabel(fusion.from_group(_group_by_name(args.group)))
+        return fusion.from_group(_group_by_name(args.group))
     if kind == "ladder":
         return _ladder_window(fusion.tlj_ladder, args.ladder, args.delta,
                               "--ladder", "--delta")
@@ -526,13 +526,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true")
     p.add_argument("--homology", type=_intarg,
                    help="also compute trivial homology up to this degree")
-    p.add_argument("--chain-cap", type=_intarg, default=50000)
+    p.add_argument("--chain-cap", type=_intarg, default=tube.CHAIN_CAP)
 
     p = add_parser("homology-tube", help="bar homology of a tube algebra")
     p.add_argument("--group")
     p.add_argument("--file")
     p.add_argument("--degree", type=_intarg, default=2)
-    p.add_argument("--chain-cap", type=_intarg, default=50000)
+    p.add_argument("--chain-cap", type=_intarg, default=tube.CHAIN_CAP)
 
     p = add_parser("homology-tlj", help="annular homology checks")
     p.add_argument("--h0", type=_intarg, nargs="?", const=5,
@@ -542,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h2", type=_labelled_intarg("N"), metavar="N",
                    help="check degree-2 kernel containment at total <= N")
     p.add_argument("--margin", type=_intarg, default=2)
-    p.add_argument("--diagram-cap", type=_intarg, default=100000)
+    p.add_argument("--diagram-cap", type=_intarg,
+                   default=annular.DIAGRAM_CAP)
 
     p = add_parser("betti", help="L2-Betti profiles")
     p.add_argument("--fuss-catalan", nargs=2, type=_n_or_inf,

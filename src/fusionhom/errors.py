@@ -18,12 +18,4 @@ class ParseError(ValueError):
 
 
 class InvariantViolation(ValueError):
-    """A loaded structure fails a declared identity.
-
-    which: short name of the identity; witness: indices/elements involved.
-    """
-
-    def __init__(self, which, witness):
-        self.which = which
-        self.witness = witness
-        super().__init__(f"{which} fails at {witness}")
+    """A loaded structure fails a declared identity."""

@@ -304,7 +304,7 @@ class RatFunc:
     equal (hashable) representations.
 
     >>> d = RatFunc.delta()
-    >>> (d * d - RatFunc.one()) / (d - RatFunc.one())
+    >>> (d * d - RF_ONE) / (d - RF_ONE)
     RatFunc('delta + 1')
     """
 
@@ -328,14 +328,6 @@ class RatFunc:
         self.num, self.den = num, den
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "RatFunc":
-        return RatFunc(ZERO_POLY)
-
-    @staticmethod
-    def one() -> "RatFunc":
-        return RatFunc(ONE_POLY)
 
     @staticmethod
     def delta() -> "RatFunc":
@@ -427,8 +419,8 @@ class RatFunc:
         return f"RatFunc({str(self)!r})"
 
 
-RF_ZERO = RatFunc.zero()
-RF_ONE = RatFunc.one()
+RF_ZERO = RatFunc(ZERO_POLY)
+RF_ONE = RatFunc(ONE_POLY)
 
 
 # ---------------------------------------------------------------------------

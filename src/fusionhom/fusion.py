@@ -377,17 +377,14 @@ def perron_dims(ring: FusionRing):
 
 
 class BettiZeroReport:
-    """Global index and its inverse, exactly when exact dims exist."""
+    """The inverse of the global index, exactly when exact dims exist."""
 
-    def __init__(self, global_index, beta0, global_index_exact=None,
-                 beta0_exact=None):
-        self.global_index = global_index
+    def __init__(self, beta0, beta0_exact=None):
         self.beta0 = beta0
-        self.global_index_exact = global_index_exact
         self.beta0_exact = beta0_exact
 
     def __repr__(self):
-        return f"BettiZeroReport(index={self.global_index}, beta0={self.beta0})"
+        return f"BettiZeroReport(beta0={self.beta0})"
 
 
 def beta0(ring: FusionRing) -> BettiZeroReport:
@@ -400,7 +397,7 @@ def beta0(ring: FusionRing) -> BettiZeroReport:
     b_exact = None
     if gi_exact is not None and gi_exact:
         b_exact = RF_ONE / gi_exact
-    return BettiZeroReport(gi, 1.0 / gi, gi_exact, b_exact)
+    return BettiZeroReport(1.0 / gi, b_exact)
 
 
 # ---------------------------------------------------------------------------
@@ -450,28 +447,6 @@ def hochschild_h1_witness(max_degree: int):
 # ---------------------------------------------------------------------------
 # Text file format
 # ---------------------------------------------------------------------------
-
-def relabel(ring: FusionRing, mapping=None) -> FusionRing:
-    """Rename labels (default x0, x1, ... in order), preserving structure.
-
-    Needed before serializing rings whose labels are not single tokens
-    (group elements are often tuples).
-    """
-    if mapping is None:
-        mapping = {lab: f"x{i}" for i, lab in enumerate(ring.labels)}
-    labels = tuple(mapping[l] for l in ring.labels)
-    dual = {mapping[a]: mapping[b] for a, b in ring.dual.items()}
-    N = {(mapping[a], mapping[b]): {mapping[c]: v for c, v in row.items()}
-         for (a, b), row in ring.N.items()}
-    dims = ({mapping[l]: v for l, v in ring.dims.items()}
-            if ring.dims is not None else None)
-    dims_exact = ({mapping[l]: v for l, v in ring.dims_exact.items()}
-                  if ring.dims_exact is not None else None)
-    return FusionRing(labels, dual, N, dims, dims_exact,
-                      truncated=ring.truncated,
-                      frontier={mapping[l] for l in ring.frontier},
-                      name=ring.name)
-
 
 def ring_from_text(text: str) -> FusionRing:
     """Parse the ring format; validates axioms and raises InvalidRingFile

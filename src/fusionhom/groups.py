@@ -44,6 +44,8 @@ class Group:
 def validate_group(g: Group) -> None:
     """Check closure, identity, inverses, associativity; raise NotAGroup."""
     elems = g.elements
+    if not elems:
+        raise NotAGroup(f"{g.name or 'group'} has no elements")
     eset = set(elems)
     if len(eset) != len(elems):
         raise NotAGroup("duplicate elements")

@@ -29,6 +29,7 @@ from .exactarith import (RatFunc, RF_ONE, RF_ZERO, SparseMat, rank,
 from .groups import Group, NotAGroup
 
 MAX_WITNESSES = 5  # failures kept per identity channel
+CHAIN_CAP = 50000  # default bound on the size of one bar chain space
 
 
 class TubeAlgebra:
@@ -322,21 +323,16 @@ def _psd_failure(rows):
 # Distinguished corner as a fusion ring
 # ---------------------------------------------------------------------------
 
-def fusion_corner(A: TubeAlgebra, ring, bijection=None) -> dict:
+def fusion_corner(A: TubeAlgebra, ring) -> dict:
     """Match p_eps . A . p_eps against a declared fusion ring.
 
-    bijection maps corner basis names to ring labels; when omitted and the
-    basis names are (i, alpha) pairs, the natural map (eps, alpha) ->
-    alpha is used.  Returns a report dict with the matched bijection or
-    the first mismatch.
+    The corner basis names are (eps, alpha) pairs, matched to the ring
+    labels by the natural map (eps, alpha) -> alpha.  Returns a report
+    dict with the matched bijection or the first mismatch.
     """
     eps = A.eps_corner
     corner = A.corner_basis(eps, eps)
-    if bijection is None:
-        try:
-            bijection = {a: a[1] for a in corner}
-        except (TypeError, IndexError):
-            raise ValueError("no natural bijection; pass one explicitly")
+    bijection = {a: a[1] for a in corner}
     if sorted(map(str, bijection.values())) != sorted(map(str, ring.labels)):
         return {"isomorphic": False, "corner_dim": len(corner),
                 "mismatch": "bijection is not onto the ring labels",
@@ -482,7 +478,8 @@ def bar_boundary_matrix(A: TubeAlgebra, n: int, basis_n=None, basis_prev=None):
     return m
 
 
-def trivial_homology(A: TubeAlgebra, n_max: int, chain_cap=50000) -> HomologyReport:
+def trivial_homology(A: TubeAlgebra, n_max: int,
+                     chain_cap=CHAIN_CAP) -> HomologyReport:
     """Homology of the counit-collapsed bar complex up to degree n_max.
 
     With an invariant projection the dims are (1, 0, .., 0) by the
@@ -616,7 +613,7 @@ def tube_from_text(text: str, verify=True) -> TubeAlgebra:
         report = verify_identities(A)
         if not report.all_passed:
             which, witness = report.first_failure()
-            raise InvariantViolation(which, witness)
+            raise InvariantViolation(f"{which} fails at {witness}")
     return A
 
 

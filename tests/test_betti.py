@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fusionhom import betti
 from fusionhom.betti import (INF, ONE, BettiProfile, BettiValue,
                              free_product, fuss_catalan, point_profile,
                              profile_to_json, tensor_product, tlj_profile)
@@ -54,6 +55,16 @@ def test_linearly_dependent_atoms_compare_equal():
     assert BettiValue(0, [(2, 10), (-1, 5)]) == BettiValue(Fraction(-1, 5))
     assert BettiValue(0, [(2, 10), (-1, 5)]).sign() == -1
     assert BettiValue(Fraction(1, 5), [(2, 10), (-1, 5)]).sign() == 0
+
+
+def test_equality_does_not_read_the_double_value(monkeypatch):
+    # atoms off by far more than an ulp: only the exact zero test decides
+    atom_float = betti._atom_float
+    monkeypatch.setattr(betti, "_atom_float",
+                        lambda m: atom_float(m) * (1 + 1e-9))
+    value = BettiValue(0, [(2, 10), (-1, 5)])
+    assert value == BettiValue(Fraction(-1, 5))
+    assert not value + Fraction(1, 5)
 
 
 def test_atom_square_reduces_in_its_field():

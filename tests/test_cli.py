@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import fusionhom
-from fusionhom import cli, tube
+from fusionhom import annular, cli, tube
 from fusionhom.acceptance import CRITERIA
 from fusionhom.groups import cyclic, symmetric
 from fusionhom.tube import tube_from_group
@@ -89,6 +90,57 @@ def test_tube_group_verify_and_homology():
     assert report["results"]["all_passed"]
     assert report["results"]["dim"] == 36
     assert report["results"]["homology"]["dims"] == [1, 0, 0]
+
+
+Z2_RING = """labels: e g
+dual: e g
+dims: 1 1
+dims-exact: 1; 1
+N:
+e e e 1
+e g g 1
+g e g 1
+g g e 1
+"""
+
+
+@pytest.mark.parametrize("text, exact", [
+    (Z2_RING, "1/2"),
+    ("".join(line for line in Z2_RING.splitlines(keepends=True)
+             if not line.startswith("dims")), None),
+], ids=["declared-dims", "perron-dims"])
+def test_fusion_ring_file(tmp_path, text, exact):
+    path = tmp_path / "z2.ring"
+    path.write_text(text)
+    code, report = main_json("fusion", "--ring", str(path), "--verify")
+    assert code == 0, report.get("error")
+    results = report["results"]
+    assert results["verified"] is True
+    assert results["global_index"] == 2.0
+    assert results["beta0"] == 0.5
+    assert results.get("beta0_exact") == exact
+    assert report["inputs"]["files"] == {
+        str(path): hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
+def test_betti_point():
+    code, report = main_json("betti", "--point")
+    assert code == 0
+    results = report["results"]
+    assert [v["exact"] for v in results["profile"]] == ["1"]
+    assert results["provenance"] == "point"
+
+
+def test_cap_defaults_are_the_module_constants():
+    parser = cli.build_parser()
+    for argv in (["tube", "--group", "S3"], ["homology-tube", "--group", "S3"]):
+        assert parser.parse_args(argv).chain_cap == tube.CHAIN_CAP == 50000
+    assert (parser.parse_args(["homology-tlj"]).diagram_cap
+            == annular.DIAGRAM_CAP == 100000)
+    assert (inspect.signature(tube.trivial_homology)
+            .parameters["chain_cap"].default == tube.CHAIN_CAP)
+    assert (inspect.signature(annular.h2_vanishing_check)
+            .parameters["diagram_cap"].default == annular.DIAGRAM_CAP)
 
 
 def test_tube_file_input(tube_file):
@@ -496,6 +548,11 @@ def test_help_exits_zero():
     (("betti", "--tlj", "1"), "--tlj 1"),
     (("betti", "--tlj", "0"), "--tlj 0"),
     (("betti", "--fuss-catalan", "2", "5"), "--fuss-catalan 2 5"),
+    (("fusion", "--group", "Z0"), "no elements"),
+    (("fusion", "--group", "D0"), "no elements"),
+    (("tube", "--group", "D0"), "no elements"),
+    (("homology-tube", "--group", "Z0"), "no elements"),
+    (("homology-tube", "--group", "Z00"), "no elements"),
 ], ids=["kesten-window", "folner-window",
         "nonpositive-weight", "epsilon", "ladder-zero", "delta-nan",
         "delta-inf", "delta-zero", "delta-negative", "delta-below-two",
@@ -504,7 +561,9 @@ def test_help_exits_zero():
         "folner-weight-overflow", "kesten-delta-inf", "folner-delta-inf",
         "max-size-zero", "max-size-zero-greedy", "epsilon-nan",
         "h1-negative", "h2-zero", "margin-negative", "h0-negative",
-        "betti-tlj-one", "betti-tlj-zero", "betti-fc-two"])
+        "betti-tlj-one", "betti-tlj-zero", "betti-fc-two",
+        "fusion-z0", "fusion-d0", "tube-d0", "homology-tube-z0",
+        "homology-tube-z00"])
 def test_out_of_range_flags_are_input_errors(argv, message):
     code, report = run_json(*argv)
     assert code == 1

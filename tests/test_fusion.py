@@ -9,17 +9,35 @@ from hypothesis import strategies as st
 from fusionhom.exactarith import RF_ONE, RatFunc
 from fusionhom.fusion import (FusionRing, InvalidRingFile, NotConnected,
                               _triples, beta0, chebyshev_dims, from_group,
-                              hochschild_h1_witness, perron_dims, relabel,
+                              hochschild_h1_witness, perron_dims,
                               ring_from_text, tlj_even, tlj_global_index,
                               tlj_ladder, verify_axioms)
 from fusionhom.groups import cyclic, dihedral, symmetric
 
 
+def relabel(ring: FusionRing) -> FusionRing:
+    """The same ring with labels renamed x0, x1, ... in order, so that
+    ring_to_text can write rings whose labels are tuples."""
+    mapping = {lab: f"x{i}" for i, lab in enumerate(ring.labels)}
+    labels = tuple(mapping[l] for l in ring.labels)
+    dual = {mapping[a]: mapping[b] for a, b in ring.dual.items()}
+    N = {(mapping[a], mapping[b]): {mapping[c]: v for c, v in row.items()}
+         for (a, b), row in ring.N.items()}
+    dims = ({mapping[l]: v for l, v in ring.dims.items()}
+            if ring.dims is not None else None)
+    dims_exact = ({mapping[l]: v for l, v in ring.dims_exact.items()}
+                  if ring.dims_exact is not None else None)
+    return FusionRing(labels, dual, N, dims, dims_exact,
+                      truncated=ring.truncated,
+                      frontier={mapping[l] for l in ring.frontier},
+                      name=ring.name)
+
+
 def ring_to_text(ring: FusionRing) -> str:
     """Serialize to the human-editable ring format (sorted body lines).
 
-    Labels must be single whitespace-free tokens; use relabel() first for
-    rings whose labels are tuples.
+    Labels must be single whitespace-free tokens; relabel rings whose
+    labels are tuples first.
     """
     for lab in ring.labels:
         token = str(lab)

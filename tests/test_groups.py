@@ -43,6 +43,18 @@ def test_not_a_group_missing_inverse():
         Group([0, 1], mul, {0: 0, 1: 1}, name="bad")
 
 
+@pytest.mark.parametrize("build", [cyclic, dihedral], ids=["Z0", "D0"])
+def test_empty_group_is_not_a_group(build):
+    with pytest.raises(NotAGroup, match="no elements"):
+        build(0)
+
+
+def test_trivial_symmetric_group():
+    g = symmetric(0)
+    assert g.elements == ((),)
+    assert g.mul[(), ()] == ()
+
+
 def test_not_a_group_nonassociative():
     # start from Z/5 and bend one product away from the identity row
     elems = tuple(range(5))
