@@ -17,10 +17,10 @@ displays at degrees 2 and 3 come from one display function,
 `shaded_boundary`, whose bit transport gives no chain complex.
 
 H2 containment (`h2_vanishing_check`) is proved from the delta = 0
-graded pieces of the complex and falls back to exact elimination over
-Z[delta] when that proof does not close.  Write C_k(<=T) and C_k(=t)
-for the degree-k diagrams of total at most T and exactly t; filling
-never raises the total, so each C(<=T) is a subcomplex.
+graded pieces of the complex, and only so: where that proof does not
+close, the check raises errors.Inconclusive.  Write C_k(<=T) and
+C_k(=t) for the degree-k diagrams of total at most T and exactly t;
+filling never raises the total, so each C(<=T) is a subcomplex.
 
 - A fill that deletes j circles carries delta^j and lowers the total by
   j.  Sending delta to 0 is a ring map Z[delta] -> Z that keeps only the
@@ -53,10 +53,9 @@ from itertools import combinations
 from math import comb
 from operator import attrgetter, sub
 
-from .errors import SizeLimit
+from .errors import Inconclusive, SizeLimit
 from .exactarith import (Echelon, IntPoly, RatFunc, RF_ONE, RF_ZERO,
-                         SparseMat, ZERO_POLY, clear_denominators,
-                         kernel_basis, rank, rank_mod_p, span_solve)
+                         SparseMat, ZERO_POLY, rank, rank_mod_p, span_solve)
 
 DIAGRAM_CAP = 100000  # default bound on the degree-3 diagrams of the h2 check
 
@@ -492,7 +491,7 @@ def h2_vanishing_check(N: int, margin: int = 2,
     """Check ker(boundary_2) on total <= N against the degree-3 image.
 
     The degree-3 boundaries are taken over diagrams with total <= N+margin.
-    Containment is first proved from the graded ranks (see the module
+    Containment is proved from the graded ranks (see the module
     docstring): for each total t <= N, the ranks over Q of the delta = 0
     blocks d2(=t) and d3(=t), each degree-3 column checked to satisfy
     d2(d3(d)) = 0 exactly over Z before it is used.  Each rank is first
@@ -501,12 +500,12 @@ def h2_vanishing_check(N: int, margin: int = 2,
     d2 d3 = 0, rank d3(=t) <= |C2(=t)| - rank d2(=t).  Otherwise exact
     elimination over Z gives the rank.  The proof needs no kernel basis
     and no evaluation point, and it consumes the columns of total <= N
-    only; C3(<=N+margin) is only counted.  When it does not close, the
-    exact elimination `_h2_exact` enumerates that window, decides, and is
-    the only source of failing vectors.
+    only; C3(<=N+margin) is only counted.  When a column is not a cycle
+    or a total's ranks do not close, the check raises Inconclusive: no
+    verdict is given without the proof.
 
-    The report's method is "graded" or "exact"; a graded report carries
-    "graded": |C2(=t)|, rank d2(=t) and rank d3(=t) for t = 0..N.
+    The report's method is "graded", and its "graded" entry holds
+    |C2(=t)|, rank d2(=t) and rank d3(=t) for t = 0..N.
     """
     if N < 1 or margin < 0:
         raise ValueError("need N >= 1 and margin >= 0")
@@ -515,11 +514,7 @@ def h2_vanishing_check(N: int, margin: int = 2,
     if available > diagram_cap:
         raise SizeLimit(
             f"{available} degree-3 diagrams exceed cap {diagram_cap}")
-    found = _h2_graded(N)
-    if found is None:
-        gen3 = enumerate_diagrams(3, window3)
-        return {**_h2_exact(N, window3, gen3), "method": "exact"}
-    kernel_dim, columns_used, graded = found
+    kernel_dim, columns_used, graded = _h2_graded(N)
     return {
         "kernel_dim": kernel_dim,
         "contained": True,
@@ -546,36 +541,36 @@ def _dd_vanishes(counts, degree, memo) -> bool:
     return not any(total.values())
 
 
-def _rank_at_zero(columns, degree, row_of, memo=None, bound=None):
+def _rank_at_zero(columns, degree, row_of, memo=None, bound=None,
+                  where=None):
     """Rank over Q of the boundary at delta = 0 on these coded columns.
 
     Each column is streamed: its boundary counts, then (with a memo) the
     exact d(d(column)) = 0 check, then its delta^0 part as an integer
-    column.  Returns None when a column fails the check.  bound is a
-    proven upper bound on the rank, by default the smaller dimension.
-    The integer columns are first eliminated modulo p (`rank_mod_p`; no
-    evaluation point is needed).  That rank never exceeds the rank over
-    Q, so when it meets the bound it is the rank; otherwise the columns
-    are streamed again into exact elimination over Z.
+    column.  A column that fails the check raises Inconclusive, its
+    message led by where.  bound is a proven upper bound on the rank, by
+    default the smaller dimension.  The integer columns are first
+    eliminated modulo p (`rank_mod_p`; no evaluation point is needed).
+    That rank never exceeds the rank over Q, so when it meets the bound
+    it is the rank; otherwise the columns are streamed again into exact
+    elimination over Z.
     """
     if bound is None:
         bound = min(len(columns), len(row_of))
-    failed = []
 
     def integer_columns():
         for code in columns:
             counts = _code_counts(code, degree)
             if memo is not None and not _dd_vanishes(counts, degree, memo):
-                failed.append(code)
-                return
+                raise Inconclusive(
+                    f"{where}: degree-{degree} column "
+                    f"{_diagram(code, degree).encode()} is not a cycle "
+                    f"(d{degree - 1} d{degree} != 0)")
             # the faces of one code are distinct keys
             yield {row_of[out]: count for (out, deleted), count
                    in counts.items() if count and not deleted}
 
-    rank_p = rank_mod_p(integer_columns())
-    if failed:
-        return None
-    if rank_p == bound:
+    if rank_mod_p(integer_columns()) == bound:
         return bound
     ech = Echelon()
     for col in integer_columns():
@@ -585,12 +580,14 @@ def _rank_at_zero(columns, degree, row_of, memo=None, bound=None):
 
 def _h2_graded(N):
     """The graded proof on C(<=N), on the codes `_codes` lists per total;
-    no diagram is built.
+    no diagram is built but the one that names a failing column.
 
     The counts, the d2 d3 = 0 checks and the delta = 0 blocks run on the
     codes through `_fills`.  Returns (kernel_dim, columns_used, per-total
-    ranks), or None when a graded summand is nonzero, a column is not a
-    cycle, or the d2 ranks fall short of |C1(<=N)|.
+    ranks).  Raises Inconclusive, naming N and the total t, when a
+    degree-3 column is not a cycle, or when the ranks of a total do not
+    close: rank d2(=t) < |C1(=t)|, or a nonzero graded summand
+    |C2(=t)| - rank d2(=t) - rank d3(=t).
     """
     memo = {}
     graded = {"dim_c2": [], "rank_d2": [], "rank_d3": []}
@@ -601,75 +598,16 @@ def _h2_graded(N):
         row2 = {code: i for i, code in enumerate(c2)}
         # d2 d3 = 0 gives rank d3(=t) <= |C2(=t)| - rank d2(=t)
         rank2 = _rank_at_zero(c2, 2, row1)
-        rank3 = _rank_at_zero(c3, 3, row2, memo, len(c2) - rank2)
-        if rank3 is None or rank2 != len(c1) or rank2 + rank3 != len(c2):
-            return None
+        rank3 = _rank_at_zero(c3, 3, row2, memo, len(c2) - rank2,
+                              f"h2 at N={N}, total {t}")
+        if rank2 != len(c1) or rank2 + rank3 != len(c2):
+            raise Inconclusive(
+                f"h2 at N={N}, total {t}: graded ranks do not close "
+                f"(|C1| {len(c1)}, |C2| {len(c2)}, rank d2 {rank2}, "
+                f"rank d3 {rank3})")
         graded["dim_c2"].append(len(c2))
         graded["rank_d2"].append(rank2)
         graded["rank_d3"].append(rank3)
         kernel_dim += len(c2) - len(c1)
         columns_used += len(c3)
     return kernel_dim, columns_used, graded
-
-
-def _h2_exact(N: int, window3: int, gen3) -> dict:
-    """The exact oracle for h2_vanishing_check, by fraction-free elimination.
-
-    Kernel vectors of the degree-2 boundary on total <= N are tested for
-    membership in the span of the boundaries of gen3.  The columns are
-    inserted into one exactarith.Echelon in order.  A kernel vector that
-    stays nonzero after reduction is stalled at its leading index and
-    reduced again only when a new pivot lands there; insertion stops as
-    soon as every kernel vector has reduced to zero, so columns_used does
-    not depend on the kernel basis.
-    """
-    cols2_small = enumerate_diagrams(2, N)
-    kernel = kernel_basis(boundary_matrix(2, N, cols2_small))
-    rows_big = enumerate_diagrams(2, window3)
-    row_of = {_code(d): i for i, d in enumerate(rows_big)}
-
-    # kernel vectors re-indexed into the larger degree-2 window
-    residuals = []
-    supports = []
-    for vec in kernel:
-        residuals.append(clear_denominators(
-            {row_of[_code(cols2_small[i])]: c for i, c in enumerate(vec) if c}))
-        supports.append(sorted(cols2_small[i].encode()
-                               for i, c in enumerate(vec) if c))
-
-    ech = Echelon()
-    unresolved = dict(enumerate(residuals))
-    stalled = {}  # leading index -> list of residual ids
-
-    def settle(rid):
-        vec = ech.reduce(unresolved[rid])
-        if vec:
-            unresolved[rid] = vec
-            stalled.setdefault(min(vec), []).append(rid)
-        else:
-            del unresolved[rid]
-
-    for rid in list(unresolved):
-        settle(rid)
-
-    columns_used = 0
-    for d in gen3:
-        if not unresolved:
-            break
-        columns_used += 1
-        col = {row_of[face]: RatFunc(p)
-               for face, p in _boundary_polys(_code(d), 3).items()}
-        for rid in stalled.pop(ech.insert(clear_denominators(col)), ()):
-            settle(rid)
-
-    failing = []
-    for rid in sorted(unresolved):
-        failing.append({"kernel_index": rid, "support": supports[rid]})
-    return {
-        "kernel_dim": len(kernel),
-        "contained": not unresolved,
-        "failing_vectors": failing,
-        "columns_available": len(gen3),
-        "columns_used": columns_used,
-        "window": window3,
-    }

@@ -16,11 +16,12 @@ list remainder `_pseudo_rem` decides `betti`'s exact zero test modulo
 a cyclotomic polynomial.
 
 One elimination engine, `Echelon`, backs `rank`'s fallback,
-`span_solve` and the annular homology checks.  Vectors are sparse dicts
-index -> integer polynomial with denominators cleared; two vectors are
-combined by cross-multiplying with their entries at the cancelled index
-divided by the gcd of those entries, and the result is divided by its
-content, so no fractions appear during elimination.  A vector's leading
+`span_solve` and the exact fallback of the delta = 0 ranks in the
+annular H2 proof.  Vectors are sparse dicts index -> integer
+polynomial with denominators cleared; two vectors are combined by
+cross-multiplying with their entries at the cancelled index divided by
+the gcd of those entries, and the result is divided by its content, so
+no fractions appear during elimination.  A vector's leading
 index is its smallest index, so pivots follow column order and stored
 pivot vectors never change while vectors are inserted.
 

@@ -328,15 +328,15 @@ def fusion_corner(A: TubeAlgebra, ring) -> dict:
 
     The corner basis names are (eps, alpha) pairs, matched to the ring
     labels by the natural map (eps, alpha) -> alpha.  Returns a report
-    dict with the matched bijection or the first mismatch.
+    dict: isomorphic, corner_dim and the first mismatch (None when
+    isomorphic).
     """
     eps = A.eps_corner
     corner = A.corner_basis(eps, eps)
     bijection = {a: a[1] for a in corner}
     if sorted(map(str, bijection.values())) != sorted(map(str, ring.labels)):
         return {"isomorphic": False, "corner_dim": len(corner),
-                "mismatch": "bijection is not onto the ring labels",
-                "bijection": bijection}
+                "mismatch": "bijection is not onto the ring labels"}
     inverse = {v: k for k, v in bijection.items()}
     for a in corner:
         for b in corner:
@@ -350,10 +350,8 @@ def fusion_corner(A: TubeAlgebra, ring) -> dict:
                         "corner_dim": len(corner),
                         "mismatch": (bijection[a], bijection[b], gamma,
                                      str(want), str(got)),
-                        "bijection": bijection,
                     }
-    return {"isomorphic": True, "corner_dim": len(corner),
-            "mismatch": None, "bijection": bijection}
+    return {"isomorphic": True, "corner_dim": len(corner), "mismatch": None}
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,23 @@
 """Circle diagrams and the low-degree annular chain complex."""
 
+import contextlib
 import hashlib
+import io
+import json
 from itertools import combinations_with_replacement
 
 import pytest
 
-from fusionhom import acceptance, annular
+from fusionhom import acceptance, annular, cli
 from fusionhom.annular import (ChainVector, CircleDiagram, UnsupportedDegree,
                                boundary, boundary_matrix, diagram3,
                                enumerate_diagrams, fill_puncture, h0_report,
                                h1_vanishing_check, h2_vanishing_check,
                                shaded_boundary, sigma, sigma2, single)
-from fusionhom.errors import SizeLimit
-from fusionhom.exactarith import (RF_ZERO, RatFunc, SparseMat, parse_scalar,
-                                  rank)
+from fusionhom.errors import Inconclusive, SizeLimit
+from fusionhom.exactarith import (RF_ZERO, Echelon, RatFunc, SparseMat,
+                                  clear_denominators, kernel_basis,
+                                  parse_scalar, rank)
 
 dp = RatFunc.delta_power
 
@@ -213,7 +217,7 @@ def test_each_window_is_enumerated_once(monkeypatch):
     assert h1_vanishing_check(3)["contained"]
     assert calls == [(2, 4), (1, 4)]
     calls.clear()
-    annular._h2_exact(3, 4, [])
+    _h2_exact(3, 4, [])
     assert calls == [(2, 3), (1, 3), (2, 4)]
 
 
@@ -251,12 +255,79 @@ def without_codes(monkeypatch, drop):
                         else codes(k, t))
 
 
+def _h2_exact(N: int, window3: int, gen3) -> dict:
+    """The exact oracle for h2_vanishing_check, by fraction-free elimination.
+
+    Kernel vectors of the degree-2 boundary on total <= N are tested for
+    membership in the span of the boundaries of gen3.  The columns are
+    inserted into one exactarith.Echelon in order.  A kernel vector that
+    stays nonzero after reduction is stalled at its leading index and
+    reduced again only when a new pivot lands there; insertion stops as
+    soon as every kernel vector has reduced to zero, so columns_used does
+    not depend on the kernel basis.
+    """
+    cols2_small = annular.enumerate_diagrams(2, N)
+    kernel = kernel_basis(boundary_matrix(2, N, cols2_small))
+    rows_big = annular.enumerate_diagrams(2, window3)
+    row_of = {annular._code(d): i for i, d in enumerate(rows_big)}
+
+    # kernel vectors re-indexed into the larger degree-2 window
+    residuals = []
+    supports = []
+    for vec in kernel:
+        residuals.append(clear_denominators(
+            {row_of[annular._code(cols2_small[i])]: c
+             for i, c in enumerate(vec) if c}))
+        supports.append(sorted(cols2_small[i].encode()
+                               for i, c in enumerate(vec) if c))
+
+    ech = Echelon()
+    unresolved = dict(enumerate(residuals))
+    stalled = {}  # leading index -> list of residual ids
+
+    def settle(rid):
+        vec = ech.reduce(unresolved[rid])
+        if vec:
+            unresolved[rid] = vec
+            stalled.setdefault(min(vec), []).append(rid)
+        else:
+            del unresolved[rid]
+
+    for rid in list(unresolved):
+        settle(rid)
+
+    columns_used = 0
+    for d in gen3:
+        if not unresolved:
+            break
+        columns_used += 1
+        col = {row_of[face]: RatFunc(p) for face, p
+               in annular._boundary_polys(annular._code(d), 3).items()}
+        for rid in stalled.pop(ech.insert(clear_denominators(col)), ()):
+            settle(rid)
+
+    failing = []
+    for rid in sorted(unresolved):
+        failing.append({"kernel_index": rid, "support": supports[rid]})
+    return {
+        "kernel_dim": len(kernel),
+        "contained": not unresolved,
+        "failing_vectors": failing,
+        "columns_available": len(gen3),
+        "columns_used": columns_used,
+        "window": window3,
+    }
+
+
 def test_h2_with_no_generators_fails_honestly(monkeypatch):
-    # the graded proof cannot close on an empty column set, so the exact
-    # oracle decides, and it is the only source of failing vectors
+    # the graded proof cannot close on an empty column set: at total 1,
+    # |C2(=1)| - rank d2(=1) = 3 - 1 is left with rank d3(=1) = 0; the
+    # exact oracle agrees that the kernel is not contained
     without_codes(monkeypatch, lambda k, t: k == 3)
-    assert annular._h2_graded(4) is None
-    report = annular._h2_exact(4, 6, [])
+    with pytest.raises(Inconclusive, match=r"^h2 at N=4, total 1: graded "
+                                           r"ranks do not close"):
+        h2_vanishing_check(4)
+    report = _h2_exact(4, 6, [])
     assert not report["contained"]
     assert report["failing_vectors"]
 
@@ -270,7 +341,7 @@ def _verdict(report):
 def test_h2_certificate_agrees_with_exact_oracle(n, margin):
     report = h2_vanishing_check(n, margin=margin)
     assert report["method"] == "graded"
-    exact = annular._h2_exact(n, n + margin, enumerate_diagrams(3, n + margin))
+    exact = _h2_exact(n, n + margin, enumerate_diagrams(3, n + margin))
     assert _verdict(report) == _verdict(exact)
     assert report["columns_available"] == exact["columns_available"]
     assert report["window"] == exact["window"]
@@ -298,19 +369,20 @@ def test_h2_graded_ranks_fall_back_to_exact_elimination(monkeypatch):
     assert proved["method"] == "graded"
 
 
-def test_h2_falls_back_to_exact_on_a_column_subset(monkeypatch):
-    # without the total-4 columns rank d3(=4) is 0, so the exact oracle
-    # decides; the columns of total 5 and 6 still contain the kernel
+def test_h2_refuses_a_column_subset_the_oracle_accepts(monkeypatch):
+    # without the total-4 columns rank d3(=4) is 0, so the graded proof
+    # does not close and no verdict is given, although the columns of
+    # total 5 and 6 still contain the kernel, as the exact oracle shows
     without_codes(monkeypatch, lambda k, t: (k, t) == (3, 4))
     gens = enumerate_diagrams(3, 6)
     assert {d.total() for d in gens} == {0, 1, 2, 3, 5, 6}
-    assert annular._h2_graded(4) is None
-    fallback = h2_vanishing_check(4)
-    assert fallback["method"] == "exact"
-    assert "graded" not in fallback
-    assert fallback == {**annular._h2_exact(4, 6, gens), "method": "exact"}
-    assert _verdict(fallback) == (30, True)
-    assert fallback["columns_used"] == 133
+    closing = (r"^h2 at N=4, total 4: graded ranks do not close "
+               r"\(\|C1\| 1, \|C2\| 15, rank d2 1, rank d3 0\)$")
+    with pytest.raises(Inconclusive, match=closing):
+        h2_vanishing_check(4)
+    exact = _h2_exact(4, 6, gens)
+    assert _verdict(exact) == (30, True)
+    assert exact["columns_used"] == 133
 
 
 def test_h2_certificate_rejects_columns_that_are_not_cycles(monkeypatch):
@@ -324,7 +396,12 @@ def test_h2_certificate_rejects_columns_that_are_not_cycles(monkeypatch):
         return counts
 
     monkeypatch.setattr(annular, "_code_counts", broken)
-    assert h2_vanishing_check(3)["method"] == "exact"
+    with pytest.raises(Inconclusive, match=r"^h2 at N=3, total 0: degree-3 "
+                                           r"column k=3; - is not a cycle"):
+        h2_vanishing_check(3)
+    # the exact oracle, which checks no column, still gives a verdict
+    exact = _h2_exact(3, 5, enumerate_diagrams(3, 5))
+    assert not exact["contained"] and exact["failing_vectors"]
 
 
 def add_a_delta_power_face(monkeypatch):
@@ -347,7 +424,30 @@ def test_h2_graded_proof_checks_each_column_is_a_cycle(monkeypatch):
     # an extra delta-power face leaves every delta = 0 block, and so every
     # graded rank, as it was; only the exact d2 d3 = 0 check sees it
     add_a_delta_power_face(monkeypatch)
-    assert annular._h2_graded(3) is None
+    with pytest.raises(Inconclusive, match=r"^h2 at N=3, total 0: degree-3 "
+                                           r"column k=3; - is not a cycle"):
+        annular._h2_graded(3)
+    # the exact oracle, which checks no column, still gives a verdict
+    assert _verdict(_h2_exact(3, 5, enumerate_diagrams(3, 5))) == (16, True)
+
+
+def test_h2_refuses_columns_that_are_not_cycles(monkeypatch):
+    # the benchmark size, the CLI and verify-all: no verdict without the
+    # d2 d3 = 0 check, where an exact elimination alone would contain
+    add_a_delta_power_face(monkeypatch)
+    with pytest.raises(Inconclusive, match=r"^h2 at N=8, total 0: "):
+        h2_vanishing_check(8)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["homology-tlj", "--h2", "8", "--margin", "2",
+                         "--json"])
+    assert code == 3
+    error = json.loads(buf.getvalue())["error"]
+    assert error["type"] == "Inconclusive"
+    assert error["message"].startswith("h2 at N=8, total 0: degree-3 column")
+    report = acceptance.run_criterion("h2-vanishing")
+    assert report["status"] == "INCONCLUSIVE"
+    assert report["detail"].startswith("Inconclusive: h2 at N=8, total 0: ")
 
 
 def test_d2_d3_zero_checks_every_power_of_delta(monkeypatch):
@@ -475,7 +575,7 @@ def test_h2_partial_generators_get_the_oracle_verdict(k, contained):
     # total-3 columns only: 20 of them contain ker d2(<=2) without
     # spanning ker d2(<=3)
     gens = [d for d in enumerate_diagrams(3, 3) if d.total() == 3][:k]
-    report = annular._h2_exact(2, 3, gens)
+    report = _h2_exact(2, 3, gens)
     assert report["contained"] is contained
     assert bool(report["failing_vectors"]) is not contained
 
@@ -488,7 +588,7 @@ def test_h2_certified_window_stays_inside_the_row_window():
     kernel_dim, columns_used, graded = annular._h2_graded(3)
     assert columns_used == len(gens) - 1
     assert len(graded["rank_d3"]) == 4
-    exact = annular._h2_exact(3, 3, gens)
+    exact = _h2_exact(3, 3, gens)
     assert (kernel_dim, True) == _verdict(exact) == (16, True)
     assert exact["columns_used"] == 70
 
