@@ -3,7 +3,10 @@
 Values are exact: a rational linear combination of monomials in the atoms
 SinSq(m) = 4 sin^2(pi/m)/m.  Atoms with m in {1, 2, 3, 4, 6} fold into
 the rational coefficient (the only m for which sin^2(pi/m) is rational),
-and m = infinity folds to 0.  Every atom lies in a real cyclotomic field,
+and m = infinity folds to 0.  Folding happens once, in the constructor:
+a folded monomial holds no such atom, and neither does a product of two,
+so +, - and * only merge coefficients and keep the one key order, by
+(degree, atoms).  Every atom lies in a real cyclotomic field,
 so equality is decided by an exact zero test in Q(zeta_L), L the lcm of
 the atoms involved; sign by a double with a proven error bound, falling
 back to that zero test.
@@ -42,6 +45,12 @@ def _fold(pairs) -> dict:
                 coeff *= _FOLD[m]
         key = tuple(sorted(m for m in mono if m not in _FOLD))
         terms[key] = terms[key] + coeff if key in terms else coeff
+    return _ordered(terms)
+
+
+def _ordered(terms: dict) -> dict:
+    """Terms with the zeros dropped and the monomials sorted by
+    (degree, atoms): the one key order every BettiValue keeps."""
     return {k: terms[k] for k in sorted(terms, key=lambda k: (len(k), k))
             if terms[k]}
 
@@ -76,9 +85,10 @@ class BettiValue:
                            + [((m,), Fraction(c)) for c, m in atoms])
 
     @classmethod
-    def _of(cls, pairs) -> "BettiValue":
+    def _of(cls, terms: dict) -> "BettiValue":
+        """Wrap terms that are already folded and ordered."""
         value = cls.__new__(cls)
-        value.terms = _fold(pairs)
+        value.terms = terms
         return value
 
     @staticmethod
@@ -91,20 +101,25 @@ class BettiValue:
         return self.terms.get((), Fraction(0))
 
     def __add__(self, other):
-        other = _coerce(other)
-        return BettiValue._of([*self.terms.items(), *other.terms.items()])
+        terms = dict(self.terms)
+        for mono, c in _coerce(other).terms.items():
+            terms[mono] = terms[mono] + c if mono in terms else c
+        return BettiValue._of(_ordered(terms))
 
     def __neg__(self):
-        return BettiValue._of((mono, -c) for mono, c in self.terms.items())
+        return BettiValue._of({mono: -c for mono, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
 
     def __mul__(self, other):
-        other = _coerce(other)
-        return BettiValue._of((m1 + m2, c1 * c2)
-                              for m1, c1 in self.terms.items()
-                              for m2, c2 in other.terms.items())
+        other, terms = _coerce(other), {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
+                c = c1 * c2
+                terms[mono] = terms[mono] + c if mono in terms else c
+        return BettiValue._of(_ordered(terms))
 
     def __eq__(self, other):
         if not isinstance(other, (BettiValue, int, Fraction)):

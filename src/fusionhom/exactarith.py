@@ -5,13 +5,18 @@ coefficients (`RatFunc`), stored in a reduced canonical form so that equal
 values always have equal representations.  Plain rationals embed as
 constant rational functions (`RatFunc.from_fraction`).
 
-Every canonical form, and so every `Echelon` step, goes through
-`poly_gcd`.  It runs the primitive polynomial remainder sequence on
-plain coefficient lists and builds an `IntPoly` only for the result.
-The gcd in Z[delta] is the content gcd times the primitive gcd with
-positive leading coefficient, so it is unique, and two exact shortcuts
-return it without running the sequence: a constant operand, or a
-nonzero constant remainder, leaves a primitive gcd of 1.  The same
+A value with denominator 1 is canonical, since gcd(num, 1) = 1 and 1
+has content 1, and such values are closed under +, - and *: their sums,
+differences and products are built directly, as is the negation of any
+value, which keeps the gcd and the sign of the denominator.  Every
+denominator equal to 1 is the shared `ONE_POLY`, so `den is ONE_POLY`
+is the test.  Every other canonical form, and every `Echelon` step,
+goes through `poly_gcd`.  It runs the primitive polynomial remainder
+sequence on plain coefficient lists and builds an `IntPoly` only for
+the result.  The gcd in Z[delta] is the content gcd times the primitive
+gcd with positive leading coefficient, so it is unique, and two exact
+shortcuts return it without running the sequence: a constant operand,
+or a nonzero constant remainder, leaves a primitive gcd of 1.  The same
 list remainder `_pseudo_rem` decides `betti`'s exact zero test modulo
 a cyclotomic polynomial.
 
@@ -302,7 +307,13 @@ class RatFunc:
     Canonical form: the denominator is nonzero with positive leading
     coefficient, the polynomial gcd of numerator and denominator is 1, and
     so is the gcd of their integer contents.  Equal values therefore have
-    equal (hashable) representations.
+    equal (hashable) representations.  A denominator of 1 is always the
+    object `ONE_POLY`.
+
+    The constructor normalises.  Arithmetic skips it where the result is
+    canonical already: +, - and * of two values with denominator 1 (a
+    polynomial over 1 is reduced), unary - of any value, adding zero and
+    multiplying by one.  Every other result goes through the constructor.
 
     >>> d = RatFunc.delta()
     >>> (d * d - RF_ONE) / (d - RF_ONE)
@@ -326,7 +337,8 @@ class RatFunc:
             den = den.divexact(g)
         if den.leading < 0:
             num, den = -num, -den
-        self.num, self.den = num, den
+        self.num = num
+        self.den = ONE_POLY if den.coeffs == (1,) else den
 
     # -- constructors -------------------------------------------------------
 
@@ -350,17 +362,36 @@ class RatFunc:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        if self.den is ONE_POLY and other.den is ONE_POLY:
+            return _canonical(self.num + other.num)
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
     def __sub__(self, other):
+        if not other.num:
+            return self
+        if not self.num:
+            return -other
+        if self.den is ONE_POLY and other.den is ONE_POLY:
+            return _canonical(self.num - other.num)
         return RatFunc(self.num * other.den - other.num * self.den,
                        self.den * other.den)
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        # negation keeps the gcd and the denominator's sign
+        return _canonical(-self.num, self.den)
 
     def __mul__(self, other):
+        if self.den is ONE_POLY and other.den is ONE_POLY:
+            return _canonical(self.num * other.num)
+        if other.den is ONE_POLY and other.num.coeffs == (1,):
+            return self
+        if self.den is ONE_POLY and self.num.coeffs == (1,):
+            return other
         return RatFunc(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
@@ -398,7 +429,7 @@ class RatFunc:
     def eval_mod(self, x: int, p: int) -> int:
         """Value at delta = x in F_p (p prime), in range(p)."""
         num = self.num.eval_mod(x, p)
-        if self.den == ONE_POLY:
+        if self.den is ONE_POLY:
             return num
         den = self.den.eval_mod(x, p)
         if not den:
@@ -406,7 +437,7 @@ class RatFunc:
         return num * pow(den, -1, p) % p
 
     def __str__(self):
-        if self.den == ONE_POLY:
+        if self.den is ONE_POLY:
             return str(self.num)
         num = str(self.num)
         if self.num.degree > 0:
@@ -418,6 +449,14 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({str(self)!r})"
+
+
+def _canonical(num: IntPoly, den: IntPoly = ONE_POLY) -> RatFunc:
+    """The RatFunc num / den of a pair already in canonical form, built
+    without the normaliser (and so not counted as a construction)."""
+    value = object.__new__(RatFunc)
+    value.num, value.den = num, den
+    return value
 
 
 RF_ZERO = RatFunc(ZERO_POLY)
@@ -625,7 +664,7 @@ def _times_lcm(vec: dict) -> dict:
     index -> IntPoly."""
     lcm = ONE_POLY
     for v in vec.values():
-        if v.den != ONE_POLY:
+        if v.den is not ONE_POLY:
             lcm = lcm.divexact(poly_gcd(lcm, v.den)) * v.den
     return {c: v.num if v.den == lcm else v.num * lcm.divexact(v.den)
             for c, v in vec.items() if v}

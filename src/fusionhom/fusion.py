@@ -19,6 +19,8 @@ import math
 from .exactarith import RatFunc, RF_ONE, RF_ZERO, parse_scalar
 from .groups import Group, NotAGroup
 
+LADDER_CAP = 10000  # default bound on the rows (width^2) of a CLI ladder
+
 
 class NotConnected(ValueError):
     """Fusion graph is disconnected; no unique Perron eigenvector."""

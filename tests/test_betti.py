@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionhom import betti
@@ -188,3 +188,73 @@ def test_fuss_catalan_beta1_nonnegative(n, m):
 def test_tlj_beta0_in_unit_interval(n):
     v = tlj_profile(n).value(0).to_float()
     assert 0 < v <= 1
+
+
+# The arithmetic merges folded terms directly; folding every term again,
+# as the constructor does, is the oracle.  Terms are compared with their
+# key order, which is the order exact_str prints.
+
+def _folded_sum(terms, other):
+    return betti._fold([*terms.items(), *other.items()])
+
+
+def _folded_neg(terms):
+    return betti._fold((mono, -c) for mono, c in terms.items())
+
+
+def _folded_product(terms, other):
+    return betti._fold((m1 + m2, c1 * c2) for m1, c1 in terms.items()
+                       for m2, c2 in other.items())
+
+
+ORACLES = {
+    "+": _folded_sum,
+    "-": lambda terms, other: _folded_sum(terms, _folded_neg(other)),
+    "*": _folded_product,
+}
+OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+       "*": lambda a, b: a * b}
+
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+atom_terms = st.lists(st.tuples(coefficients,
+                                st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8,
+                                                 10, 12, INF])),
+                      max_size=4)
+
+
+@st.composite
+def betti_values(draw):
+    value = BettiValue(draw(coefficients), draw(atom_terms))
+    if draw(st.booleans()):  # monomials of degree 2 to 4
+        other = BettiValue(draw(coefficients), draw(atom_terms))
+        value = BettiValue._of(_folded_product(value.terms, other.terms))
+        if draw(st.booleans()):
+            value = BettiValue._of(_folded_product(value.terms, value.terms))
+    return value
+
+
+def _ordered_terms(value):
+    return list(value.terms.items())
+
+
+@given(betti_values(), betti_values() | st.integers(min_value=-2, max_value=2),
+       st.sampled_from(sorted(OPS)))
+@settings(max_examples=300)
+def test_arithmetic_matches_the_folding_oracle(a, b, op):
+    got = OPS[op](a, b)
+    want = ORACLES[op](a.terms, betti._coerce(b).terms)
+    assert _ordered_terms(got) == list(want.items())
+    assert got.exact_str() == BettiValue._of(want).exact_str()
+
+
+@given(betti_values())
+def test_negation_matches_the_folding_oracle(a):
+    assert _ordered_terms(-a) == list(_folded_neg(a.terms).items())
+
+
+def test_arithmetic_keeps_the_degree_then_atom_order():
+    s5, s7 = BettiValue.sinsq(5), BettiValue.sinsq(7)
+    v = s7 * s5 + s7 - ONE + s5
+    assert list(v.terms) == [(), (5,), (7,), (5, 7)]
+    assert v.exact_str() == "-1 + SinSq(5) + SinSq(7) + SinSq(5)*SinSq(7)"
+    assert list((v - s5).terms) == [(), (7,), (5, 7)]

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import fusionhom
-from fusionhom import annular, cli, tube
+from fusionhom import annular, cli, fusion, tube
 from fusionhom.acceptance import CRITERIA
 from fusionhom.groups import cyclic, symmetric
 from fusionhom.tube import tube_from_group
@@ -141,6 +141,38 @@ def test_cap_defaults_are_the_module_constants():
             .parameters["chain_cap"].default == tube.CHAIN_CAP)
     assert (inspect.signature(annular.h2_vanishing_check)
             .parameters["diagram_cap"].default == annular.DIAGRAM_CAP)
+
+
+def test_ladder_over_the_cap_exits_3_before_it_is_built(monkeypatch):
+    def build(width, delta):
+        raise AssertionError(f"ladder {width} built")
+
+    monkeypatch.setattr(fusion, "tlj_ladder", build)
+    code, report = main_json("fusion", "--ladder", "400", "--delta", "2.0")
+    assert code == 3
+    assert report["error"] == {
+        "type": "SizeLimit",
+        "message": "--ladder 400 stores 160000 rows, over cap 10000"}
+
+
+def test_ladder_cap_default_admits_the_benchmark_ladder():
+    assert fusion.LADDER_CAP == 10000
+    code, report = main_json("fusion", "--ladder", "40", "--delta", "2.0",
+                             "--verify")
+    assert code == 0
+    assert report["results"]["verified"] is True
+    assert report["results"]["labels"] == 40
+    assert "ladder-cap" not in report["inputs"]["params"]
+
+
+@pytest.mark.parametrize("cap, code", [("25", 0), ("24", 3), ("0", 3)])
+def test_ladder_cap_bounds_the_stored_rows(cap, code):
+    got, report = main_json("fusion", "--ladder", "5", "--ladder-cap", cap)
+    assert got == code
+    assert report["inputs"]["params"]["ladder-cap"] == int(cap)
+    if code == 3:
+        assert report["error"]["message"] == (
+            f"--ladder 5 stores 25 rows, over cap {cap}")
 
 
 def test_tube_file_input(tube_file):

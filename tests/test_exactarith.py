@@ -26,6 +26,7 @@ from fusionhom.exactarith import (
     RF_ONE,
     RF_ZERO,
     DimensionMismatch,
+    ONE_POLY,
     IntPoly,
     PoleAtPoint,
     RatFunc,
@@ -282,6 +283,59 @@ def test_unit_denominator_is_canonical(p, q):
 def test_canonical_form_is_hashable_equality(a, b):
     if a == b:
         assert hash(a) == hash(b)
+
+
+# The arithmetic skips the normaliser on canonical operands; the general
+# constructor RatFunc(num, den) on the unreduced result is the oracle.
+operands = st.one_of(small_polys.map(RatFunc), ratfuncs(),
+                     st.sampled_from([RF_ZERO, RF_ONE, -RF_ONE]))
+
+ORACLES = {
+    "+": lambda a, b: RatFunc(a.num * b.den + b.num * a.den, a.den * b.den),
+    "-": lambda a, b: RatFunc(a.num * b.den - b.num * a.den, a.den * b.den),
+    "*": lambda a, b: RatFunc(a.num * b.num, a.den * b.den),
+}
+OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+       "*": lambda a, b: a * b}
+
+
+def _assert_canonical_like(got, want):
+    assert (got.num, got.den) == (want.num, want.den)
+    for r in (got, want):
+        assert (r.den is ONE_POLY) == (r.den.coeffs == (1,))
+
+
+@given(operands, operands, st.sampled_from(sorted(OPS)))
+@settings(max_examples=300)
+def test_arithmetic_matches_the_general_constructor(a, b, op):
+    _assert_canonical_like(OPS[op](a, b), ORACLES[op](a, b))
+
+
+@given(operands)
+def test_negation_matches_the_general_constructor(a):
+    _assert_canonical_like(-a, RatFunc(-a.num, a.den))
+
+
+@given(small_polys, nonzero_polys, st.integers(min_value=-3, max_value=3))
+def test_a_denominator_that_reduces_to_one_is_the_shared_one(p, q, k):
+    # p*q / q, p*k / k and a negated unit denominator all reduce to den 1
+    for r in (RatFunc(p * q, q), RatFunc(p.scale(k or 1), IntPoly((k or 1,))),
+              RatFunc(p, IntPoly((-1,)))):
+        assert r.den is ONE_POLY
+
+
+def test_polynomial_arithmetic_skips_the_normaliser():
+    a, b = RatFunc(IntPoly((1, 2))), RatFunc(IntPoly((0, -3, 1)))
+    general = RatFunc(IntPoly((1,)), IntPoly((1, 1)))
+    with mock.patch.object(exactarith, "poly_gcd") as gcd, \
+            mock.patch.object(RatFunc, "__init__") as init:
+        results = [a + b, a - b, a * b, -a, -general, general + RF_ZERO,
+                   RF_ZERO + general, general * RF_ONE, RF_ONE * general]
+        assert not gcd.called and not init.called
+    assert results[5:] == [general] * 4
+    assert results[:3] == [RatFunc(IntPoly((1, -1, 1))),
+                           RatFunc(IntPoly((1, 5, -1))),
+                           RatFunc(IntPoly((0, -3, -5, 2)))]
 
 
 @given(st.integers(min_value=0, max_value=23))
