@@ -28,7 +28,12 @@ cross-multiplying with their entries at the cancelled index divided by
 the gcd of those entries, and the result is divided by its content, so
 no fractions appear during elimination.  A vector's leading
 index is its smallest index, so pivots follow column order and stored
-pivot vectors never change while vectors are inserted.
+pivot vectors never change while vectors are inserted.  `span_solve`
+clears pivot vectors restricted to the pivot and target columns, the
+only columns its solution reads: every cancellation picks its
+multipliers at a pivot column and only rescales a vector, so each
+restricted vector is a nonzero multiple of the full one restricted, and
+the solution's ratios do not see the scale.
 
 `rank` and `kernel_basis` first try a certificate over a prime field.
 Each entry is evaluated at the fixed point delta = `_POINT` modulo the
@@ -993,6 +998,28 @@ def span_solve(columns: SparseMat, targets) -> list:
     Target t is inconsistent exactly when some echelon vector that vanishes
     on every column of the matrix has a nonzero entry at its augmented
     index columns.cols + t.
+
+    Before back substitution each pivot vector is restricted to the pivot
+    columns and the target columns, which is all the solution reads.  The
+    restriction is exact: each cancellation takes its multipliers from
+    the entries at a pivot column, so the restricted columns of its result
+    depend only on the restricted columns of its inputs, and content
+    stripping and the gcd-reduced multipliers only rescale a vector by a
+    nonzero element of Q(delta).  Each restricted vector is thus a nonzero
+    multiple of the full one restricted, and the ratio row[n + t] /
+    row[p] read for x_p does not see the scale.  A vector that leads at a
+    target index holds target columns only, so the inconsistency test
+    reads the same vectors.
+
+    >>> d = RatFunc.delta()
+    >>> wide = SparseMat(2, 4, {(0, 0): RF_ONE, (0, 1): d, (0, 3): RF_ONE,
+    ...                         (1, 1): d, (1, 2): RF_ONE, (1, 3): d})
+    >>> span_solve(wide, [[d, RF_ONE]])
+    [[RatFunc('delta - 1'), RatFunc('1/(delta)'), RatFunc('0'), RatFunc('0')]]
+    >>> flat = SparseMat(2, 2, {(0, 0): RF_ONE, (0, 1): d,
+    ...                         (1, 0): d, (1, 1): d * d})
+    >>> span_solve(flat, [[RF_ONE, d], [RF_ONE, RF_ONE]])
+    [[RatFunc('1'), RatFunc('0')], None]
     """
     targets = [list(v) for v in targets]
     for v in targets:
@@ -1000,8 +1027,13 @@ def span_solve(columns: SparseMat, targets) -> list:
             raise DimensionMismatch(
                 f"vector length {len(v)} vs {columns.rows} rows")
     ech = _echelon_of_rows(columns, targets)
-    ech.back_substitute()
     n = columns.cols
+    # the solution reads only pivot and target columns, and every
+    # cancellation picks its multipliers at a pivot column
+    ech.pivots = {lead: {c: v for c, v in row.items()
+                         if c >= n or c in ech.pivots}
+                  for lead, row in ech.pivots.items()}
+    ech.back_substitute()
     inconsistent = set()
     for lead, row in ech.pivots.items():
         if lead >= n:

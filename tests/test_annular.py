@@ -226,16 +226,17 @@ def test_h0_is_one_dimensional():
 
 
 def test_h1_certificates_rebuild_the_cycle():
-    report = h1_vanishing_check(4)
-    assert report["contained"]
-    assert report["K"] == 4
-    for m, entry in report["per_m"].items():
-        assert entry["contained"]
-        rebuilt = ChainVector(1)
-        for encoding, coeff in entry["certificate"]:
-            d = CircleDiagram.parse(encoding)
-            rebuilt = rebuilt + boundary(d).scale(parse_scalar(coeff))
-        assert rebuilt == single(sigma(m))
+    for K in (4, 25):
+        report = h1_vanishing_check(K)
+        assert report["contained"]
+        assert report["K"] == K
+        for m, entry in report["per_m"].items():
+            assert entry["contained"]
+            rebuilt = ChainVector(1)
+            for encoding, coeff in entry["certificate"]:
+                d = CircleDiagram.parse(encoding)
+                rebuilt = rebuilt + boundary(d).scale(parse_scalar(coeff))
+            assert rebuilt == single(sigma(m))
 
 
 def test_h2_window_contains_kernel():

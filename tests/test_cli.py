@@ -386,6 +386,16 @@ def test_bare_homology_tlj_echoes_the_h0_it_runs():
     assert bare["results"] == flag["results"]
 
 
+def test_h1_certificates_are_pinned():
+    # sha256 of the sorted-key JSON of the h1 results block, as computed
+    # by back substitution on full pivot rows
+    code, report = main_json("homology-tlj", "--h1", "K=10")
+    assert code == 0
+    text = json.dumps(report["results"]["h1"], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "28c5d9816ca47e0e5f01417f9882316638326e2a1a20f3e861eae8f4cc21bb32")
+
+
 def test_results_are_deterministic():
     _, a = run_json("homology-tlj", "--h0", "4", "--h1", "5")
     _, b = run_json("homology-tlj", "--h0", "4", "--h1", "5")

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionhom import exactarith
-from fusionhom.annular import boundary_matrix
+from fusionhom.annular import boundary_matrix, enumerate_diagrams, sigma
 from fusionhom.exactarith import (
     RF_ONE,
     RF_ZERO,
@@ -542,6 +542,78 @@ def test_certified_rank_and_kernel_match_fraction_free(m):
     kernel = kernel_basis(m)
     assert kernel == _fraction_free_kernel(m)
     assert len(kernel) == m.cols - exact
+
+
+@st.composite
+def wide_systems(draw):
+    """1-5 rows, up to 12 columns, polynomial or rational entries, with a
+    consistent target A.x, a random target and the zero target."""
+    rows = draw(st.integers(min_value=1, max_value=5))
+    cols = draw(st.integers(min_value=1, max_value=12))
+    entry = ratfuncs() if draw(st.booleans()) else small_polys.map(RatFunc)
+    sparse = st.one_of(entry, st.just(RF_ZERO))
+    m = SparseMat(rows, cols, {(r, c): v for r in range(rows)
+                               for c in range(cols) if (v := draw(sparse))})
+    x = [draw(sparse) for _ in range(cols)]
+    targets = [mat_vec(m, x), [draw(sparse) for _ in range(rows)],
+               [RF_ZERO] * rows]
+    return m, targets
+
+
+def _augmented(m, b):
+    out = SparseMat(m.rows, m.cols + 1, dict(m.entries))
+    for r, v in enumerate(b):
+        if v:
+            out[r, m.cols] = v
+    return out
+
+
+@given(wide_systems())
+@settings(max_examples=200)
+def test_span_solve_matches_the_rank_oracle_on_wide_systems(system):
+    m, targets = system
+    solved = span_solve(m, targets)
+    assert solved[0] is not None and solved[2] is not None
+    base = fraction_free_rank(m)
+    for b, x in zip(targets, solved):
+        if x is None:
+            assert fraction_free_rank(_augmented(m, b)) > base
+        else:
+            assert mat_vec(m, x) == b
+
+
+def test_h1_back_substitution_keeps_pivot_and_target_columns(monkeypatch):
+    # the h1 system of homology-tlj --h1 10: rank 12, 11 sigma targets;
+    # the full pivot rows reach 350 entries, over 364 columns
+    codomain = enumerate_diagrams(1, 11)
+    m = boundary_matrix(2, 11)
+    targets = []
+    for k in range(11):
+        target = [RF_ZERO] * m.rows
+        target[codomain.index(sigma(k))] = RF_ONE
+        targets.append(target)
+    widest, back = [0], [False]
+    cancel, substitute = exactarith._cancel, exactarith.Echelon.back_substitute
+
+    def counting_cancel(vec, row, idx):
+        out = cancel(vec, row, idx)
+        if back[0]:
+            widest[0] = max(widest[0], len(vec), len(row), len(out))
+        return out
+
+    def flagged_back_substitute(self):
+        back[0] = True
+        try:
+            substitute(self)
+        finally:
+            back[0] = False
+
+    monkeypatch.setattr(exactarith, "_cancel", counting_cancel)
+    monkeypatch.setattr(exactarith.Echelon, "back_substitute",
+                        flagged_back_substitute)
+    solved = span_solve(m, targets)
+    assert all(x is not None for x in solved)
+    assert 0 < widest[0] <= fraction_free_rank(m) + len(targets) == 23
 
 
 @given(ratfuncs(), st.integers(min_value=-50, max_value=50))
