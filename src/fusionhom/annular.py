@@ -55,7 +55,8 @@ from operator import attrgetter, sub
 
 from .errors import Inconclusive, SizeLimit
 from .exactarith import (Echelon, IntPoly, RatFunc, RF_ONE, RF_ZERO,
-                         SparseMat, ZERO_POLY, rank, rank_mod_p, span_solve)
+                         SparseMat, ZERO_POLY, _canonical, rank, rank_mod_p,
+                         span_solve)
 
 DIAGRAM_CAP = 100000  # default bound on the degree-3 diagrams of the h2 check
 
@@ -292,12 +293,13 @@ def boundary(d: CircleDiagram) -> ChainVector:
     """Boundary of one diagram: sum over j of (-1)^j fill_puncture(d, j).
 
     The coefficients are summed over Z[delta] by `_boundary_polys` and
-    wrapped in a RatFunc once; terms that cancel are dropped.
+    each nonzero sum, a polynomial over 1 and so canonical, is wrapped
+    without the normaliser; terms that cancel are dropped.
     """
     if d.degree < 1:
         raise ValueError("cannot fill punctures of a degree-0 diagram")
     return ChainVector(d.degree - 1, {
-        _diagram(face, d.degree - 1): RatFunc(p)
+        _diagram(face, d.degree - 1): _canonical(p)
         for face, p in _boundary_polys(_code(d), d.degree).items()})
 
 
@@ -442,7 +444,7 @@ def boundary_matrix(degree: int, window: int, domain=None,
     m = SparseMat(len(codomain), len(domain))
     for col, d in enumerate(domain):
         for face, p in _boundary_polys(_code(d), degree).items():
-            m[row_of[face], col] = RatFunc(p)
+            m[row_of[face], col] = _canonical(p)
     return m
 
 

@@ -15,8 +15,11 @@ the frontier.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import lshift, mul
 
-from .exactarith import RatFunc, RF_ONE, RF_ZERO, parse_scalar
+from .exactarith import (ONE_POLY, RatFunc, RF_ONE, RF_ZERO, parse_scalar,
+                         poly_gcd)
 from .groups import Group, NotAGroup
 
 LADDER_CAP = 10000  # default bound on the rows (width^2) of a CLI ladder
@@ -105,13 +108,14 @@ def _checkable(ring: FusionRing) -> dict:
         ((x, x), (x, y), (y, x), (y, y)))} for x in ring.labels}
 
 
-def _packed_rows(ring: FusionRing) -> dict:
-    """Each stored row N[a, b] as one int, sum_c N(a,b,c) 2^(w idx(c))."""
-    rows = ring.N.values()
-    norm = max((sum(map(abs, row.values())) for row in rows), default=0)
-    top = max((abs(v) for row in rows for v in row.values()), default=0)
+def _packed_rows(ring: FusionRing, norm: int) -> dict:
+    """Each stored row N[a, b] as one int, sum_c N(a,b,c) 2^(w idx(c)),
+    for rows of l1-norm at most norm."""
+    rows = [row.values() for row in ring.N.values() if row]
+    top = max(max(map(max, rows), default=0), -min(map(min, rows), default=0))
     w = (norm * top).bit_length() + 2
-    return {pair: sum(v << w * ring.index[c] for c, v in row.items())
+    shift = {c: w * i for c, i in ring.index.items()}.__getitem__
+    return {pair: sum(map(lshift, row.values(), map(shift, row)))
             for pair, row in ring.N.items()}
 
 
@@ -124,6 +128,47 @@ def _combine(coeffs: dict, row_of) -> dict:
     return out
 
 
+def _mirrored(ring: FusionRing, a, b, row: dict, both) -> bool:
+    """True when the pair (a, b) adds no negative-multiplicity or
+    Frobenius message: no entry of its row is negative, and each entry
+    at a label c in `both` equals N(b*, a*, c*) and N(a*, c, b)."""
+    if min(row.values()) < 0:
+        return False
+    cs = both.intersection(row)
+    if not cs:
+        return True
+    N, dual = ring.N, ring.dual
+    vals = list(map(row.__getitem__, cs))
+    da = dual[a]
+    mirror = N.get((dual[b], da), {})
+    return (list(map(mirror.get, map(dual.__getitem__, cs))) == vals
+            and list(map(dict.get, map(N.get, zip(repeat(da), cs), repeat({})),
+                         repeat(b))) == vals)
+
+
+def _exact_dimension_failures(ring: FusionRing, pairs, norm: int) -> list:
+    """The pairs (a, b) where d(a)d(b) != sum_c N(a,b,c) d(c) exactly,
+    for rows of l1-norm at most norm (see verify_axioms)."""
+    exact = ring.dims_exact
+    lcm = ONE_POLY
+    for den in {d.den for d in exact.values()}:
+        lcm = lcm * den.divexact(poly_gcd(lcm, den))
+    p = {lab: d.num * lcm.divexact(d.den) for lab, d in exact.items()}
+    top = max((max(map(abs, q.coeffs), default=0) for q in p.values()),
+              default=0)
+    l1 = max((sum(map(abs, q.coeffs)) for q in p.values()), default=0)
+    k = (top * (l1 + sum(map(abs, lcm.coeffs)) * norm)).bit_length()
+    at = {lab: q.eval(1 << k) for lab, q in p.items()}
+    scale = lcm.eval(1 << k)
+    failures = []
+    for a, b in pairs:
+        row = ring.row(a, b)
+        if at[a] * at[b] != scale * sum(map(mul, row.values(),
+                                            map(at.__getitem__, row))):
+            failures.append(f"exact dimension equation fails at ({a},{b})")
+    return failures
+
+
 def verify_axioms(ring: FusionRing):
     """Return a list of axiom failures (empty list means all pass).
 
@@ -132,26 +177,49 @@ def verify_axioms(ring: FusionRing):
     d(a)d(b) = sum_c N(a,b,c) d(c) (float to relative 1e-9; exact when exact
     dims are stored).  Truncated rings skip triples touching the frontier.
 
+    The messages come in a fixed order, and the fast paths keep it.  A
+    label whose two unit rows are both {b: 1} passes every unit-law entry,
+    so only a label with a differing row is read entry by entry.
+    Negative multiplicities and Frobenius are walked pair by pair in label
+    order, the order of the stored entries; a pair with no negative entry
+    whose checked entries all match their mirrors N(b*, a*, c*) and
+    N(a*, c, b) adds no message, and any other pair is read entry by
+    entry.
+
     Associativity compares sum_x N(a,b,x) P[x,g] with sum_y N(b,g,y) P[a,y]
-    on the packed rows P of `_packed_rows`.  With L the largest row l1-norm
+    on the packed rows P of `_packed_rows`.  With R the largest row l1-norm
     and M the largest |N(a,b,c)|, each combined coefficient is at most
-    L M < 2^(w-2), and a signed base-2^w expansion with digits that small
+    R M < 2^(w-2), and a signed base-2^w expansion with digits that small
     is unique, so the packed sides are equal exactly when the rows are.
+
+    The exact equations are one integer identity per pair.  With L the
+    lcm of the denominators and p_c = L d(c), each equation times L^2 is
+    D = p_a p_b - L sum_c N(a,b,c) p_c = 0 in Z[delta].  Every coefficient
+    of D is at most B = |p|_inf (|p|_1 + |L|_1 R), the norms taken as
+    maxima over the labels, so at delta = 2^K with 2^K > B a nonzero D
+    cannot vanish: its lowest nonzero coefficient would be a multiple of
+    2^K.  D(2^K) = 0 is therefore D = 0, for polynomial and rational dims
+    alike.
     """
     failures = []
     labels = ring.labels
     unit = ring.unit
+    dual = ring.dual
+    N = ring.N
     order = ring.index.__getitem__
     ok = _checkable(ring)
 
-    if ring.dual.get(unit) != unit:
-        failures.append(f"dual(unit) = {ring.dual.get(unit)} != unit")
+    if dual.get(unit) != unit:
+        failures.append(f"dual(unit) = {dual.get(unit)} != unit")
     for a in labels:
-        if ring.dual.get(ring.dual.get(a)) != a:
+        if dual.get(dual.get(a)) != a:
             failures.append(f"dual not involutive at {a}")
             break
 
     for b in labels:
+        unit_row = {b: 1}
+        if N.get((unit, b)) == unit_row and N.get((b, unit)) == unit_row:
+            continue
         for c in labels:
             want = 1 if b == c else 0
             if ring.mult(unit, b, c) != want:
@@ -159,32 +227,46 @@ def verify_axioms(ring: FusionRing):
             if ring.mult(b, unit, c) != want:
                 failures.append(f"unit law fails: N({b},unit,{c}) != {want}")
 
-    for a, b, c, v in _triples(ring):
-        if v < 0:
-            failures.append(f"negative multiplicity at ({a},{b},{c})")
-        if b not in ok[a] or c not in ok[a] or c not in ok[b]:
-            continue
-        da, db, dc = ring.dual[a], ring.dual[b], ring.dual[c]
-        if ring.mult(db, da, dc) != v:
-            failures.append(
-                f"Frobenius fails: N({a},{b},{c})={v} but "
-                f"N({db},{da},{dc})={ring.mult(db, da, dc)}")
-        if ring.mult(da, c, b) != v:
-            failures.append(
-                f"Frobenius fails: N({a},{b},{c})={v} but "
-                f"N({da},{c},{b})={ring.mult(da, c, b)}")
-
-    # (a . b) . g against a . (b . g); dict rows only to name a failure
-    packed = _packed_rows(ring)
-    pairs = [(a, b) for a in labels for b in labels if b in ok[a]]
-    for a, b in pairs:
-        ab, both = ring.row(a, b), ok[a] & ok[b]
-        for g in labels:
-            if g not in both:
+    # checkable pairs -> the labels both may share a triple with
+    pairs = {(a, b): ok[a] & ok[b] for a in labels for b in labels
+             if b in ok[a]}
+    for a in labels:
+        for b in labels:
+            row = N.get((a, b))
+            both = pairs.get((a, b), frozenset())
+            if not row or _mirrored(ring, a, b, row, both):
                 continue
-            bg = ring.row(b, g)
-            if (sum(v * packed.get((x, g), 0) for x, v in ab.items())
-                    == sum(v * packed.get((a, y), 0) for y, v in bg.items())):
+            for c, v in row.items():
+                if v < 0:
+                    failures.append(f"negative multiplicity at ({a},{b},{c})")
+                if c not in both:
+                    continue
+                da, db, dc = dual[a], dual[b], dual[c]
+                if ring.mult(db, da, dc) != v:
+                    failures.append(
+                        f"Frobenius fails: N({a},{b},{c})={v} but "
+                        f"N({db},{da},{dc})={ring.mult(db, da, dc)}")
+                if ring.mult(da, c, b) != v:
+                    failures.append(
+                        f"Frobenius fails: N({a},{b},{c})={v} but "
+                        f"N({da},{c},{b})={ring.mult(da, c, b)}")
+
+    # (a . b) . g against a . (b . g) through the maps P[., g] and P[a, .],
+    # zero where no row is stored; dict rows only to name a failure
+    norm = max((sum(map(abs, row.values())) for row in N.values()),
+               default=0)
+    packed = _packed_rows(ring, norm)
+    by_left = {g: {x: packed.get((x, g), 0) for x in labels}.__getitem__
+               for g in labels}
+    by_right = {a: {y: packed.get((a, y), 0) for y in labels}.__getitem__
+                for a in labels}
+    for (a, b), both in pairs.items():
+        ab = N.get((a, b), {})
+        ab_values, from_a = ab.values(), by_right[a]
+        for g in sorted(both, key=order):
+            bg = N.get((b, g), {})
+            if (sum(map(mul, ab_values, map(by_left[g], ab)))
+                    == sum(map(mul, bg.values(), map(from_a, bg)))):
                 continue
             lhs = _combine(ab, lambda x: ring.row(x, g))
             rhs = _combine(bg, lambda y: ring.row(a, y))
@@ -196,29 +278,17 @@ def verify_axioms(ring: FusionRing):
                         f"{left} != {right}")
 
     if ring.dims is not None:
+        dims = ring.dims
         for a, b in pairs:
-            lhs = ring.dims[a] * ring.dims[b]
-            rhs = sum(v * ring.dims[c] for c, v in ring.row(a, b).items())
+            lhs = dims[a] * dims[b]
+            row = ring.row(a, b)
+            rhs = sum(map(mul, row.values(), map(dims.__getitem__, row)))
             if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
                 failures.append(
                     f"dimension equation fails at ({a},{b}): {lhs} vs {rhs}")
     if ring.dims_exact is not None:
-        for a, b in pairs:
-            lhs = ring.dims_exact[a] * ring.dims_exact[b]
-            rhs = sum((RatFunc.from_int(v) * ring.dims_exact[c]
-                       for c, v in ring.row(a, b).items()), RF_ZERO)
-            if lhs != rhs:
-                failures.append(f"exact dimension equation fails at ({a},{b})")
+        failures += _exact_dimension_failures(ring, pairs, norm)
     return failures
-
-
-def _triples(ring):
-    """(a, b, c, N(a, b, c)) for every stored entry, in label order."""
-    order = ring.index.__getitem__
-    for a, b in sorted(ring.N, key=lambda pair: (order(pair[0]),
-                                                 order(pair[1]))):
-        for c, v in ring.N[a, b].items():
-            yield a, b, c, v
 
 
 # ---------------------------------------------------------------------------

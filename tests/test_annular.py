@@ -15,9 +15,9 @@ from fusionhom.annular import (ChainVector, CircleDiagram, UnsupportedDegree,
                                h1_vanishing_check, h2_vanishing_check,
                                shaded_boundary, sigma, sigma2, single)
 from fusionhom.errors import Inconclusive, SizeLimit
-from fusionhom.exactarith import (RF_ZERO, Echelon, RatFunc, SparseMat,
-                                  clear_denominators, kernel_basis,
-                                  parse_scalar, rank)
+from fusionhom.exactarith import (ONE_POLY, RF_ZERO, Echelon, RatFunc,
+                                  SparseMat, clear_denominators,
+                                  kernel_basis, parse_scalar, rank)
 
 dp = RatFunc.delta_power
 
@@ -569,6 +569,25 @@ def test_boundary_matrix_builds_no_chain_vector(monkeypatch):
     # the counter is live
     boundary(sigma2(1, 1, 1))
     assert len(built) == 1
+
+
+def test_boundary_coefficients_skip_the_normaliser(monkeypatch):
+    # each face coefficient is a nonzero polynomial over 1, so canonical
+    built = []
+    init = RatFunc.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    m = boundary_matrix(2, 6)
+    vec = boundary(sigma2(1, 2, 1))
+    assert built == []
+    RatFunc(ONE_POLY)
+    assert len(built) == 1  # the counter is live
+    for v in [*m.entries.values(), *vec.terms.values()]:
+        assert v and v.den is ONE_POLY and v == RatFunc(v.num)
 
 
 @pytest.mark.parametrize("k, contained", [(16, False), (20, True)])

@@ -19,6 +19,7 @@ from fusionhom.acceptance import CRITERIA
 from fusionhom.groups import cyclic, symmetric
 from fusionhom.tube import tube_from_group
 
+from test_fusion import BIG_LOOP, rational_ladder, ring_to_text
 from test_tube import NEGATIVE_TRACE, tube_to_text
 
 # the child runs the package these tests import, installed or not
@@ -121,6 +122,31 @@ def test_fusion_ring_file(tmp_path, text, exact):
     assert results.get("beta0_exact") == exact
     assert report["inputs"]["files"] == {
         str(path): hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
+def test_ring_file_with_rational_exact_dims(tmp_path):
+    """Rational dims-exact pass the exact check; a wrong one is named."""
+    text = ring_to_text(rational_ladder(6, BIG_LOOP))
+    header = next(line for line in text.splitlines()
+                  if line.startswith("dims-exact:"))
+    assert "/" in header
+    parts = header.split(" ; ")
+    parts[2] = "(delta^3 + 1)/(3*delta + 5)"
+    path, bad = tmp_path / "ladder.ring", tmp_path / "tampered.ring"
+    path.write_text(text)
+    bad.write_text(text.replace(header, " ; ".join(parts)))
+    code, report = main_json("fusion", "--ring", str(path), "--verify")
+    assert code == 0, report.get("error")
+    assert report["results"]["verified"] is True
+    assert report["results"]["failures"] == []
+    code, report = main_json("fusion", "--ring", str(bad), "--verify")
+    # the file loader runs the same check, so a failing file is an
+    # input error (exit 1) naming the first failure
+    assert code == 1
+    assert report["error"] == {
+        "type": "InputError",
+        "message": "ring file rejected: exact dimension equation fails "
+                   "at (f1,f1)"}
 
 
 def test_betti_point():

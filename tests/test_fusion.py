@@ -6,9 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fusionhom.exactarith import RF_ONE, RatFunc
+from fusionhom.exactarith import (RF_ONE, RF_ZERO, IntPoly, RatFunc,
+                                  parse_scalar)
 from fusionhom.fusion import (FusionRing, InvalidRingFile, NotConnected,
-                              _triples, beta0, chebyshev_dims, from_group,
+                              beta0, chebyshev_dims, from_group,
                               hochschild_h1_witness, perron_dims,
                               ring_from_text, tlj_even, tlj_global_index,
                               tlj_ladder, verify_axioms)
@@ -31,6 +32,15 @@ def relabel(ring: FusionRing) -> FusionRing:
                       truncated=ring.truncated,
                       frontier={mapping[l] for l in ring.frontier},
                       name=ring.name)
+
+
+def _triples(ring):
+    """(a, b, c, N(a, b, c)) for every stored entry, in label order."""
+    order = ring.index.__getitem__
+    for a, b in sorted(ring.N, key=lambda pair: (order(pair[0]),
+                                                 order(pair[1]))):
+        for c, v in ring.N[a, b].items():
+            yield a, b, c, v
 
 
 def ring_to_text(ring: FusionRing) -> str:
@@ -274,7 +284,9 @@ def test_ring_file_rejects_junk():
 # ---------------------------------------------------------------------------
 
 def reference_failures(ring):
-    """Frobenius and associativity failures, one dict row per side."""
+    """Every failure verify_axioms lists, in its order: one dict row per
+    side for the ring axioms and RatFunc arithmetic for the exact
+    dimension equations."""
     frontier = ring.frontier if ring.truncated else frozenset()
     clipped = {pair for pair, row in ring.N.items()
                if not frontier.isdisjoint(row)}
@@ -290,41 +302,89 @@ def reference_failures(ring):
                 out[d] = out.get(d, 0) + k * v
         return out
 
+    labels, unit, dual = ring.labels, ring.unit, ring.dual
     failures = []
-    order = ring.index.__getitem__
-    for a, b in sorted(ring.N, key=lambda pair: tuple(map(order, pair))):
-        for c, v in ring.N[a, b].items():
-            if not checkable(a, b, c):
-                continue
-            da, db, dc = ring.dual[a], ring.dual[b], ring.dual[c]
-            for x, y, z in ((db, da, dc), (da, c, b)):
-                if ring.mult(x, y, z) != v:
-                    failures.append(
-                        f"Frobenius fails: N({a},{b},{c})={v} but "
-                        f"N({x},{y},{z})={ring.mult(x, y, z)}")
-    for a in ring.labels:
-        for b in ring.labels:
-            for g in ring.labels:
+    if dual.get(unit) != unit:
+        failures.append(f"dual(unit) = {dual.get(unit)} != unit")
+    failures += [f"dual not involutive at {a}" for a in labels
+                 if dual.get(dual.get(a)) != a][:1]
+    for b in labels:
+        for c in labels:
+            want = 1 if b == c else 0
+            if ring.mult(unit, b, c) != want:
+                failures.append(f"unit law fails: N(unit,{b},{c}) != {want}")
+            if ring.mult(b, unit, c) != want:
+                failures.append(f"unit law fails: N({b},unit,{c}) != {want}")
+    for a, b, c, v in _triples(ring):
+        if v < 0:
+            failures.append(f"negative multiplicity at ({a},{b},{c})")
+        if not checkable(a, b, c):
+            continue
+        da, db, dc = dual[a], dual[b], dual[c]
+        for x, y, z in ((db, da, dc), (da, c, b)):
+            if ring.mult(x, y, z) != v:
+                failures.append(
+                    f"Frobenius fails: N({a},{b},{c})={v} but "
+                    f"N({x},{y},{z})={ring.mult(x, y, z)}")
+    for a in labels:
+        for b in labels:
+            for g in labels:
                 if not checkable(a, b, g):
                     continue
                 lhs = combine(ring.row(a, b), lambda x: ring.row(x, g))
                 rhs = combine(ring.row(b, g), lambda y: ring.row(a, y))
-                for d in ring.labels:
+                for d in labels:
                     left, right = lhs.get(d, 0), rhs.get(d, 0)
                     if left != right:
                         failures.append(
                             f"associativity fails at ({a},{b},{g})->{d}: "
                             f"{left} != {right}")
+    pairs = [(a, b) for a in labels for b in labels if checkable(a, b)]
+    if ring.dims is not None:
+        for a, b in pairs:
+            lhs = ring.dims[a] * ring.dims[b]
+            rhs = sum(v * ring.dims[c] for c, v in ring.row(a, b).items())
+            if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
+                failures.append(
+                    f"dimension equation fails at ({a},{b}): {lhs} vs {rhs}")
+    if ring.dims_exact is not None:
+        for a, b in pairs:
+            lhs = ring.dims_exact[a] * ring.dims_exact[b]
+            rhs = sum((RatFunc.from_int(v) * ring.dims_exact[c]
+                       for c, v in ring.row(a, b).items()), RF_ZERO)
+            if lhs != rhs:
+                failures.append(f"exact dimension equation fails at ({a},{b})")
     return failures
 
 
+def rational_ladder(width, r):
+    """tlj_ladder(width) with the exact dims U_k(r) of a rational loop
+    value r: d_0 = 1, d_1 = r, d_(k+1) = r d_k - d_(k-1).  The dimension
+    equations are identities in r, so they hold for every r."""
+    ring = tlj_ladder(width)
+    dims = [RF_ONE, r]
+    while len(dims) < width:
+        dims.append(r * dims[-1] - dims[-2])
+    return FusionRing(ring.labels, ring.dual, ring.N,
+                      dims_exact=dict(zip(ring.labels, dims)),
+                      truncated=True, frontier=ring.frontier)
+
+
+# numerator coefficients past 2^64 and a denominator that is not monic
+BIG_LOOP = parse_scalar(f"({2 ** 64}*delta^2 + 1)/(3*delta + {2 ** 63})")
 BASE_RINGS = [relabel(from_group(cyclic(3))), relabel(from_group(dihedral(3))),
-              tlj_even(6), tlj_ladder(3), tlj_ladder(6)]
+              tlj_even(6), tlj_ladder(3), tlj_ladder(6),
+              rational_ladder(6, BIG_LOOP)]
 # past 2^63 and negative, so a field narrower than L M would alias
 MULTIPLICITIES = st.one_of(st.integers(-3, 3),
                            st.integers(2 ** 63, 2 ** 63 + 2),
                            st.integers(-(2 ** 64) - 2, -(2 ** 64)),
                            st.just(2 ** 64))
+COEFFS = st.one_of(st.integers(-3, 3), st.integers(2 ** 63, 2 ** 63 + 2),
+                   st.integers(-(2 ** 64) - 2, -(2 ** 64)))
+POLYS = st.lists(COEFFS, max_size=3).map(IntPoly)
+EXACT_DIMS = st.one_of(POLYS.map(RatFunc),
+                       st.builds(RatFunc, POLYS, POLYS.filter(bool)))
 
 
 @st.composite
@@ -335,11 +395,22 @@ def tampered_rings(draw):
     for _ in range(draw(st.integers(0, 3))):
         a, b, c = (draw(st.sampled_from(labels)) for _ in range(3))
         N.setdefault((a, b), {})[c] = draw(MULTIPLICITIES)
+    dual = dict(ring.dual)
+    if draw(st.integers(0, 4)) == 0:
+        dual[draw(st.sampled_from(labels))] = draw(st.sampled_from(labels))
     truncated = draw(st.booleans())
     frontier = ring.frontier
     if truncated and (not frontier or draw(st.booleans())):
         frontier = draw(st.sets(st.sampled_from(labels), max_size=2))
-    return FusionRing(labels, ring.dual, N, truncated=truncated,
+    dims = ring.dims
+    if dims is not None and draw(st.booleans()):
+        dims = {**dims, draw(st.sampled_from(labels)): draw(st.floats(0.5, 8))}
+    exact = ring.dims_exact
+    if exact is not None or draw(st.booleans()):
+        exact = dict(exact or dict.fromkeys(labels, RF_ONE))
+        for _ in range(draw(st.integers(0, 2))):
+            exact[draw(st.sampled_from(labels))] = draw(EXACT_DIMS)
+    return FusionRing(labels, dual, N, dims, exact, truncated=truncated,
                       frontier=frontier)
 
 
@@ -364,16 +435,110 @@ def _aliased(paths, mult):
     return FusionRing(labels, {x: x for x in labels}, N)
 
 
+def _one_label(dim, mult):
+    """u . u = mult u with the exact dimension dim.
+
+    (delta/4, 1) and (delta, 4) both fail d(u)^2 = mult d(u), yet both
+    hold at delta = 4.  The bound 2^K > B tells them apart only with
+    the lcm factor in B (the first) and the row norm in B (the second):
+    without it 2^K = 4.
+    """
+    return FusionRing(("u",), {"u": "u"}, {("u", "u"): {"u": mult}},
+                      dims_exact={"u": dim})
+
+
 @given(tampered_rings())
 @example(_retargeted(2 ** 64))
 @example(_retargeted(-(2 ** 64)))
 @example(_aliased(4, 1))
 @example(_aliased(1, 4))
-@settings(max_examples=150, deadline=None)
+@example(_one_label(parse_scalar("delta/4"), 1))
+@example(_one_label(parse_scalar("delta"), 4))
+@settings(max_examples=200, deadline=None)
 def test_verify_axioms_matches_dict_reference(ring):
-    checked = [f for f in verify_axioms(ring)
-               if f.startswith(("Frobenius", "associativity"))]
-    assert checked == reference_failures(ring)
+    assert verify_axioms(ring) == reference_failures(ring)
+
+
+def test_base_rings_pass():
+    assert [verify_axioms(ring) for ring in BASE_RINGS] == [[]] * 6
+
+
+def _z3(pair=None, row=None, **exact):
+    """Z/3 with the row N[pair] replaced (deleted when row is None) and
+    the named exact dimensions replaced."""
+    ring = BASE_RINGS[0]
+    N = dict(ring.N)
+    if pair is not None:
+        N.pop(pair)
+        if row is not None:
+            N[pair] = row
+    dims_exact = {**ring.dims_exact, **{k: parse_scalar(v)
+                                        for k, v in exact.items()}}
+    return FusionRing(ring.labels, ring.dual, N, ring.dims, dims_exact)
+
+
+def _z3_with_a_stored_zero():
+    ring = _z3()
+    ring.N["x0", "x1"]["x2"] = 0  # a zero entry kept in a unit row
+    return ring
+
+
+AXIOM_PINS = {
+    "zero-unit-diagonal": (lambda: _z3(("x0", "x1"), {"x1": 0}), [
+        "unit law fails: N(unit,x1,x1) != 1",
+        "Frobenius fails: N(x2,x0,x2)=1 but N(x0,x1,x1)=0",
+        "associativity fails at (x0,x1,x1)->x2: 0 != 1",
+        "associativity fails at (x0,x1,x2)->x0: 0 != 1",
+        "associativity fails at (x0,x2,x2)->x1: 1 != 0",
+        "associativity fails at (x1,x0,x1)->x2: 1 != 0",
+        "associativity fails at (x1,x2,x1)->x1: 0 != 1",
+        "associativity fails at (x2,x0,x1)->x0: 1 != 0",
+        "associativity fails at (x2,x1,x1)->x1: 0 != 1",
+        "dimension equation fails at (x0,x1): 1.0 vs 0",
+        "exact dimension equation fails at (x0,x1)",
+    ]),
+    "missing-unit-row": (lambda: _z3(("x2", "x0")), [
+        "unit law fails: N(x2,unit,x2) != 1",
+        "Frobenius fails: N(x0,x1,x1)=1 but N(x2,x0,x2)=0",
+        "Frobenius fails: N(x1,x2,x0)=1 but N(x2,x0,x2)=0",
+        "associativity fails at (x1,x1,x0)->x2: 0 != 1",
+        "associativity fails at (x1,x2,x0)->x0: 1 != 0",
+        "associativity fails at (x2,x0,x1)->x0: 0 != 1",
+        "associativity fails at (x2,x0,x2)->x1: 0 != 1",
+        "associativity fails at (x2,x1,x2)->x2: 1 != 0",
+        "associativity fails at (x2,x2,x0)->x1: 1 != 0",
+        "associativity fails at (x2,x2,x1)->x2: 1 != 0",
+        "dimension equation fails at (x2,x0): 1.0 vs 0",
+        "exact dimension equation fails at (x2,x0)",
+    ]),
+    "stored-zero-in-unit-row": (_z3_with_a_stored_zero, []),
+    "negative-multiplicity": (lambda: _z3(("x1", "x2"), {"x0": -1}), [
+        "negative multiplicity at (x1,x2,x0)",
+        "Frobenius fails: N(x1,x2,x0)=-1 but N(x2,x0,x2)=1",
+        "Frobenius fails: N(x2,x0,x2)=1 but N(x1,x2,x0)=-1",
+        "associativity fails at (x1,x1,x1)->x0: 1 != -1",
+        "associativity fails at (x1,x1,x2)->x1: 1 != -1",
+        "associativity fails at (x1,x2,x1)->x1: -1 != 1",
+        "associativity fails at (x1,x2,x2)->x2: -1 != 1",
+        "associativity fails at (x2,x1,x2)->x2: 1 != -1",
+        "associativity fails at (x2,x2,x2)->x0: -1 != 1",
+        "dimension equation fails at (x1,x2): 1.0 vs -1.0",
+        "exact dimension equation fails at (x1,x2)",
+    ]),
+    "perturbed-exact-dim": (lambda: _z3(x1="(delta + 1)/delta"), [
+        "exact dimension equation fails at (x1,x1)",
+        "exact dimension equation fails at (x1,x2)",
+        "exact dimension equation fails at (x2,x1)",
+        "exact dimension equation fails at (x2,x2)",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_PINS))
+def test_axiom_failures_are_pinned(name):
+    build, want = AXIOM_PINS[name]
+    ring = build()
+    assert verify_axioms(ring) == want == reference_failures(ring)
 
 
 # ---------------------------------------------------------------------------
