@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .errors import Inconclusive
-from .fusion import FusionRing, ladder_dims, ladder_row
+from .fusion import FusionRing, ladder_dims, ladder_rows, ladder_supports
 
 
 class TruncationInconclusive(Inconclusive):
@@ -263,7 +263,7 @@ def folner_search(g: WeightedFusionGraph, epsilon: float, max_size: int,
 
 def tlj_kesten_window(width: int, delta: float) -> FusionRing:
     """The f1 slice of the generic Temperley-Lieb ladder window: only the
-    rows f1 . f_k = ladder_row(labels, 1, k), one per label, since the
+    rows f1 . f_k of `ladder_rows(labels, 1)`, one per label, since the
     full table grows as width^3 and the Kesten lower bound wants wide
     windows.  They are the full ladder's rows, so the generator matrix,
     its norm bounds and the f1 graph (from_fusion_ring with generators
@@ -273,12 +273,11 @@ def tlj_kesten_window(width: int, delta: float) -> FusionRing:
     if width < 2:
         raise ValueError("window width must be >= 2")
     labels = tuple(f"f{i}" for i in range(width))
-    N = {(labels[1], labels[k]): ladder_row(labels, 1, k)
-         for k in range(width)}
-    return FusionRing(labels, {lab: lab for lab in labels}, N,
-                      dict(zip(labels, ladder_dims(width, delta))), None,
-                      truncated=True, frontier=labels[-2:],
-                      name=f"TLJ_kesten_window({width})")
+    N = {(labels[1], b): row for b, row in zip(labels, ladder_rows(labels, 1))}
+    return FusionRing._trusted(labels, {lab: lab for lab in labels}, N,
+                               dict(zip(labels, ladder_dims(width, delta))),
+                               truncated=True, frontier=labels[-2:],
+                               name=f"TLJ_kesten_window({width})")
 
 
 def kesten_check(ring_window: FusionRing, generator) -> dict:
@@ -290,16 +289,21 @@ def kesten_check(ring_window: FusionRing, generator) -> dict:
     c_b = (A_g^T d)_b / d_b: lower = min r_a <= rho(A_g) <= ||A_g||
     (Collatz-Wielandt), upper = max(max r, max c) >= sqrt(max r * max c)
     >= ||A_g|| (Schur test).  When d satisfies the dimension equation,
-    both ends are d(g), and a finite ring is amenable either way.  A
-    truncated ring must be a ladder window read through f1, each row its
-    `ladder_row` f1 . f_k = f_{k-1} + f_{k+1} clipped to the window.  Each
-    row of the infinite ladder sums to at most 2, so upper = 2 (Schur
-    test, constant vector), taken from the rule, not the clipped window
-    rows.  The window matrix is a compression of the infinite one, so the
-    Rayleigh quotient of v_i = (i+1)(w-i) on it is a lower bound.  The
-    window is non-amenable when upper < d(g), and otherwise has no
-    verdict: Kesten alone never proves an infinite graph amenable.  d(g)
-    is the exact value of the stored float dimension.
+    both ends are d(g), and a finite ring is amenable either way.
+
+    A truncated ring must be a ladder window f0 .. f_(w-1) read through
+    f1.  Its f1 row at each label, in label order, must hold each label
+    of that row's `ladder_supports` once and nothing else; the first row
+    that does not raises "f1 row at <label> breaks the ladder rule".  The
+    supports are read from the rule and the stored rows with .get, with
+    no row rebuilt.  Each row of the infinite ladder sums to at most 2,
+    so upper = 2 (Schur test, constant vector), taken from the rule, not
+    the clipped window rows.  The window matrix is a compression of the
+    infinite one, so the Rayleigh quotient of v_i = (i+1)(w-i) on it is
+    a lower bound.  The window is non-amenable when upper < d(g), and
+    otherwise has no verdict: Kesten alone never proves an infinite
+    graph amenable.  d(g) is the exact value of the stored float
+    dimension.
     """
     if generator not in ring_window.index:
         raise ValueError(f"unknown generator {generator}")
@@ -310,8 +314,12 @@ def kesten_check(ring_window: FusionRing, generator) -> dict:
         if generator != "f1" or labels != tuple(f"f{i}" for i in range(w)):
             raise ValueError("a truncated ring must be a TLJ ladder window "
                              "read through f1")
-        for i, a in enumerate(labels):
-            if ring_window.row("f1", a) != ladder_row(labels, 1, i):
+        stored = map(ring_window.N.get, zip(repeat("f1"), labels), repeat({}))
+        for a, row, support in zip(labels, stored,
+                                   ladder_supports(labels, 1)):
+            # an f1 support has one or two labels: its first and its last
+            if (len(row) != len(support) or row.get(support[0]) != 1
+                    or row.get(support[-1]) != 1):
                 raise ValueError(f"f1 row at {a} breaks the ladder rule")
         v = [(i + 1) * (w - i) for i in range(w)]
         lower = Fraction(2 * sum(x * y for x, y in zip(v, v[1:])),

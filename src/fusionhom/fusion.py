@@ -40,15 +40,18 @@ class FusionRing:
     in label order with zero entries and empty rows omitted, and each a
     copy of the caller's.  dims maps labels to positive floats;
     dims_exact (optional) maps labels to RatFunc values in delta.
+
+    The constructor brings the caller's rows into that form.  The rings
+    built here by rule (from_group, tlj_even, tlj_ladder and
+    amenability.tlj_kesten_window) make fresh rows already in it and
+    store them as built through _trusted.
     """
 
     def __init__(self, labels, dual, N, dims=None, dims_exact=None,
                  truncated=False, frontier=(), name=""):
-        self.labels = tuple(labels)
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self.dual = dict(dual)
+        self._set(labels, dual, {}, dims, dims_exact, truncated, frontier,
+                  name)
         order = self.index.__getitem__
-        self.N = {}
         for pair, row in N.items():
             # only a row with a zero entry or out of label order is rebuilt
             if not all(row.values()) or (
@@ -57,11 +60,35 @@ class FusionRing:
                 row = {c: row[c] for c in sorted(row, key=order) if row[c]}
             if row:
                 self.N[pair] = dict(row)
+
+    def _set(self, labels, dual, N, dims, dims_exact, truncated, frontier,
+             name):
+        self.labels = tuple(labels)
+        self.index = {lab: i for i, lab in enumerate(self.labels)}
+        self.dual = dict(dual)
+        self.N = N
         self.dims = dict(dims) if dims else None
         self.dims_exact = dict(dims_exact) if dims_exact else None
         self.truncated = truncated
         self.frontier = frozenset(frontier)
         self.name = name
+
+    @classmethod
+    def _trusted(cls, labels, dual, N, dims=None, dims_exact=None,
+                 truncated=False, frontier=(), name="") -> "FusionRing":
+        """The ring with N stored as given, not copied or reordered.
+
+        For a caller whose rows are fresh dicts, nonempty, with positive
+        entries in label order, which is what the constructor would store:
+        ladder_rows slices the labels in order with entries 1 (tlj_ladder,
+        amenability.tlj_kesten_window); tlj_even walks k upward, and lo <=
+        hi because max(i, j) <= half, so no row is empty; from_group has
+        one entry per row.
+        """
+        ring = object.__new__(cls)
+        ring._set(labels, dual, N, dims, dims_exact, truncated, frontier,
+                  name)
+        return ring
 
     @property
     def unit(self):
@@ -303,8 +330,9 @@ def from_group(group: Group) -> FusionRing:
     N = {(g, h): {group.mul[g, h]: 1} for g in labels for h in labels}
     dims = {g: 1.0 for g in labels}
     dims_exact = {g: RF_ONE for g in labels}
-    return FusionRing(labels, dict(group.inv), N, dims, dims_exact,
-                      name=f"Vec({group.name})" if group.name else "Vec")
+    name = f"Vec({group.name})" if group.name else "Vec"
+    return FusionRing._trusted(labels, group.inv, N, dims, dims_exact,
+                               name=name)
 
 
 def tlj_even(n: int) -> FusionRing:
@@ -330,7 +358,8 @@ def tlj_even(n: int) -> FusionRing:
     dims = {labels[i]: math.sin((2 * i + 1) * q) / math.sin(q)
             for i in range(half + 1)}
     dual = {lab: lab for lab in labels}
-    return FusionRing(labels, dual, N, dims, name=f"TLJ_even(A_{n})")
+    return FusionRing._trusted(labels, dual, N, dims,
+                               name=f"TLJ_even(A_{n})")
 
 
 def tlj_global_index(n: int) -> float:
@@ -366,33 +395,42 @@ def ladder_dims(width: int, delta: float) -> list:
     return vals[:width]
 
 
-def ladder_row(labels, i, j) -> dict:
-    """The ladder row f_i . f_j = sum of f_k over |i-j| <= k <= i+j with
-    k = i+j mod 2, as {f_k: 1} clipped to the window `labels`."""
-    return dict.fromkeys(labels[abs(i - j):i + j + 1:2], 1)
+def ladder_supports(labels, i) -> list:
+    """The ladder rule: f_i . f_j is the sum of the f_k with
+    |i-j| <= k <= i+j and k = i+j mod 2, each once.  Returns, for
+    j = 0, 1, ..., the labels of f_i . f_j clipped to the window `labels`,
+    in label order."""
+    return [labels[abs(i - j):i + j + 1:2] for j in range(len(labels))]
+
+
+def ladder_rows(labels, i) -> list:
+    """The ladder rows f_i . f_j for j = 0, 1, ..., as fresh dicts
+    {f_k: 1} over ladder_supports."""
+    return list(map(dict.fromkeys, ladder_supports(labels, i), repeat(1)))
 
 
 def tlj_ladder(width: int, delta: float | None = None) -> FusionRing:
     """Window of the generic Temperley-Lieb ladder ring.
 
-    All labels f_0 .. f_{width-1} and every row `ladder_row`, restricted
-    to the window.  The ring is marked truncated with the last two labels
-    as frontier (both parities).  Exact Chebyshev dims are always stored;
-    float dims are evaluated when a delta value is supplied.
+    All labels f_0 .. f_{width-1} and every row of `ladder_rows`,
+    restricted to the window.  The ring is marked truncated with the last
+    two labels as frontier (both parities).  Exact Chebyshev dims are
+    always stored; float dims are evaluated when a delta value is
+    supplied.
     """
     if width < 1:
         raise ValueError("window width must be >= 1")
     labels = tuple(f"f{i}" for i in range(width))
-    N = {(labels[i], labels[j]): ladder_row(labels, i, j)
-         for i in range(width) for j in range(width)}
+    N = {(a, b): row for i, a in enumerate(labels)
+         for b, row in zip(labels, ladder_rows(labels, i))}
     dual = {lab: lab for lab in labels}
     exact = dict(zip(labels, chebyshev_dims(width)))
     dims = None
     if delta is not None:
         dims = dict(zip(labels, ladder_dims(width, delta)))
-    return FusionRing(labels, dual, N, dims, exact,
-                      truncated=True, frontier=labels[-2:],
-                      name=f"TLJ_ladder({width})")
+    return FusionRing._trusted(labels, dual, N, dims, exact,
+                               truncated=True, frontier=labels[-2:],
+                               name=f"TLJ_ladder({width})")
 
 
 # ---------------------------------------------------------------------------

@@ -339,13 +339,45 @@ def test_kesten_dense_path_on_group_rings(grp, generator):
     assert report["amenable"] is True
 
 
-def test_kesten_rejects_truncated_rings_that_are_not_ladder_windows():
+def _tamper(width, bad):
+    """A Kesten window with the f1 rows in `bad` replaced; None deletes."""
+    window = tlj_kesten_window(width, 2.0)
+    for label, row in bad.items():
+        if row is None:
+            del window.N["f1", label]
+        else:
+            window.N["f1", label] = row
+    return window
+
+
+@pytest.mark.parametrize("width, bad, first", [
+    (16, {"f5": {"f4": 1}}, "f5"),
+    (16, {"f5": {"f4": 1, "f6": 2}}, "f5"),
+    (16, {"f5": {"f4": 1, "f6": 1, "f8": 1}}, "f5"),
+    (16, {"f5": {"f4": 1, "f5": 0, "f6": 1}}, "f5"),
+    (16, {"f5": {"f4": 0, "f6": 1}}, "f5"),
+    (16, {"f0": {"f1": 2}}, "f0"),
+    (16, {"f15": {"f14": 1, "f15": 1}}, "f15"),
+    (16, {"f7": None}, "f7"),
+    (2, {"f1": {"f0": 1, "f1": 1}}, "f1"),
+    (16, {"f9": {"f8": 1}, "f3": None}, "f3"),
+], ids=["missing-neighbour", "multiplicity-2", "third-key", "zero-entry",
+        "zero-neighbour", "bad-f0", "bad-last", "deleted-row", "width-2",
+        "first-of-two"])
+def test_kesten_rejects_truncated_rings_that_are_not_ladder_windows(
+        width, bad, first):
+    with pytest.raises(ValueError,
+                       match=f"^f1 row at {first} breaks the ladder rule$"):
+        kesten_check(_tamper(width, bad), "f1")
+
+
+def test_kesten_reads_ladder_windows_only():
     with pytest.raises(ValueError, match="ladder window read through f1"):
         kesten_check(tlj_ladder(16, delta=2.0), "f2")
-    window = tlj_kesten_window(16, 2.0)
-    window.N["f1", "f5"] = {"f4": 1, "f6": 2}
-    with pytest.raises(ValueError, match="breaks the ladder rule"):
-        kesten_check(window, "f1")
+    # the rule fixes each row's entries, not the order they are stored in
+    window = _tamper(16, {"f5": {"f6": 1, "f4": 1}})
+    assert kesten_check(window, "f1") == kesten_check(
+        tlj_kesten_window(16, 2.0), "f1")
 
 
 def test_window_dimensions_overflow_to_inf_not_nan():

@@ -1,0 +1,75 @@
+"""tools/bench_pairs.py: the per-metric summary and the progress line,
+on canned runs (no benchmark is run)."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BETTER = {"step1_s": "lower", "step2_s": "lower",
+          "verdict_ok_ratio": "higher"}
+
+
+def _result(**values):
+    return {"correct": True, "failed": 0,
+            "metrics": {name: {"value": v, "unit": "s"}
+                        for name, v in values.items()}}
+
+
+def _pair(number, parent, change):
+    return {"pair": number, "first": "parent" if number % 2 else "change",
+            "parent": _result(**parent), "change": _result(**change)}
+
+
+def test_wins_are_strict_and_ties_count_for_neither_side():
+    runs = [_pair(1, {"step1_s": 2.0, "verdict_ok_ratio": 1.0},
+                  {"step1_s": 1.0, "verdict_ok_ratio": 1.0}),
+            _pair(2, {"step1_s": 2.0, "verdict_ok_ratio": 0.5},
+                  {"step1_s": 2.0, "verdict_ok_ratio": 1.0}),
+            _pair(3, {"step1_s": 2.0, "verdict_ok_ratio": 1.0},
+                  {"step1_s": 3.0, "verdict_ok_ratio": 0.5})]
+    summary = bench_pairs.summarise(runs, BETTER)
+    assert summary["step1_s"]["change_better_in_pairs"] == 1
+    assert summary["verdict_ok_ratio"]["change_better_in_pairs"] == 1
+    assert summary["step1_s"]["pairs"] == 3
+
+
+def test_quartiles_are_inclusive():
+    runs = [_pair(i, {"step1_s": float(i)}, {"step1_s": float(10 * i)})
+            for i in range(1, 6)]
+    summary = bench_pairs.summarise(runs, BETTER)["step1_s"]
+    assert summary["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert summary["change"] == {"median": 30.0, "q1": 20.0, "q3": 40.0}
+    assert summary["change_better_in_pairs"] == 0
+
+
+def test_a_metric_missing_on_one_side_is_skipped():
+    runs = [_pair(1, {"step1_s": 2.0, "step2_s": 1.0}, {"step1_s": 1.0}),
+            _pair(2, {"step1_s": 2.0, "step2_s": 1.0},
+                  {"step1_s": 1.0, "step2_s": 0.5})]
+    summary = bench_pairs.summarise(runs, BETTER)
+    assert set(summary) == {"step1_s"}
+    assert bench_pairs.summarise(runs[:1], BETTER) == {}
+
+
+def test_progress_prints_each_step_metric():
+    pair = _pair(3, {"step1_s": 0.046, "step2_s": 0.026, "wall_s": 0.2},
+                 {"step1_s": 0.044, "step2_s": 0.018, "wall_s": 0.19})
+    assert (bench_pairs.progress("fusion-ladder@2020", pair,
+                                 ["step1_s", "step2_s"])
+            == "fusion-ladder@2020 pair 3: parent step1_s=0.046 "
+               "step2_s=0.026 change step1_s=0.044 step2_s=0.018")
+    del pair["change"]  # an aborted run leaves one side
+    del pair["parent"]["metrics"]["step2_s"]
+    assert (bench_pairs.progress("k", pair, ["step1_s", "step2_s"])
+            == "k pair 3: parent step1_s=0.046")
+
+
+def test_progress_names_the_benchmark_step_metrics():
+    spec = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+    names = [m["name"] for m in spec["end_to_end"]]
+    assert bench_pairs.step_metrics(names) == ["step1_s", "step2_s"]

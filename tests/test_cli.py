@@ -149,6 +149,24 @@ def test_ring_file_with_rational_exact_dims(tmp_path):
                    "at (f1,f1)"}
 
 
+@pytest.mark.parametrize("source", ["file", "ladder"])
+def test_fusion_verifies_a_ring_once(tmp_path, monkeypatch, source):
+    # ring_from_text verifies a file ring; the CLI does not verify it again
+    path = tmp_path / "ladder.ring"
+    path.write_text(ring_to_text(fusion.tlj_ladder(12, delta=2.0)))
+    argv = (["--ring", str(path)] if source == "file"
+            else ["--ladder", "12", "--delta", "2.0"])
+    calls = []
+    verify = fusion.verify_axioms
+    monkeypatch.setattr(fusion, "verify_axioms",
+                        lambda ring: calls.append(ring) or verify(ring))
+    code, report = main_json("fusion", *argv, "--verify")
+    assert code == 0, report.get("error")
+    assert report["results"]["verified"] is True
+    assert report["results"]["failures"] == []
+    assert len(calls) == 1
+
+
 def test_betti_point():
     code, report = main_json("betti", "--point")
     assert code == 0

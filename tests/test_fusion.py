@@ -1,11 +1,13 @@
 """Fusion rings: constructors, axioms, dimensions, and the file format."""
 
 import math
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fusionhom.amenability import tlj_kesten_window
 from fusionhom.exactarith import (RF_ONE, RF_ZERO, IntPoly, RatFunc,
                                   parse_scalar)
 from fusionhom.fusion import (FusionRing, InvalidRingFile, NotConnected,
@@ -98,6 +100,39 @@ def test_rows_are_nonzero_copies_in_label_order():
     given["a", "a"] = {"a": 1}
     del given["b", "b"]
     assert {pair: list(row.items()) for pair, row in ring.N.items()} == want
+
+
+# rule-built ring -> (builder, the number of stored rows)
+RULE_BUILT = {
+    **{f"ladder-{w}": (partial(tlj_ladder, w, delta=2.0), w * w)
+       for w in (1, 2, 3, 40)},
+    **{f"even-{n}": (partial(tlj_even, n), ((n - 1) // 2 + 1) ** 2)
+       for n in range(2, 13)},
+    **{f"kesten-{w}": (partial(tlj_kesten_window, w, 2.0), w)
+       for w in (2, 3, 64)},
+    **{f"vec-{g.name}": (partial(from_group, g), len(g.elements) ** 2)
+       for g in (cyclic(2), symmetric(3), dihedral(4))},
+}
+
+
+@pytest.mark.parametrize("name", RULE_BUILT)
+def test_rule_built_rings_equal_the_public_constructors(name):
+    # the rings stored as built hold what the constructor would store
+    build, rows = RULE_BUILT[name]
+    ring, again = build(), build()
+    public = FusionRing(ring.labels, ring.dual,
+                        {pair: dict(row) for pair, row in ring.N.items()},
+                        ring.dims, ring.dims_exact, truncated=ring.truncated,
+                        frontier=ring.frontier, name=ring.name)
+    for field in ("labels", "index", "dual", "dims", "dims_exact",
+                  "truncated", "frontier", "name"):
+        assert getattr(ring, field) == getattr(public, field), field
+    assert ([(pair, list(row.items())) for pair, row in ring.N.items()]
+            == [(pair, list(row.items())) for pair, row in public.N.items()])
+    assert all(ring.N.values())
+    assert len(ring.N) == rows  # perfbench counts len(ring.N) as entries
+    shared = [id(row) for r in (ring, again, public) for row in r.N.values()]
+    assert len(set(shared)) == 3 * rows
 
 
 def test_tlj_even_axioms_and_labels():

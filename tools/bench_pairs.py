@@ -73,12 +73,23 @@ def summarise(runs: list, better: dict) -> dict:
     return out
 
 
-def progress(key: str, pair: dict) -> str:
-    """One line per pair: each side's step1_s where it has one."""
-    sides = " ".join(
-        f"{side} {pair[side]['metrics'].get('step1_s', {}).get('value')}"
-        for side in SIDES if side in pair)
-    return f"{key} pair {pair['pair']}: {sides}"
+def step_metrics(names) -> list:
+    """The per-step timings among the metric names, in their order."""
+    return [name for name in names
+            if name.startswith("step") and name.endswith("_s")]
+
+
+def progress(key: str, pair: dict, names) -> str:
+    """One line per pair: each side's value of each of the named metrics
+    that it has."""
+    sides = []
+    for side in SIDES:
+        if side in pair:
+            metrics = pair[side]["metrics"]
+            sides.append(" ".join([side] + [
+                f"{name}={metrics[name]['value']}"
+                for name in names if name in metrics]))
+    return f"{key} pair {pair['pair']}: " + " ".join(sides)
 
 
 def main(argv=None) -> int:
@@ -103,6 +114,7 @@ def main(argv=None) -> int:
             parser.error(f"--{side} {path} holds __pycache__ under src/")
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    steps = step_metrics(better)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     if args.about:
@@ -129,7 +141,7 @@ def main(argv=None) -> int:
             entry["runs"].append(pair)
         entry["summary"] = summarise(entry["runs"], better)
         args.out.write_text(json.dumps(doc, indent=2) + "\n")
-        print(progress(key, pair), flush=True)
+        print(progress(key, pair, steps), flush=True)
     return 0
 
 
