@@ -99,7 +99,7 @@ def crit_tube_homology(cfg):
         beta0 = fusion.beta0(fusion.from_group(grp)).beta0_exact
         _check(rep.tau_p == beta0,
                f"{grp.name}: tau(p) {rep.tau_p} != beta0 {beta0}")
-        bases = [tube.bar_chain_basis(algebra, n) for n in range(4)]
+        bases = rep.bases  # degrees 0..3, as trivial_homology listed them
         b1, b2, b3 = (tube.bar_boundary_matrix(algebra, n, bases[n],
                                                bases[n - 1])
                       for n in (1, 2, 3))

@@ -41,9 +41,8 @@ filling never raises the total, so each C(<=T) is a subcomplex.
 
 One fill rule serves the complex: a fill maps block classes (`_fills`,
 read off the single-circle rule `_fill_block`), and every boundary,
-boundary matrix and d . d check runs on multiplicity tuples (`_code`),
-listed per total by `_codes`.  Diagrams are decoded (`_diagram`) only
-at the API edge.
+boundary matrix and d . d check runs on multiplicity tuples, listed per
+total by `_codes`.  A diagram is stored as its code; `blocks` is a view.
 """
 
 from __future__ import annotations
@@ -93,10 +92,12 @@ def _supports(k: int) -> tuple:
 class CircleDiagram:
     """Canonical immutable circle diagram.
 
-    blocks: sorted tuple of (i, j, mult) consecutive intervals.
+    code: the multiplicity of each class of _block_classes(degree).
+    blocks, derived from it: the sorted (i, j, mult) consecutive intervals
+    of positive multiplicity.
     """
 
-    __slots__ = ("degree", "blocks")
+    __slots__ = ("degree", "code")
 
     def __init__(self, degree, blocks=()):
         if degree < 0:
@@ -113,34 +114,39 @@ class CircleDiagram:
         for b1, b2 in combinations(sorted(norm), 2):
             if _crossing(b1, b2):
                 raise ValueError(f"crossing blocks {b1} and {b2}")
-        self._set(degree, tuple((i, j, norm[i, j]) for i, j in sorted(norm)))
+        self._set(degree, tuple(norm.get(c, 0)
+                                for c in _block_classes(degree)))
 
-    def _set(self, degree, blocks):
+    def _set(self, degree, code):
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "code", code)
 
     @classmethod
-    def _trusted(cls, degree, blocks) -> "CircleDiagram":
-        """Unvalidated construction from a sorted tuple of (i, j, positive
-        multiplicity) blocks already known to be laminar and in range;
-        _diagram, which decodes a multiplicity tuple, is its only caller."""
+    def _trusted(cls, degree, code) -> "CircleDiagram":
+        """Unvalidated construction from a multiplicity tuple over
+        _block_classes(degree) already known to be non-crossing, as
+        `_codes` and the fills produce."""
         d = object.__new__(cls)
-        d._set(degree, blocks)
+        d._set(degree, code)
         return d
 
     def __setattr__(self, *_):
         raise AttributeError("CircleDiagram is immutable")
 
+    @property
+    def blocks(self) -> tuple:
+        return tuple((i, j, m) for (i, j), m
+                     in zip(_block_classes(self.degree), self.code) if m)
+
     def total(self) -> int:
-        return sum(m for _, _, m in self.blocks)
+        return sum(self.code)
 
     def __eq__(self, other):
         return (isinstance(other, CircleDiagram)
-                and self.degree == other.degree
-                and self.blocks == other.blocks)
+                and self.degree == other.degree and self.code == other.code)
 
     def __hash__(self):
-        return hash((self.degree, self.blocks))
+        return hash((self.degree, self.code))
 
     def sort_key(self):
         return self.total(), self.blocks
@@ -285,8 +291,8 @@ def fill_puncture(d: CircleDiagram, j: int) -> tuple[CircleDiagram, int]:
         raise ValueError("cannot fill punctures of a degree-0 diagram")
     if not (0 <= j <= k):
         raise ValueError(f"fill index {j} out of range 0..{k}")
-    face, deleted = _fill_code(_code(d), k, j)
-    return _diagram(face, k - 1), deleted
+    face, deleted = _fill_code(d.code, k, j)
+    return CircleDiagram._trusted(k - 1, face), deleted
 
 
 def boundary(d: CircleDiagram) -> ChainVector:
@@ -299,8 +305,8 @@ def boundary(d: CircleDiagram) -> ChainVector:
     if d.degree < 1:
         raise ValueError("cannot fill punctures of a degree-0 diagram")
     return ChainVector(d.degree - 1, {
-        _diagram(face, d.degree - 1): _canonical(p)
-        for face, p in _boundary_polys(_code(d), d.degree).items()})
+        CircleDiagram._trusted(d.degree - 1, face): _canonical(p)
+        for face, p in _boundary_polys(d.code, d.degree).items()})
 
 
 def shaded_boundary(d: CircleDiagram, shading: int) -> list:
@@ -326,18 +332,6 @@ def shaded_boundary(d: CircleDiagram, shading: int) -> list:
         coeff = RatFunc.delta_power(deleted)
         terms.append((face, shading ^ flip, -coeff if j % 2 else coeff))
     return terms
-
-
-def _code(d: CircleDiagram) -> tuple:
-    """The multiplicity tuple of d over _block_classes(d.degree)."""
-    mult = {(i, j): m for i, j, m in d.blocks}
-    return tuple(mult.get(c, 0) for c in _block_classes(d.degree))
-
-
-def _diagram(code: tuple, degree: int) -> CircleDiagram:
-    """Decode a multiplicity tuple (lexicographic classes, sorted blocks)."""
-    return CircleDiagram._trusted(degree, tuple(
-        (i, j, m) for (i, j), m in zip(_block_classes(degree), code) if m))
 
 
 @cache
@@ -416,7 +410,8 @@ def enumerate_diagrams(degree: int, max_total: int):
         raise ValueError(f"max_total {max_total} must be >= 0")
     out = []
     for t in range(max_total + 1):  # sort_key orders by total first
-        level = [_diagram(code, degree) for code in _codes(degree, t)]
+        level = [CircleDiagram._trusted(degree, code)
+                 for code in _codes(degree, t)]
         out += sorted(level, key=attrgetter("blocks"))
     return out
 
@@ -440,10 +435,10 @@ def boundary_matrix(degree: int, window: int, domain=None,
         domain = enumerate_diagrams(degree, window)
     if codomain is None:
         codomain = enumerate_diagrams(degree - 1, window)
-    row_of = {_code(d): i for i, d in enumerate(codomain)}
+    row_of = {d.code: i for i, d in enumerate(codomain)}
     m = SparseMat(len(codomain), len(domain))
     for col, d in enumerate(domain):
-        for face, p in _boundary_polys(_code(d), degree).items():
+        for face, p in _boundary_polys(d.code, degree).items():
             m[row_of[face], col] = _canonical(p)
     return m
 
@@ -566,8 +561,8 @@ def _rank_at_zero(columns, degree, row_of, memo=None, bound=None,
             if memo is not None and not _dd_vanishes(counts, degree, memo):
                 raise Inconclusive(
                     f"{where}: degree-{degree} column "
-                    f"{_diagram(code, degree).encode()} is not a cycle "
-                    f"(d{degree - 1} d{degree} != 0)")
+                    f"{CircleDiagram._trusted(degree, code).encode()} is not "
+                    f"a cycle (d{degree - 1} d{degree} != 0)")
             # the faces of one code are distinct keys
             yield {row_of[out]: count for (out, deleted), count
                    in counts.items() if count and not deleted}

@@ -53,13 +53,9 @@ class FusionRing:
                   name)
         order = self.index.__getitem__
         for pair, row in N.items():
-            # only a row with a zero entry or out of label order is rebuilt
-            if not all(row.values()) or (
-                    len(row) > 1
-                    and (pos := list(map(order, row))) != sorted(pos)):
-                row = {c: row[c] for c in sorted(row, key=order) if row[c]}
+            row = {c: row[c] for c in sorted(row, key=order) if row[c]}
             if row:
-                self.N[pair] = dict(row)
+                self.N[pair] = row
 
     def _set(self, labels, dual, N, dims, dims_exact, truncated, frontier,
              name):

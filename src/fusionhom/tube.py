@@ -362,14 +362,17 @@ class HomologyReport:
     """Exact homology dimensions of the collapsed bar complex.
 
     method is "invariant-projection" or "bar-complex"; tau_p is the exact
-    trace of the invariant projection, None on the bar path.
+    trace of the invariant projection, None on the bar path.  bases holds
+    the bar chain bases that were listed, degrees 0..n_max+1, for a
+    caller that builds further boundary matrices.
     """
 
-    def __init__(self, dims, chain_dims, method, tau_p=None):
+    def __init__(self, dims, chain_dims, method, tau_p=None, bases=()):
         self.dims = tuple(dims)
         self.chain_dims = tuple(chain_dims)
         self.method = method
         self.tau_p = tau_p
+        self.bases = tuple(bases)
         if any(d < 0 for d in self.dims):
             raise ValueError(f"negative homology dimension: {self.dims}")
 
@@ -500,14 +503,15 @@ def trivial_homology(A: TubeAlgebra, n_max: int,
     p = invariant_projection(A)
     if p is not None:
         return HomologyReport([1] + [0] * n_max, chain_dims,
-                              "invariant-projection", _evaluate(A.trace_vec, p))
+                              "invariant-projection",
+                              _evaluate(A.trace_vec, p), bases)
     ranks = [0]  # rank of boundary_0 is 0
     for n in range(1, n_max + 2):
         ranks.append(rank(bar_boundary_matrix(A, n, bases[n], bases[n - 1])))
     dims = []
     for n in range(n_max + 1):
         dims.append(len(bases[n]) - ranks[n] - ranks[n + 1])
-    return HomologyReport(dims, chain_dims, "bar-complex")
+    return HomologyReport(dims, chain_dims, "bar-complex", bases=bases)
 
 
 # ---------------------------------------------------------------------------

@@ -59,3 +59,19 @@ def test_tube_homology_needs_the_projection_trace(monkeypatch):
     report = acceptance.run_criterion("tube-homology")
     assert report["status"] == "FAIL"
     assert report["detail"] == "Z/2: tau(p) None != beta0 1/2"
+
+
+def test_tube_homology_lists_each_bar_basis_once(monkeypatch):
+    # the d.d checks reuse the bases trivial_homology listed: degrees
+    # 0..3 for each of the three groups
+    calls = []
+    listed = tube.bar_chain_basis
+
+    def counting(A, n):
+        calls.append(n)
+        return listed(A, n)
+
+    monkeypatch.setattr(tube, "bar_chain_basis", counting)
+    report = acceptance.run_criterion("tube-homology")
+    assert report["detail"] == DETAILS["tube-homology"]
+    assert sorted(calls) == sorted([0, 1, 2, 3] * 3)

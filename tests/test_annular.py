@@ -270,14 +270,14 @@ def _h2_exact(N: int, window3: int, gen3) -> dict:
     cols2_small = annular.enumerate_diagrams(2, N)
     kernel = kernel_basis(boundary_matrix(2, N, cols2_small))
     rows_big = annular.enumerate_diagrams(2, window3)
-    row_of = {annular._code(d): i for i, d in enumerate(rows_big)}
+    row_of = {d.code: i for i, d in enumerate(rows_big)}
 
     # kernel vectors re-indexed into the larger degree-2 window
     residuals = []
     supports = []
     for vec in kernel:
         residuals.append(clear_denominators(
-            {row_of[annular._code(cols2_small[i])]: c
+            {row_of[cols2_small[i].code]: c
              for i, c in enumerate(vec) if c}))
         supports.append(sorted(cols2_small[i].encode()
                                for i, c in enumerate(vec) if c))
@@ -303,7 +303,7 @@ def _h2_exact(N: int, window3: int, gen3) -> dict:
             break
         columns_used += 1
         col = {row_of[face]: RatFunc(p) for face, p
-               in annular._boundary_polys(annular._code(d), 3).items()}
+               in annular._boundary_polys(d.code, 3).items()}
         for rid in stalled.pop(ech.insert(clear_denominators(col)), ()):
             settle(rid)
 
@@ -528,9 +528,9 @@ def test_coded_boundary_counts_equal_the_diagram_counts():
     diagrams += enumerate_diagrams(4, 5)
     assert len(diagrams) == 1382 + 1902
     for d in diagrams:
-        expected = {(annular._code(face), deleted): count
+        expected = {(face.code, deleted): count
                     for (face, deleted), count in reference_counts(d).items()}
-        assert annular._code_counts(annular._code(d), d.degree) == expected
+        assert annular._code_counts(d.code, d.degree) == expected
         for j in range(d.degree + 1):
             assert fill_puncture(d, j) == reference_fill(d, j)
 
@@ -551,8 +551,15 @@ def test_boundary_matrix_equals_the_reference_fills(degree):
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
 def test_codes_round_trip(degree):
+    # a diagram is its code; blocks, the constructor, _trusted and the
+    # text encoding all give it back
+    width = len(annular._block_classes(degree))
     for d in enumerate_diagrams(degree, 5):
-        assert annular._diagram(annular._code(d), degree) == d
+        assert len(d.code) == width
+        rebuilt = CircleDiagram(degree, d.blocks)
+        assert rebuilt == d and hash(rebuilt) == hash(d)
+        assert CircleDiagram._trusted(degree, d.code) == d
+        assert CircleDiagram.parse(d.encode()) == d
 
 
 def test_boundary_matrix_builds_no_chain_vector(monkeypatch):

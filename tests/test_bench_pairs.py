@@ -73,3 +73,32 @@ def test_progress_names_the_benchmark_step_metrics():
     spec = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
     names = [m["name"] for m in spec["end_to_end"]]
     assert bench_pairs.step_metrics(names) == ["step1_s", "step2_s"]
+
+
+def test_a_traced_pair_shows_each_side_overhead(tmp_path, monkeypatch,
+                                                capsys):
+    # a traced run has per-layer metrics and its overhead, no step timings
+    root = SCRIPT.parents[1]
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        (root / "BENCHMARK.json").read_text())
+    overhead = {"parent": 0.0019, "change": 0.0021}
+
+    def canned(checkout, workload, seed, seconds, trace):
+        assert trace == 1
+        return _result(**{"trace.overhead_s": overhead[checkout.name],
+                          "fusion.tlj_ladder.self_s": 0.0034}), ""
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([
+        "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"), "--workload", "fusion-ladder",
+        "--pairs", "1", "--trace", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "fusion-ladder@2020/trace pair 1: parent trace.overhead_s=0.0019 "
+        "change trace.overhead_s=0.0021\n")
+    assert json.loads(out.read_text())["pairs"]["fusion-ladder@2020/trace"][
+        "runs"][0]["change"]["metrics"]["trace.overhead_s"]["value"] == 0.0021

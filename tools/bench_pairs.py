@@ -114,7 +114,8 @@ def main(argv=None) -> int:
             parser.error(f"--{side} {path} holds __pycache__ under src/")
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    steps = step_metrics(better)
+    # a traced run reports no step timings; its line shows the overhead
+    shown = ["trace.overhead_s"] if args.trace else step_metrics(better)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     if args.about:
@@ -141,7 +142,7 @@ def main(argv=None) -> int:
             entry["runs"].append(pair)
         entry["summary"] = summarise(entry["runs"], better)
         args.out.write_text(json.dumps(doc, indent=2) + "\n")
-        print(progress(key, pair, steps), flush=True)
+        print(progress(key, pair, shown), flush=True)
     return 0
 
 
