@@ -28,7 +28,18 @@ filling never raises the total, so each C(<=T) is a subcomplex.
   C(=t): it is block diagonal over totals with integer entries.
 - Ranks only drop under specialisation, so rank d_k(<=N) over Q(delta)
   is at least the sum over t <= N of rank d_k(=t) over Q.
-- Check d2(d3(d)) = 0 exactly over Z for each d in C3(<=N).  Then
+- d2 d3 = 0 on every code, in every power of delta, is checked once,
+  on the generic code g = (1, 2, 4, ..., 2^(w-1)) over the w classes
+  of _block_classes(3) (`_dd_vanishes_generically`).  Fill i after
+  fill j routes each class to a class or to "deleted", and the key
+  (face code, power of delta) that the term reaches from a code is
+  fixed by that routing.  On g each class is its own bit, so the key
+  names the routing: the sums on g vanish exactly when, for each
+  routing, the signed terms that take it cancel.  Every code's sums
+  are sums of these per-routing totals, so they vanish too, crossing
+  supports included (the simplicial identities, Weibel 8.1).  When
+  the one check fails, each d in C3(<=N) is checked on its own,
+  exactly over Z.  Then
   dim ker d2(<=N) <= |C2(<=N)| - sum rank d2(=t) and
   dim im d3(<=N) >= sum rank d3(=t), so when every graded summand
   |C2(=t)| - rank d2(=t) - rank d3(=t) is 0, H2(C(<=N)) = 0 over
@@ -487,39 +498,42 @@ def h2_vanishing_check(N: int, margin: int = 2,
                        diagram_cap: int = DIAGRAM_CAP) -> dict:
     """Check ker(boundary_2) on total <= N against the degree-3 image.
 
-    The degree-3 boundaries are taken over diagrams with total <= N+margin.
     Containment is proved from the graded ranks (see the module
     docstring): for each total t <= N, the ranks over Q of the delta = 0
-    blocks d2(=t) and d3(=t), each degree-3 column checked to satisfy
-    d2(d3(d)) = 0 exactly over Z before it is used.  Each rank is first
-    taken modulo a prime, which never exceeds it, and is accepted when it
-    meets its proven bound: rank d2(=t) <= |C1(=t)|, and, because
+    blocks d2(=t) and d3(=t).  d2 d3 = 0 is first proved for every code
+    at once from one generic code; only when that fails is each
+    degree-3 column checked to satisfy d2(d3(d)) = 0 exactly over Z
+    before it is used.  Each rank is first taken modulo a prime, which
+    never exceeds it, and is accepted when it meets its proven bound: rank d2(=t) <= |C1(=t)|, and, because
     d2 d3 = 0, rank d3(=t) <= |C2(=t)| - rank d2(=t).  Otherwise exact
     elimination over Z gives the rank.  The proof needs no kernel basis
     and no evaluation point, and it consumes the columns of total <= N
-    only; C3(<=N+margin) is only counted.  When a column is not a cycle
+    only, so diagram_cap bounds |C3(<=N)|; C3(<=N+margin) is only
+    counted, as columns_available.  When d2 d3 = 0 fails on a column
     or a total's ranks do not close, the check raises Inconclusive: no
     verdict is given without the proof.
 
     The report's method is "graded", and its "graded" entry holds
-    |C2(=t)|, rank d2(=t) and rank d3(=t) for t = 0..N.
+    |C2(=t)|, rank d2(=t) and rank d3(=t) for t = 0..N.  Its "cycles"
+    says how d2 d3 = 0 was proved: "generic" by the one-code check,
+    "per-column" by the fallback.
     """
     if N < 1 or margin < 0:
         raise ValueError("need N >= 1 and margin >= 0")
+    used = _count_diagrams(3, N)
+    if used > diagram_cap:
+        raise SizeLimit(f"{used} degree-3 diagrams exceed cap {diagram_cap}")
     window3 = N + margin
-    available = _count_diagrams(3, window3)
-    if available > diagram_cap:
-        raise SizeLimit(
-            f"{available} degree-3 diagrams exceed cap {diagram_cap}")
-    kernel_dim, columns_used, graded = _h2_graded(N)
+    kernel_dim, columns_used, graded, cycles = _h2_graded(N)
     return {
         "kernel_dim": kernel_dim,
         "contained": True,
         "failing_vectors": [],
-        "columns_available": available,
+        "columns_available": _count_diagrams(3, window3),
         "columns_used": columns_used,
         "window": window3,
         "method": "graded",
+        "cycles": cycles,
         "graded": graded,
     }
 
@@ -538,12 +552,21 @@ def _dd_vanishes(counts, degree, memo) -> bool:
     return not any(total.values())
 
 
+def _dd_vanishes_generically(degree) -> bool:
+    """d_{degree-1} d_degree = 0 on every code, decided on the one
+    generic code (1, 2, 4, ...) over _block_classes(degree), whose keys
+    name the routing of every class (see the module docstring)."""
+    generic = tuple(1 << n for n in range(len(_block_classes(degree))))
+    return _dd_vanishes(_code_counts(generic, degree), degree, {})
+
+
 def _rank_at_zero(columns, degree, row_of, memo=None, bound=None,
                   where=None):
     """Rank over Q of the boundary at delta = 0 on these coded columns.
 
-    Each column is streamed: its boundary counts, then (with a memo) the
-    exact d(d(column)) = 0 check, then its delta^0 part as an integer
+    Each column is streamed: its boundary counts, then (with a memo,
+    which a caller that has proved d d = 0 generically omits) the exact
+    d(d(column)) = 0 check, then its delta^0 part as an integer
     column.  A column that fails the check raises Inconclusive, its
     message led by where.  bound is a proven upper bound on the rank, by
     default the smaller dimension.  The integer columns are first
@@ -579,14 +602,17 @@ def _h2_graded(N):
     """The graded proof on C(<=N), on the codes `_codes` lists per total;
     no diagram is built but the one that names a failing column.
 
-    The counts, the d2 d3 = 0 checks and the delta = 0 blocks run on the
-    codes through `_fills`.  Returns (kernel_dim, columns_used, per-total
-    ranks).  Raises Inconclusive, naming N and the total t, when a
-    degree-3 column is not a cycle, or when the ranks of a total do not
-    close: rank d2(=t) < |C1(=t)|, or a nonzero graded summand
-    |C2(=t)| - rank d2(=t) - rank d3(=t).
+    d2 d3 = 0 is proved once by `_dd_vanishes_generically`; when that
+    fails, each degree-3 column is checked on its own.  The counts, the
+    checks and the delta = 0 blocks run on the codes through `_fills`.
+    Returns (kernel_dim, columns_used, per-total ranks, cycles), cycles
+    "generic" or "per-column".  Raises Inconclusive, naming N and the
+    total t, when a degree-3 column is not a cycle, or when the ranks of
+    a total do not close: rank d2(=t) < |C1(=t)|, or a nonzero graded
+    summand |C2(=t)| - rank d2(=t) - rank d3(=t).
     """
-    memo = {}
+    generic = _dd_vanishes_generically(3)
+    memo = None if generic else {}
     graded = {"dim_c2": [], "rank_d2": [], "rank_d3": []}
     kernel_dim = columns_used = 0
     for t in range(N + 1):
@@ -607,4 +633,5 @@ def _h2_graded(N):
         graded["rank_d3"].append(rank3)
         kernel_dim += len(c2) - len(c1)
         columns_used += len(c3)
-    return kernel_dim, columns_used, graded
+    return (kernel_dim, columns_used, graded,
+            "generic" if generic else "per-column")

@@ -287,6 +287,7 @@ def cmd_homology_tlj(args, report):
             "failing_vectors": rep["failing_vectors"],
         }
         report.diagnostics["h2"] = {"method": rep["method"],
+                                    "cycles": rep["cycles"],
                                     **rep.get("graded", {})}
 
 

@@ -181,11 +181,13 @@ def test_diagram_count_matches_enumeration():
         for count in (annular._count_diagrams, enumerate_diagrams):
             with pytest.raises(ValueError):
                 count(degree, -1)
-    # the cap still counts C3(<=N+margin): 378 diagrams at (3, 2)
-    with pytest.raises(SizeLimit, match="^378 degree-3 diagrams exceed cap "
-                                        "377$"):
-        h2_vanishing_check(3, 2, diagram_cap=377)
-    report = h2_vanishing_check(3, 2, diagram_cap=378)
+    # the cap counts C3(<=N), the columns the proof reads: 77 at (3, 2),
+    # while columns_available still counts C3(<=N+margin)
+    with pytest.raises(SizeLimit, match="^77 degree-3 diagrams exceed cap "
+                                        "76$"):
+        h2_vanishing_check(3, 2, diagram_cap=76)
+    report = h2_vanishing_check(3, 2, diagram_cap=77)
+    assert report["columns_used"] == 77
     assert report["columns_available"] == 378
 
 
@@ -471,6 +473,92 @@ def test_d2_d3_zero_multiplies_no_matrix(monkeypatch):
         "PASS", "zero on a 84x714 times 7x84 pair")
 
 
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 6])
+def test_d_d_vanishes_on_the_generic_code(degree):
+    assert annular._dd_vanishes_generically(degree)
+
+
+def retargeted_fills(j, block, target):
+    """_fills with the degree-3 class block of fill j sent to target."""
+    fills = annular._fills
+
+    def broken(k):
+        table = fills(k)
+        if k != 3:
+            return table
+        row = list(table[j])
+        row[block] = target
+        return table[:j] + (tuple(row),) + table[j + 1:]
+
+    return broken
+
+
+def test_the_generic_code_sees_every_broken_column(monkeypatch):
+    # every single-entry retarget of the degree-3 fill table: whenever a
+    # column of C3(<=6) fails d2 d3 = 0, the one generic check fails too
+    columns = [c for t in range(7) for c in annular._codes(3, t)]
+    table = annular._fills(3)
+    targets = len(annular._block_classes(2)) + 1  # the classes and deletion
+    retargets = broken_columns = 0
+    for j, row in enumerate(table):
+        for block, old in enumerate(row):
+            for target in set(range(targets)) - {old}:
+                retargets += 1
+                with monkeypatch.context() as m:
+                    m.setattr(annular, "_fills",
+                              retargeted_fills(j, block, target))
+                    memo = {}
+                    if any(not annular._dd_vanishes(
+                            annular._code_counts(c, 3), 3, memo)
+                           for c in columns):
+                        broken_columns += 1
+                        assert not annular._dd_vanishes_generically(3), (
+                            j, block, target)
+    # each of the 72 breaks some column, so each was seen by the generic
+    assert broken_columns == retargets == 72
+
+
+def test_h2_checks_d_d_once(monkeypatch):
+    # the per-column path called _dd_vanishes once per column, 2,079
+    # times at N = 8
+    calls = []
+    dd_vanishes = annular._dd_vanishes
+
+    def counting(*args):
+        calls.append(args[1])
+        return dd_vanishes(*args)
+
+    monkeypatch.setattr(annular, "_dd_vanishes", counting)
+    report = h2_vanishing_check(8)
+    assert (report["cycles"], report["columns_used"]) == ("generic", 2079)
+    assert calls == [3]
+
+
+def test_h2_falls_back_to_each_column_when_the_generic_check_fails(
+        monkeypatch):
+    # an extra face on crossing codes alone breaks d2 d3 = 0 on the
+    # generic code but on no diagram, so each column is checked and passes
+    counts_of = annular._code_counts
+    ab, bc = (annular._block_classes(3).index(b) for b in ((1, 2), (2, 3)))
+
+    def broken(code, degree):
+        counts = counts_of(code, degree)
+        if degree == 3 and code[ab] and code[bc]:
+            key = annular._fill_code(code, 3, 0)
+            counts[key] = counts.get(key, 0) + 1
+        return counts
+
+    monkeypatch.setattr(annular, "_code_counts", broken)
+    assert not annular._dd_vanishes_generically(3)
+    report = h2_vanishing_check(4)
+    assert (report["cycles"], report["kernel_dim"]) == ("per-column", 30)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["homology-tlj", "--h2", "4", "--json"]) == 0
+    diagnostics = json.loads(buf.getvalue())["diagnostics"]
+    assert diagnostics["h2"]["cycles"] == "per-column"
+
+
 def test_graded_h2_builds_no_diagram(monkeypatch):
     built = []
     init, trusted = CircleDiagram.__init__, CircleDiagram._trusted.__func__
@@ -612,7 +700,7 @@ def test_h2_certified_window_stays_inside_the_row_window():
     # while the exact oracle, taking columns in order, uses a total-4
     # generator put ahead of C3(<=3)
     gens = [diagram3(a=1, b=1, c=1, abc=1)] + enumerate_diagrams(3, 3)
-    kernel_dim, columns_used, graded = annular._h2_graded(3)
+    kernel_dim, columns_used, graded, _ = annular._h2_graded(3)
     assert columns_used == len(gens) - 1
     assert len(graded["rank_d3"]) == 4
     exact = _h2_exact(3, 3, gens)

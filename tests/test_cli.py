@@ -402,7 +402,7 @@ def test_homology_tlj_example():
     assert list(report)[3:5] == ["results", "diagnostics"]
     assert "method" not in report["results"]["h2"]
     assert report["diagnostics"]["h2"] == {
-        "method": "graded", "dim_c2": [1, 3, 6, 10, 15],
+        "method": "graded", "cycles": "generic", "dim_c2": [1, 3, 6, 10, 15],
         "rank_d2": [1, 1, 1, 1, 1], "rank_d3": [0, 2, 5, 9, 14]}
 
 
@@ -747,6 +747,20 @@ def test_capped_report_keeps_the_finished_h1_block():
     assert report["error"]["type"] == "SizeLimit"
     assert report["results"]["h1"]["contained"] is True
     assert "h2" not in report["results"]
+
+
+def test_h2_cap_counts_the_columns_the_proof_reads():
+    # |C3(<=20)| = 95,634 fits the default cap of 100,000, though the
+    # default margin counts |C3(<=22)| = 146,510; |C3(<=21)| = 118,910
+    code, report = main_json("homology-tlj", "--h2", "N=20")
+    assert code == 0
+    assert report["results"]["h2"]["columns_used"] == 95634
+    assert report["results"]["h2"]["columns_available"] == 146510
+    code, report = main_json("homology-tlj", "--h2", "N=21")
+    assert code == 3
+    assert report["error"] == {
+        "type": "SizeLimit",
+        "message": "118910 degree-3 diagrams exceed cap 100000"}
 
 
 def test_capped_report_keeps_the_passed_identities():

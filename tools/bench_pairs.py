@@ -16,9 +16,17 @@ The last stdout line of each run is kept as it is.  The entry
 "<workload>@<seed>" of --out (with "/trace" appended under --trace 1)
 gets the command, the runs, and per metric the median and quartiles of
 each side and the number of pairs the change won (the direction read
-from the change's BENCHMARK.json).  An existing --out is updated, so one
-file collects several workloads and seeds.  A run that exits nonzero or prints no result is listed under
-"aborted" and its pair is not counted.
+from the change's BENCHMARK.json).  Each metric also gets the two
+verdicts of the paired rules:
+- gain_shown: the change won at least 9 in 10 of the pairs, and its
+  median is better than the parent's by more than the parent's
+  interquartile range;
+- within_bound (for the metrics with a bound in BENCHMARK.json): the
+  change's median is worse than the parent's by at most bound times the
+  parent's median.
+An existing --out is updated, so one file collects several workloads
+and seeds.  A run that exits nonzero or prints no result is listed
+under "aborted" and its pair is not counted.
 """
 
 from __future__ import annotations
@@ -54,9 +62,10 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(runs: list, better: dict) -> dict:
-    """Per metric: each side's median and quartiles over the pairs, and
-    the pairs in which the change was strictly better."""
+def summarise(runs: list, better: dict, bounds: dict) -> dict:
+    """Per metric: each side's median and quartiles over the pairs, the
+    pairs in which the change was strictly better, and the gain_shown
+    and (for a metric in bounds) within_bound verdicts."""
     out = {}
     if len(runs) < 2:
         return out
@@ -68,8 +77,16 @@ def summarise(runs: list, better: dict) -> dict:
         sign = 1 if direction == "lower" else -1
         wins = sum(sign * (c - p) < 0
                    for p, c in zip(values["parent"], values["change"]))
-        out[name] = {side: spread(values[side]) for side in SIDES}
-        out[name].update(change_better_in_pairs=wins, pairs=len(runs))
+        out[name] = entry = {side: spread(values[side]) for side in SIDES}
+        parent, change = entry["parent"], entry["change"]
+        # how far the change's median is better than the parent's
+        gain = sign * (parent["median"] - change["median"])
+        entry.update(change_better_in_pairs=wins, pairs=len(runs),
+                     gain_shown=(10 * wins >= 9 * len(runs)
+                                 and gain > parent["q3"] - parent["q1"]))
+        if name in bounds:
+            entry["within_bound"] = (
+                -gain <= bounds[name] * abs(parent["median"]))
     return out
 
 
@@ -114,6 +131,8 @@ def main(argv=None) -> int:
             parser.error(f"--{side} {path} holds __pycache__ under src/")
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]
+              if "bound" in m}
     # a traced run reports no step timings; its line shows the overhead
     shown = ["trace.overhead_s"] if args.trace else step_metrics(better)
 
@@ -140,7 +159,7 @@ def main(argv=None) -> int:
             pair[side] = result
         else:
             entry["runs"].append(pair)
-        entry["summary"] = summarise(entry["runs"], better)
+        entry["summary"] = summarise(entry["runs"], better, bounds)
         args.out.write_text(json.dumps(doc, indent=2) + "\n")
         print(progress(key, pair, shown), flush=True)
     return 0
