@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import itemgetter
 
 from .errors import Inconclusive
 from .fusion import FusionRing, ladder_dims, ladder_rows, ladder_supports
@@ -138,6 +137,9 @@ def graph_from_text(text: str) -> WeightedFusionGraph:
     for f in frontier:
         if f not in weight:
             raise ValueError(f"unknown frontier vertex {f}")
+    for gen in generators:
+        if gen not in weight:
+            raise ValueError(f"unknown generator {gen}")
     return WeightedFusionGraph(vertices, weight, generators, adjacency,
                                truncated=truncated, frontier=frontier,
                                name="from-file")
@@ -158,14 +160,14 @@ def boundary_set(g: WeightedFusionGraph, F) -> set:
 
 class FolnerReport:
     """Search outcome: the first candidate with the smallest ratio, the
-    number of candidates measured, and found = ratio < epsilon."""
+    number of candidates measured, and found, decided exactly by the
+    search (the candidate's mu(boundary F) < epsilon mu(F))."""
 
-    def __init__(self, vertex_set, ratio, epsilon, strategy, candidates):
-        self.found = ratio < epsilon
+    def __init__(self, vertex_set, ratio, epsilon, found, candidates):
+        self.found = found
         self.set = tuple(sorted(vertex_set, key=str))
         self.ratio = ratio
         self.epsilon = epsilon
-        self.strategy = strategy
         self.candidates = candidates
 
     def __repr__(self):
@@ -174,87 +176,64 @@ class FolnerReport:
                 f"ratio={self.ratio:.6g}, eps={self.epsilon})")
 
 
-def folner_search(g: WeightedFusionGraph, epsilon: float, max_size: int,
-                  strategy: str = "balls") -> FolnerReport:
-    """Search for F with mu(boundary F) < epsilon mu(F).
+def folner_search(g: WeightedFusionGraph, epsilon: float,
+                  max_size: int) -> FolnerReport:
+    """Search the metric balls around the root for F with
+    mu(boundary F) < epsilon mu(F).
 
-    Both strategies grow F from {root}, measuring each set reached, and
-    stop at the first witness or when F cannot grow within max_size.
-    balls adds every outside neighbour, so F runs through the metric
-    balls around the root; greedy adds the outside neighbour whose
-    extended set has the smallest ratio (ties broken by vertex order).
-    Weights are positive, so a set with no outside neighbour has ratio 0
-    and is a witness.
-
-    Each candidate F | S is measured from F's state, touching only S and
-    its neighbours: the outer boundary becomes
-    (outer - S) | (nbrs(S) - F - S), and the inner boundary is refiltered
-    over inner | S.  mu(F) is kept as an exact integer over the weights'
-    common denominator and rounded once, mu(boundary) is an fsum over the
-    boundary; both are correctly rounded, so the ratio does not depend
-    on set order and equals the from-scratch one bit for bit.  A
-    candidate touching the frontier, greedy's scored extensions included,
-    raises TruncationInconclusive.  Every earlier candidate has passed
-    that check, so F and its outer boundary are clear of the frontier,
-    and only S and its outside neighbours are looked up.
+    F starts as {root} and takes in every outside neighbour at each step;
+    each ball of at most max_size vertices is measured, up to the first
+    witness.  Weights are positive, so a ball with no outside neighbour
+    has ratio 0 and is a witness.  Each ball is measured from the last
+    one's state, touching only the new shell S and its neighbours: the
+    outer boundary becomes nbrs(S) - F, and the inner one is refiltered
+    over inner | S.  Both measures are exact integers over the weights'
+    common denominator, so found (mu_bd * e_den < e_num * mu_F, with
+    epsilon = e_num / e_den) and the best candidate (the first with the
+    smallest ratio) are decided by exact cross-multiplication, whatever
+    the order of a set.  The reported ratio is mu_bd / mu_F rounded once,
+    or inf where that overflows a float.  A ball touching the frontier
+    raises TruncationInconclusive; every earlier ball has passed that
+    check, so only S and its outside neighbours are looked up.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
-    if strategy not in ("balls", "greedy"):
-        raise ValueError(f"unknown strategy {strategy!r}")
 
-    adj, weight = g.adjacency, g.weight
-    exact = {v: weight[v].as_integer_ratio() for v in g.vertices}
+    adj = g.adjacency
+    exact = {v: g.weight[v].as_integer_ratio() for v in g.vertices}
     scale = math.lcm(*(den for _, den in exact.values()))
     units = {v: num * (scale // den) for v, (num, den) in exact.items()}
-    F, inner, outer, total = set(), set(), set(), 0
+    e_num, e_den = epsilon.as_integer_ratio()
+    F, inner, outer, total, candidates = set(), set(), {g.root}, 0, 0
     added = []  # F's vertices in the order they joined
-
-    def measure(S):
-        """(ratio, S, inner, outer, total) of F | S, for S outside F and,
-        once F is nonempty, inside its outer boundary."""
-        fresh = {w for v in S for w in adj[v] if w not in F and w not in S}
-        inner_s = {v for v in chain(inner, S)
-                   if any(w not in F and w not in S for w in adj[v])}
+    while True:
+        S = outer
+        F.update(S)
+        outer = {w for v in S for w in adj[v] if w not in F}
         if g.truncated:
-            touched = g.frontier & (S | fresh)
+            touched = g.frontier & (S | outer)
             if touched:
                 raise TruncationInconclusive(
                     "candidate touches window frontier at "
                     f"{sorted(map(str, touched))}")
-        outer_s = (outer - S) | fresh
-        total_s = total + sum(units[v] for v in S)
-        mu_bd = math.fsum(map(weight.__getitem__, chain(inner_s, outer_s)))
-        return mu_bd / (total_s / scale), S, inner_s, outer_s, total_s
-
-    def grow(step):
-        nonlocal inner, outer, total
-        ratio, S, inner, outer, total = step
-        F.update(S)
+        inner = {v for v in chain(inner, S)
+                 if any(w not in F for w in adj[v])}
         added.extend(S)
-        return ratio
-
-    ratio = best_ratio = grow(measure({g.root}))
-    best_size, candidates = 1, 1
-    while ratio >= epsilon and len(F) < max_size:
-        if strategy == "balls":
-            if len(F) + len(outer) > max_size:
-                break
-            ratio = grow(measure(outer))
-        else:
-            # scored in vertex order: the first extension touching the
-            # frontier names the TruncationInconclusive, and min keeps
-            # the first of equal ratios
-            ratio = grow(min((measure({w})
-                              for w in sorted(outer, key=g.index.get)),
-                             key=itemgetter(0)))
+        total += sum(map(units.__getitem__, S))
+        bd = sum(map(units.__getitem__, chain(inner, outer)))
         candidates += 1
-        if ratio < best_ratio:
-            best_ratio, best_size = ratio, len(F)
-    return FolnerReport(added[:best_size], best_ratio, epsilon, strategy,
-                        candidates)
+        if candidates == 1 or bd * best_total < best_bd * total:
+            best_bd, best_total, best_size = bd, total, len(F)
+        found = bd * e_den < e_num * total
+        if found or len(F) + len(outer) > max_size:
+            break
+    try:
+        ratio = best_bd / best_total
+    except OverflowError:
+        ratio = math.inf
+    return FolnerReport(added[:best_size], ratio, epsilon, found, candidates)
 
 
 # ---------------------------------------------------------------------------

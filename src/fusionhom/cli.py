@@ -374,12 +374,10 @@ def cmd_amenability(args, report):
             raise InputError(f"--epsilon {args.epsilon}: must be positive")
         try:
             rep = amenability.folner_search(graph, epsilon=args.epsilon,
-                                            max_size=args.max_size,
-                                            strategy=args.strategy)
+                                            max_size=args.max_size)
         except ValueError as exc:
             raise InputError(f"--max-size {args.max_size}: {exc}")
         results["folner"] = {
-            "strategy": rep.strategy,
             "epsilon": rep.epsilon,
             "found": rep.found,
             "ratio": rep.ratio,
@@ -570,8 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="both")
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--max-size", type=_intarg, default=200)
-    p.add_argument("--strategy", choices=("balls", "greedy"),
-                   default="balls")
     p.add_argument("--folner-window", type=_intarg, default=224,
                    help="ladder window width for the Folner graph")
 
@@ -602,6 +598,12 @@ def main(argv=None) -> int:
     report = Report()
     code, error = 0, None
     try:
+        # a negative cap caps nothing: reject it before any work
+        for dest in ("chain_cap", "diagram_cap", "ladder_cap"):
+            cap = getattr(args, dest, None)
+            if cap is not None and cap < 0:
+                raise InputError(f"--{dest.replace('_', '-')} {cap}: "
+                                 "must be >= 0")
         COMMAND_BODIES[args.command](args, report)
     except (InputError, ParseError, InvariantViolation) as exc:
         # bad input: nothing computed counts, only the files read

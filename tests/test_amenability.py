@@ -1,12 +1,15 @@
 """Folner sets and Kesten norms on weighted fusion graphs."""
 
+import contextlib
+import io
+import json
 import math
 import random
 from fractions import Fraction
-from operator import truediv
 
 import pytest
 
+from fusionhom import cli
 from fusionhom.amenability import (TruncationInconclusive, WeightedFusionGraph,
                                    boundary_set, folner_search,
                                    from_fusion_ring, graph_from_text,
@@ -16,9 +19,9 @@ from fusionhom.groups import cyclic, dihedral, symmetric
 
 
 def boundary_measure(g, F):
-    """(mu(boundary F), mu(F)) measured from scratch, as correctly
-    rounded float sums: the oracle for folner_search's incremental
-    measures.  Raises TruncationInconclusive when F or its boundary
+    """(mu(boundary F), mu(F)) measured from scratch, as exact Fraction
+    sums over the stored weights: the oracle for folner_search's
+    incremental measures.  Raises TruncationInconclusive when F or its boundary
     touches the frontier of a windowed graph."""
     F = set(F)
     if not F:
@@ -32,7 +35,23 @@ def boundary_measure(g, F):
         if touched:
             raise TruncationInconclusive(
                 f"candidate touches window frontier at {sorted(map(str, touched))}")
-    return g.mu(bd), g.mu(F)
+    return (sum(map(Fraction, map(g.weight.get, bd))),
+            sum(map(Fraction, map(g.weight.get, F))))
+
+
+def exact_ratio(g, F):
+    """mu(boundary F) / mu(F) over the stored weights, as a Fraction."""
+    mu_bd, mu_f = boundary_measure(g, F)
+    return mu_bd / mu_f
+
+
+def ball(g, radius):
+    """The metric ball of the given radius around the root."""
+    seen, frontier = {g.root}, [g.root]
+    for _ in range(radius):
+        frontier = [w for v in frontier for w in g.adjacency[v]
+                    if w not in seen and not seen.add(w)]
+    return seen
 
 
 def ladder_graph(width, delta):
@@ -77,8 +96,8 @@ def test_ladder_ball_ratio():
     g = ladder_graph(60, 2.0)
     assert g.truncated and g.frontier == frozenset({"f58", "f59"})
     F = {f"f{k}" for k in range(51)}
-    bd, vol = boundary_measure(g, F)
-    assert bd / vol == pytest.approx(0.11652681983921276, abs=1e-12)
+    assert float(exact_ratio(g, F)) == pytest.approx(0.11652681983921276,
+                                                     abs=1e-12)
 
 
 def test_frontier_contact_is_inconclusive():
@@ -94,8 +113,6 @@ def test_folner_search_on_flat_ladder():
     assert rep.found
     assert rep.ratio < 0.2
     assert rep.epsilon == 0.2
-    greedy = folner_search(g, 0.2, 55, strategy="greedy")
-    assert greedy.found and greedy.ratio == rep.ratio
 
 
 def test_folner_search_fails_on_expanding_ladder():
@@ -104,76 +121,35 @@ def test_folner_search_fails_on_expanding_ladder():
     assert not rep.found
     assert rep.ratio > 0.05
     # the best candidate is still reported for inspection
-    assert rep.set and rep.ratio == truediv(*boundary_measure(g, rep.set))
+    assert rep.set and rep.ratio == float(exact_ratio(g, rep.set))
 
 
-@pytest.mark.parametrize("strategy", ["balls", "greedy"])
-def test_folner_search_needs_room_for_the_root(strategy):
+def test_folner_search_needs_room_for_the_root():
     g = ladder_graph(20, 2.0)
     with pytest.raises(ValueError, match="max_size must be at least 1"):
-        folner_search(g, 0.05, 0, strategy=strategy)
-    assert folner_search(g, 0.05, 1, strategy=strategy).candidates == 1
+        folner_search(g, 0.05, 0)
+    assert folner_search(g, 0.05, 1).candidates == 1
 
 
-def _reference_folner_search(g, epsilon, max_size, strategy="balls"):
-    """The search as two per-strategy loops, with BFS balls from the
-    root; (found, ratio, set, candidates)."""
-    best = (math.inf, None)
-    candidates = 0
-
-    def consider(F):
-        nonlocal best, candidates
-        mu_bd, mu_f = boundary_measure(g, F)
+def _reference_folner_search(g, epsilon, max_size):
+    """The search over BFS balls from the root, each measured from
+    scratch with exact ratios; (found, ratio, set, candidates)."""
+    best, best_ball = None, None
+    candidates, prev, radius = 0, None, 0
+    while True:
+        F = ball(g, radius)
+        if len(F) > max_size:
+            break
+        ratio = exact_ratio(g, F)
         candidates += 1
-        ratio = mu_bd / mu_f
-        if ratio < best[0]:
-            best = (ratio, set(F))
-        return ratio
-
-    def ball(radius):
-        seen, frontier = {g.root}, [g.root]
-        for _ in range(radius):
-            frontier = [w for v in frontier for w in g.adjacency[v]
-                        if w not in seen and not seen.add(w)]
-        return seen
-
-    if strategy == "balls":
-        prev, radius = None, 0
-        while True:
-            F = ball(radius)
-            if len(F) > max_size:
-                break
-            ratio = consider(F)
-            if ratio < epsilon:
-                return True, ratio, F, candidates
-            if F == prev:
-                break
-            prev, radius = F, radius + 1
-    else:
-        F = {g.root}
-        ratio = consider(F)
-        if ratio < epsilon:
-            return True, ratio, F, candidates
-        while len(F) < max_size:
-            frontier_nbrs = sorted(
-                {w for v in F for w in g.adjacency[v] if w not in F},
-                key=lambda v: g.index[v])
-            if not frontier_nbrs:
-                break
-            scored = []
-            for w in frontier_nbrs:
-                mu_bd, mu_f = boundary_measure(g, F | {w})
-                scored.append((mu_bd / mu_f, g.index[w], w))
-            scored.sort()
-            ratio, _, chosen = scored[0]
-            F.add(chosen)
-            candidates += 1
-            if ratio < best[0]:
-                best = (ratio, set(F))
-            if ratio < epsilon:
-                return True, ratio, F, candidates
-    ratio, F = best if best[1] is not None else (math.inf, {g.root})
-    return False, ratio, F, candidates
+        if best is None or ratio < best:
+            best, best_ball = ratio, F
+        if ratio < Fraction(epsilon):
+            return True, float(ratio), F, candidates
+        if F == prev:
+            break
+        prev, radius = F, radius + 1
+    return False, float(best), best_ball, candidates
 
 
 def _random_graph(rng):
@@ -195,9 +171,9 @@ def _random_graph(rng):
                                truncated=bool(frontier), frontier=frontier)
 
 
-def _outcome(search, g, epsilon, max_size, strategy):
+def _outcome(search, g, epsilon, max_size):
     try:
-        rep = search(g, epsilon, max_size, strategy)
+        rep = search(g, epsilon, max_size)
     except TruncationInconclusive as exc:
         return "inconclusive", str(exc)
     if isinstance(rep, tuple):
@@ -217,20 +193,17 @@ def test_folner_search_matches_the_two_loop_reference():
                            dihedral(4))]
     kinds = set()
     for g in graphs:
-        for strategy in ("balls", "greedy"):
-            for epsilon in (0.01, 0.05, 0.3, 1.0):
-                for max_size in (1, 2, 5, 17, 40, 200):
-                    want = _outcome(_reference_folner_search, g, epsilon,
-                                    max_size, strategy)
-                    got = _outcome(folner_search, g, epsilon, max_size,
-                                   strategy)
-                    assert got == want, (g.name, strategy, epsilon, max_size)
-                    kinds.add(want[0])
+        for epsilon in (0.01, 0.05, 0.3, 1.0):
+            for max_size in (1, 2, 5, 17, 40, 200):
+                want = _outcome(_reference_folner_search, g, epsilon,
+                                max_size)
+                got = _outcome(folner_search, g, epsilon, max_size)
+                assert got == want, (g.name, epsilon, max_size)
+                kinds.add(want[0])
     assert kinds == {"inconclusive", True, False}
 
 
-@pytest.mark.parametrize("strategy", ["balls", "greedy"])
-def test_folner_ratios_are_correctly_rounded(strategy):
+def test_folner_ratios_are_correctly_rounded():
     # a path from a root of weight 1.0 through ever lighter vertices:
     # each of 1.0 + 2**-53 and 1.0 + 2**-54 rounds back to 1.0, so a
     # running float sum of mu(F) stays at 1.0 while the exact sum climbs
@@ -245,9 +218,36 @@ def test_folner_ratios_are_correctly_rounded(strategy):
     head = [weight[v] for v in vertices[:3]]
     assert sum(head) == 1.0 < math.fsum(head) == 1.0 + 2.0 ** -52
     for max_size in range(1, len(vertices) + 1):
-        rep = folner_search(g, 2.0 ** -80, max_size, strategy=strategy)
+        rep = folner_search(g, 2.0 ** -80, max_size)
         assert len(rep.set) == max_size
-        assert rep.ratio == truediv(*boundary_measure(g, rep.set))
+        assert rep.ratio == float(exact_ratio(g, rep.set))
+
+
+def test_expanding_window_best_ball_is_exactly_smallest():
+    # over the stored weights the 103-vertex ball's ratio is strictly the
+    # smallest; float ratios rounded twice picked the 116-vertex ball
+    g = from_fusion_ring(tlj_kesten_window(224, 3.0), generators=["f1"])
+    rep = folner_search(g, 0.05, 200)
+    assert not rep.found and len(rep.set) == 103
+    best = exact_ratio(g, rep.set)
+    assert rep.ratio == float(best)
+    balls = [ball(g, radius) for radius in range(200)]
+    assert set(rep.set) == balls[102]
+    for radius, F in enumerate(balls):
+        assert exact_ratio(g, F) > best or radius == 102
+
+
+def test_overflowing_ratio_is_reported_as_inf(tmp_path):
+    path = tmp_path / "wide.graph"
+    path.write_text("vertex: a 5e-324\nvertex: b 1e308\n"
+                    "generators: a b\nedge: a b\n")
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["amenability", "--check", "folner", "--graph",
+                         str(path), "--max-size", "1", "--json"])
+    assert code == 0
+    folner = json.loads(buf.getvalue())["results"]["folner"]
+    assert folner["ratio"] == math.inf and folner["found"] is False
 
 
 def test_folner_report_repeatable():
@@ -446,8 +446,10 @@ def test_graph_text_round_trip():
     "vertex: a 1.0\nvertex: a 2.0\ngenerators: a\n",
     "vertex: a inf\ngenerators: a\n",
     "vertex: a 1e308\nvertex: b 1e308\ngenerators: a\n",
+    "vertex: a 1.0\nvertex: b 1.0\ngenerators: zz\nedge: a b\n",
 ], ids=["junk", "unknown-edge-end", "nonnumeric-weight", "negative-weight",
-        "duplicate-vertex", "infinite-weight", "overflowing-total-weight"])
+        "duplicate-vertex", "infinite-weight", "overflowing-total-weight",
+        "unknown-generator"])
 def test_malformed_graph_files_rejected(text):
     with pytest.raises(ValueError):
         graph_from_text(text)

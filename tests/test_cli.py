@@ -559,11 +559,13 @@ def test_fusion_ladder_summary(width, delta):
     ("amenability", "--check", "kesten", "--ladder-delta", "3.0",
      "--generator", "f1"),
     ("homology-tlj", "--mode", "unshaded"),
+    ("amenability", "--check", "folner", "--ladder-delta", "2.0",
+     "--strategy", "greedy"),
     ("no-such-command",),
     (),
 ], ids=["unknown-flag", "h1-not-an-integer", "fuss-catalan-one-value",
-        "generator-flag-gone", "mode-flag-gone", "unknown-command",
-        "no-command"])
+        "generator-flag-gone", "mode-flag-gone", "strategy-flag-gone",
+        "unknown-command", "no-command"])
 def test_bad_command_lines_are_input_errors(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 1
@@ -624,8 +626,6 @@ def test_help_exits_zero():
     (("amenability", "--check", "folner", "--ladder-delta", "2.0",
       "--max-size", "0"), "--max-size 0"),
     (("amenability", "--check", "folner", "--ladder-delta", "2.0",
-      "--max-size", "0", "--strategy", "greedy"), "--max-size 0"),
-    (("amenability", "--check", "folner", "--ladder-delta", "2.0",
       "--epsilon", "nan"), "--epsilon nan"),
     (("homology-tlj", "--h1", "-1"), "--h1 -1"),
     (("homology-tlj", "--h2", "0"), "--h2 0"),
@@ -645,7 +645,7 @@ def test_help_exits_zero():
         "tlj-one",
         "kesten-nonpositive-dim", "kesten-delta-zero",
         "folner-weight-overflow", "kesten-delta-inf", "folner-delta-inf",
-        "max-size-zero", "max-size-zero-greedy", "epsilon-nan",
+        "max-size-zero", "epsilon-nan",
         "h1-negative", "h2-zero", "margin-negative", "h0-negative",
         "betti-tlj-one", "betti-tlj-zero", "betti-fc-two",
         "fusion-z0", "fusion-d0", "tube-d0", "homology-tube-z0",
@@ -657,13 +657,11 @@ def test_out_of_range_flags_are_input_errors(argv, message):
     assert message in report["error"]["message"]
 
 
-@pytest.mark.parametrize("strategy", ["balls", "greedy"])
-def test_folner_results_do_not_depend_on_the_hash_seed(strategy):
+def test_folner_results_do_not_depend_on_the_hash_seed():
     results = []
     for seed in ("0", "1"):
         proc = run_cli("amenability", "--check", "folner", "--ladder-delta",
-                       "3.0", "--strategy", strategy, "--json",
-                       PYTHONHASHSEED=seed)
+                       "3.0", "--json", PYTHONHASHSEED=seed)
         assert proc.returncode == 0, proc.stderr
         results.append(json.loads(proc.stdout)["results"])
     assert results[0] == results[1]
@@ -687,9 +685,9 @@ def test_readme_example_runs(argv):
 
 
 # inputs.params and inputs.digest as printed before the parameter echo was
-# read from the parser, except that amenability has no --generator flag and
-# homology-tlj no --mode flag to echo any more; verify-all stops at its
-# missing tube file (exit 1)
+# read from the parser, except that amenability has no --generator or
+# --strategy flag and homology-tlj no --mode flag to echo any more;
+# verify-all stops at its missing tube file (exit 1)
 PARAMS_PINS = {
     ("fusion", "--ladder", "8", "--delta", "2.0", "--verify"): (
         {"delta": 2.0, "ladder": 8, "verify": True},
@@ -709,9 +707,8 @@ PARAMS_PINS = {
     ("amenability", "--check", "kesten", "--ladder-delta", "3.0",
      "--window", "64"): (
         {"check": "kesten", "epsilon": 0.05, "folner-window": 224,
-         "ladder-delta": 3.0, "max-size": 200, "strategy": "balls",
-         "window": 64},
-        "679c16528ad9f650782692eadf14b5be8f40df685023cc779ec86abbce4a9312"),
+         "ladder-delta": 3.0, "max-size": 200, "window": 64},
+        "9f3cb33ee700173bfb9b8fe39a4e29a04edff97c980513ab660c11a26d448d87"),
     ("verify-all", "--chain-cap", "7", "--diagram-cap", "9",
      "--tube-file", "no-such-dir/x.tube"): (
         {"chain-cap": 7, "diagram-cap": 9, "tube-file": "no-such-dir/x.tube"},
@@ -781,6 +778,24 @@ def test_folner_truncation_reports_its_own_type():
     assert report["results"]["kesten"]["amenable"] is None
     assert report["warnings"] == [
         f"inconclusive: {report['error']['message']}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("tube", "--group", "S3", "--chain-cap", "-1"),
+    ("homology-tube", "--group", "Z3", "--chain-cap", "-1"),
+    ("homology-tlj", "--h2", "3", "--diagram-cap", "-1"),
+    ("fusion", "--ladder", "5", "--ladder-cap", "-1"),
+    ("verify-all", "--chain-cap", "-1"),
+    ("verify-all", "--diagram-cap", "-1"),
+], ids=lambda a: " ".join(a[:1] + a[-2:-1]))
+def test_negative_cap_is_an_input_error(argv, monkeypatch):
+    # rejected before any work: no criterion or chain space is touched
+    monkeypatch.setattr(cli, "COMMAND_BODIES", {})
+    code, report = main_json(*argv)
+    assert code == 1
+    assert report["error"] == {"type": "InputError",
+                               "message": f"{argv[-2]} -1: must be >= 0"}
+    assert report["results"] == {}
 
 
 def test_input_error_drops_the_partial_results():
