@@ -93,13 +93,12 @@ def from_fusion_ring(ring: FusionRing, generators=None) -> WeightedFusionGraph:
 
 def graph_from_text(text: str) -> WeightedFusionGraph:
     """Parse the graph file format: vertex/weight lines, generator list,
-    explicit edges, optional truncation frontier."""
+    explicit edges, optional truncation frontier.  The generator and
+    truncated lines come at most once, and no generator twice."""
     vertices = []
     weight = {}
-    generators = []
     edges = []
-    frontier = []
-    truncated = False
+    listed = {}  # "generators" and "truncated": their names, one line each
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -113,16 +112,16 @@ def graph_from_text(text: str) -> WeightedFusionGraph:
                 raise ValueError(f"duplicate vertex {v}")
             vertices.append(v)
             weight[v] = float(w)
-        elif line.startswith("generators:"):
-            generators = line[len("generators:"):].split()
+        elif line.startswith(("generators:", "truncated:")):
+            key, names = line.split(":", 1)
+            if key in listed:
+                raise ValueError(f"second {key} line: {raw!r}")
+            listed[key] = names.split()
         elif line.startswith("edge:"):
             parts = line[len("edge:"):].split()
             if len(parts) != 2:
                 raise ValueError(f"bad edge line: {raw!r}")
             edges.append(tuple(parts))
-        elif line.startswith("truncated:"):
-            truncated = True
-            frontier = line[len("truncated:"):].split()
         else:
             raise ValueError(f"unrecognized graph line: {raw!r}")
     if not vertices:
@@ -134,15 +133,19 @@ def graph_from_text(text: str) -> WeightedFusionGraph:
         if a != b:
             adjacency[a].add(b)
             adjacency[b].add(a)
+    generators = listed.get("generators", [])
+    frontier = listed.get("truncated", [])
     for f in frontier:
         if f not in weight:
             raise ValueError(f"unknown frontier vertex {f}")
     for gen in generators:
         if gen not in weight:
             raise ValueError(f"unknown generator {gen}")
+        if generators.count(gen) > 1:
+            raise ValueError(f"generator {gen} listed twice")
     return WeightedFusionGraph(vertices, weight, generators, adjacency,
-                               truncated=truncated, frontier=frontier,
-                               name="from-file")
+                               truncated="truncated" in listed,
+                               frontier=frontier, name="from-file")
 
 
 # ---------------------------------------------------------------------------

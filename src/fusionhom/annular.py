@@ -53,13 +53,16 @@ filling never raises the total, so each C(<=T) is a subcomplex.
 One fill rule serves the complex: a fill maps block classes (`_fills`,
 read off the single-circle rule `_fill_block`), and every boundary,
 boundary matrix and d . d check runs on multiplicity tuples, listed per
-total by `_codes`.  A diagram is stored as its code; `blocks` is a view.
+total by `_codes`.  A fill deletes nothing on a code exactly when it
+sends none of the code's support classes (its nonzero blocks) to
+"deleted", so the delta = 0 blocks are routed per support (`_routes`).
+A diagram is stored as its code; `blocks` is a view.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from operator import attrgetter, sub
 
@@ -365,6 +368,18 @@ def _fill_code(code: tuple, degree: int, j: int) -> tuple[tuple, int]:
     return tuple(face[:-1]), face[-1]
 
 
+@cache
+def _routes(k: int) -> dict:
+    """_routes(k)[support]: the fills that delete no circle of a degree-k
+    code with this support (one of `_supports(k)`), each as (sign, the
+    degree-(k-1) class that each support class goes to)."""
+    deleted = len(_block_classes(k - 1))  # where _fills sends a deleted circle
+    return {s: tuple(((-1) ** j, tuple(fill[c] for c in s))
+                     for j, fill in enumerate(_fills(k))
+                     if all(fill[c] != deleted for c in s))
+            for s in _supports(k)}
+
+
 def _code_counts(code: tuple, degree: int) -> dict:
     """Boundary of a coded diagram over Z: (face code, deleted) -> count;
     a face's coefficient is the sum of count * delta^deleted."""
@@ -560,35 +575,35 @@ def _dd_vanishes_generically(degree) -> bool:
     return _dd_vanishes(_code_counts(generic, degree), degree, {})
 
 
-def _rank_at_zero(columns, degree, row_of, memo=None, bound=None,
-                  where=None):
+def _rank_at_zero(columns, degree, row_of, bound=None):
     """Rank over Q of the boundary at delta = 0 on these coded columns.
 
-    Each column is streamed: its boundary counts, then (with a memo,
-    which a caller that has proved d d = 0 generically omits) the exact
-    d(d(column)) = 0 check, then its delta^0 part as an integer
-    column.  A column that fails the check raises Inconclusive, its
-    message led by where.  bound is a proven upper bound on the rank, by
-    default the smaller dimension.  The integer columns are first
-    eliminated modulo p (`rank_mod_p`; no evaluation point is needed).
-    That rank never exceeds the rank over Q, so when it meets the bound
-    it is the rank; otherwise the columns are streamed again into exact
-    elimination over Z.
+    Each column is streamed as an integer column: its support picks the
+    fills that delete nothing from `_routes`, and each such fill sums the
+    code's parts into its face.  bound is a proven upper bound on the
+    rank, by default the smaller dimension.  The integer columns are
+    first eliminated modulo p (`rank_mod_p`; no evaluation point is
+    needed).  That rank never exceeds the rank over Q, so when it meets
+    the bound it is the rank; otherwise the columns are streamed again
+    into exact elimination over Z.
     """
     if bound is None:
         bound = min(len(columns), len(row_of))
+    routes = _routes(degree)
+    classes = range(len(_block_classes(degree)))
+    width = len(_block_classes(degree - 1))
 
     def integer_columns():
         for code in columns:
-            counts = _code_counts(code, degree)
-            if memo is not None and not _dd_vanishes(counts, degree, memo):
-                raise Inconclusive(
-                    f"{where}: degree-{degree} column "
-                    f"{CircleDiagram._trusted(degree, code).encode()} is not "
-                    f"a cycle (d{degree - 1} d{degree} != 0)")
-            # the faces of one code are distinct keys
-            yield {row_of[out]: count for (out, deleted), count
-                   in counts.items() if count and not deleted}
+            parts = tuple(filter(None, code))
+            col = {}
+            for sign, targets in routes[tuple(compress(classes, code))]:
+                face = [0] * width
+                for m, target in zip(parts, targets):
+                    face[target] += m
+                row = row_of[tuple(face)]
+                col[row] = col.get(row, 0) + sign
+            yield {r: v for r, v in col.items() if v}
 
     if rank_mod_p(integer_columns()) == bound:
         return bound
@@ -603,8 +618,8 @@ def _h2_graded(N):
     no diagram is built but the one that names a failing column.
 
     d2 d3 = 0 is proved once by `_dd_vanishes_generically`; when that
-    fails, each degree-3 column is checked on its own.  The counts, the
-    checks and the delta = 0 blocks run on the codes through `_fills`.
+    fails, each degree-3 code of a total is checked by `_code_counts`
+    before that total's ranks, whose blocks are routed by `_routes`.
     Returns (kernel_dim, columns_used, per-total ranks, cycles), cycles
     "generic" or "per-column".  Raises Inconclusive, naming N and the
     total t, when a degree-3 column is not a cycle, or when the ranks of
@@ -612,17 +627,22 @@ def _h2_graded(N):
     summand |C2(=t)| - rank d2(=t) - rank d3(=t).
     """
     generic = _dd_vanishes_generically(3)
-    memo = None if generic else {}
+    memo = {}
     graded = {"dim_c2": [], "rank_d2": [], "rank_d3": []}
     kernel_dim = columns_used = 0
     for t in range(N + 1):
         c1, c2, c3 = (_codes(k, t) for k in (1, 2, 3))
+        for code in () if generic else c3:
+            if not _dd_vanishes(_code_counts(code, 3), 3, memo):
+                raise Inconclusive(
+                    f"h2 at N={N}, total {t}: degree-3 column "
+                    f"{CircleDiagram._trusted(3, code).encode()} is not "
+                    f"a cycle (d2 d3 != 0)")
         row1 = {code: i for i, code in enumerate(c1)}
         row2 = {code: i for i, code in enumerate(c2)}
         # d2 d3 = 0 gives rank d3(=t) <= |C2(=t)| - rank d2(=t)
         rank2 = _rank_at_zero(c2, 2, row1)
-        rank3 = _rank_at_zero(c3, 3, row2, memo, len(c2) - rank2,
-                              f"h2 at N={N}, total {t}")
+        rank3 = _rank_at_zero(c3, 3, row2, len(c2) - rank2)
         if rank2 != len(c1) or rank2 + rank3 != len(c2):
             raise Inconclusive(
                 f"h2 at N={N}, total {t}: graded ranks do not close "

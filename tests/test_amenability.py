@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -452,4 +453,18 @@ def test_graph_text_round_trip():
         "unknown-generator"])
 def test_malformed_graph_files_rejected(text):
     with pytest.raises(ValueError):
+        graph_from_text(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vertex: a 1.0\nvertex: b 1.0\ngenerators: a\ngenerators: b\n",
+     "second generators line: 'generators: b'"),
+    ("vertex: a 1.0\nvertex: b 1.0\ngenerators: b\ntruncated: a\n"
+     "truncated: b\n", "second truncated line: 'truncated: b'"),
+    ("vertex: a 1.0\nvertex: b 1.0\ngenerators: b b\nedge: a b\n",
+     "generator b listed twice"),
+], ids=["two-generator-lines", "two-truncated-lines", "repeated-generator"])
+def test_graph_lines_and_generators_are_not_repeated(text, message):
+    # the last line or listing used to win silently
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         graph_from_text(text)

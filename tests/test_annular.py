@@ -534,6 +534,66 @@ def test_h2_checks_d_d_once(monkeypatch):
     assert calls == [3]
 
 
+def test_h2_rank_columns_build_no_boundary_counts(monkeypatch):
+    # the delta = 0 columns come from the route table: only the one
+    # generic d2 d3 = 0 check reads _code_counts, 5 calls at N = 8 where
+    # building every column's counts took 2,249
+    calls = []
+    inside = []
+    counts_of = annular._code_counts
+    generically = annular._dd_vanishes_generically
+
+    def counting(code, degree):
+        calls.append(bool(inside))
+        return counts_of(code, degree)
+
+    def tracked(degree):
+        inside.append(degree)
+        try:
+            return generically(degree)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(annular, "_code_counts", counting)
+    monkeypatch.setattr(annular, "_dd_vanishes_generically", tracked)
+    report = h2_vanishing_check(8)
+    assert (report["cycles"], report["columns_used"]) == ("generic", 2079)
+    assert calls == [True] * 5
+
+
+def routed_columns(monkeypatch, codes, degree, rows):
+    """The integer columns that _rank_at_zero hands to the rank."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(annular, "rank_mod_p",
+                  lambda columns: seen.extend(columns) or 0)
+        assert annular._rank_at_zero(codes, degree, rows, bound=0) == 0
+    return seen
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_routes_give_the_delta_zero_part_of_every_boundary(monkeypatch,
+                                                           degree):
+    # each routed column is the delta^0 part of the full Z[delta] counts
+    for t in range(7):
+        codes = annular._codes(degree, t)
+        rows = {c: i for i, c in enumerate(annular._codes(degree - 1, t))}
+        expected = [{rows[face]: count for (face, deleted), count
+                     in annular._code_counts(code, degree).items()
+                     if count and not deleted} for code in codes]
+        assert routed_columns(monkeypatch, codes, degree, rows) == expected
+    # per support, the routes are the fills that delete nothing on a code
+    # of that support, with the targets of its classes
+    width = len(annular._block_classes(degree))
+    fills = annular._fills(degree)
+    for support in annular._supports(degree):
+        code = tuple(int(c in support) for c in range(width))
+        kept = [((-1) ** j, tuple(fills[j][c] for c in support))
+                for j in range(degree + 1)
+                if not annular._fill_code(code, degree, j)[1]]
+        assert list(annular._routes(degree)[support]) == kept
+
+
 def test_h2_falls_back_to_each_column_when_the_generic_check_fails(
         monkeypatch):
     # an extra face on crossing codes alone breaks d2 d3 = 0 on the

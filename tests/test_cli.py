@@ -527,6 +527,17 @@ def test_amenability_folner_on_graph_file(tmp_path):
     assert report["results"]["folner"]["found"]
 
 
+def test_amenability_rejects_a_repeated_generator(tmp_path):
+    path = tmp_path / "twice.graph"
+    path.write_text("vertex: a 1.0\nvertex: b 1.0\ngenerators: b b\n"
+                    "edge: a b\n")
+    code, report = run_json("amenability", "--check", "folner",
+                            "--graph", str(path))
+    assert code == 1
+    assert report["error"]["message"] == (
+        "graph file rejected: generator b listed twice")
+
+
 def test_kesten_needs_a_ring_not_a_graph(tmp_path):
     path = tmp_path / "tri.graph"
     path.write_text("vertex: a 1.0\ngenerators: a\nedge: a a\n")

@@ -63,3 +63,11 @@ def test_commands_come_from_the_readme_example_block():
     assert ["verify-all"] in commands
     assert ["amenability", "--check", "both", "--ladder-delta", "2.0"] \
         in commands
+
+
+def test_extra_commands_cover_the_h2_cap():
+    # the h2 cap refusals (exit 3) are compared along with the README
+    assert ["homology-tlj", "--h2", "N=21", "--margin", "0"] \
+        in compare_outputs.EXTRA_COMMANDS
+    assert ["homology-tlj", "--h1", "3", "--h2", "8", "--diagram-cap", "10"] \
+        in compare_outputs.EXTRA_COMMANDS

@@ -29,6 +29,9 @@ BLOCKS = ("inputs", "results", "diagnostics", "warnings", "error")
 EXTRA_COMMANDS = (
     ["homology-tlj", "--h2", "N=20", "--margin", "0"],
     ["amenability", "--check", "folner", "--ladder-delta", "3.0"],
+    # both stop on the diagram cap (exit 3)
+    ["homology-tlj", "--h2", "N=21", "--margin", "0"],
+    ["homology-tlj", "--h1", "3", "--h2", "8", "--diagram-cap", "10"],
 )
 
 
