@@ -519,13 +519,15 @@ def h2_vanishing_check(N: int, margin: int = 2,
     at once from one generic code; only when that fails is each
     degree-3 column checked to satisfy d2(d3(d)) = 0 exactly over Z
     before it is used.  Each rank is first taken modulo a prime, which
-    never exceeds it, and is accepted when it meets its proven bound: rank d2(=t) <= |C1(=t)|, and, because
-    d2 d3 = 0, rank d3(=t) <= |C2(=t)| - rank d2(=t).  Otherwise exact
-    elimination over Z gives the rank.  The proof needs no kernel basis
-    and no evaluation point, and it consumes the columns of total <= N
-    only, so diagram_cap bounds |C3(<=N)|; C3(<=N+margin) is only
-    counted, as columns_available.  When d2 d3 = 0 fails on a column
-    or a total's ranks do not close, the check raises Inconclusive: no
+    never exceeds it, and is accepted when it meets its proven bound:
+    rank d2(=t) <= |C1(=t)|, and, because d2 d3 = 0, rank d3(=t) <=
+    |C2(=t)| - rank d2(=t).  Otherwise exact elimination over Z gives
+    the rank.  Either stops at the bound, which no more columns could
+    pass.  The proof needs no kernel basis and no evaluation point, and
+    it may read every column of total <= N, which columns_used counts,
+    so diagram_cap bounds |C3(<=N)|; C3(<=N+margin) is only counted,
+    as columns_available.  When d2 d3 = 0 fails on a column or a
+    total's ranks do not close, the check raises Inconclusive: no
     verdict is given without the proof.
 
     The report's method is "graded", and its "graded" entry holds
@@ -585,7 +587,8 @@ def _rank_at_zero(columns, degree, row_of, bound=None):
     first eliminated modulo p (`rank_mod_p`; no evaluation point is
     needed).  That rank never exceeds the rank over Q, so when it meets
     the bound it is the rank; otherwise the columns are streamed again
-    into exact elimination over Z.
+    into exact elimination over Z.  Both stop at the bound-th pivot,
+    which proves the bound, and build no later column.
     """
     if bound is None:
         bound = min(len(columns), len(row_of))
@@ -605,11 +608,13 @@ def _rank_at_zero(columns, degree, row_of, bound=None):
                 col[row] = col.get(row, 0) + sign
             yield {r: v for r, v in col.items() if v}
 
-    if rank_mod_p(integer_columns()) == bound:
+    if rank_mod_p(integer_columns(), bound=bound) == bound:
         return bound
     ech = Echelon()
     for col in integer_columns():
         ech.insert({r: IntPoly((v,)) for r, v in col.items()})
+        if len(ech.pivots) == bound:
+            break
     return len(ech.pivots)
 
 

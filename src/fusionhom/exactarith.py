@@ -44,9 +44,11 @@ nonzero r x r minor modulo p is the image of a nonzero minor over
 Q(delta), and the rank over F_p (`rank_mod_p`) never exceeds the rank
 over Q(delta) (Kaltofen-Saunders, AAECC 1991).  It therefore proves the
 rank whenever it meets a known upper bound: min(rows, cols) for `rank`,
-the column count for an empty `kernel_basis`.  At a pole, or when the
-rank over F_p falls short, fraction-free elimination decides `rank`,
-and it stays the oracle (`fraction_free_rank`).
+the column count for an empty `kernel_basis`.  So it stops at the
+bound-th pivot and reads no later row: rows read have no more rank than
+all of them, so the bound is then met.  At a pole, or when the rank over
+F_p falls short, fraction-free elimination decides `rank`, and it stays
+the oracle (`fraction_free_rank`).
 
 Any other kernel is solved exactly at one integer point
 (`_kernel_at_point`).  With the rows' denominators cleared, every minor
@@ -794,12 +796,17 @@ MODULUS = 2**31 - 1
 _POINT = 1_234_567_890
 
 
-def rank_mod_p(rows, p: int = MODULUS) -> int:
+def rank_mod_p(rows, p: int = MODULUS, bound=None) -> int:
     """Rank over F_p of sparse integer rows (dicts index -> int).
 
     Entries are reduced modulo p, pivots are normalised to 1 and lead at
-    their smallest index; the rows are not modified.
+    their smallest index; the rows are not modified.  With a bound it
+    returns min(bound, rank), reading no row after the bound-th pivot
+    (none for bound 0): a caller's proven bound is met exactly when the
+    rank of all the rows would meet it.
     """
+    if bound == 0:
+        return 0
     pivots = {}
     for row in rows:
         row = {c: v % p for c, v in row.items() if v % p}
@@ -809,6 +816,8 @@ def rank_mod_p(rows, p: int = MODULUS) -> int:
             if pivot is None:
                 inv = pow(row[lead], -1, p)
                 pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                if len(pivots) == bound:
+                    return bound
                 break
             f = row[lead]
             for c, v in pivot.items():
@@ -827,7 +836,7 @@ def _certified_full_rank(m: SparseMat, full: int) -> bool:
     rank(m) = full.  False, at a pole or on a shortfall, proves nothing.
     """
     try:
-        return rank_mod_p(m.mod_p_rows(_POINT, MODULUS)) == full
+        return rank_mod_p(m.mod_p_rows(_POINT, MODULUS), bound=full) == full
     except PoleAtPoint:
         return False
 

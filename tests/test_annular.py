@@ -367,9 +367,60 @@ def test_h2_graded_ranks_fall_back_to_exact_elimination(monkeypatch):
     # a prime that divides every minor leaves each rank over F_p short of
     # its bound, so each block's rank comes from exact elimination over Z
     proved = h2_vanishing_check(5, margin=2)
-    monkeypatch.setattr(annular, "rank_mod_p", lambda rows: 0)
+    monkeypatch.setattr(annular, "rank_mod_p", lambda rows, bound=None: 0)
     assert h2_vanishing_check(5, margin=2) == proved
     assert proved["method"] == "graded"
+
+
+def test_h2_exact_fallback_stops_at_the_bound(monkeypatch):
+    # under a rank over F_p that falls short, each block's exact
+    # elimination inserts no column after the pivot that meets its bound
+    proved = h2_vanishing_check(5)
+    eliminations = []
+
+    class Recorded(annular.Echelon):
+        def __init__(self):
+            super().__init__()
+            self.inserted = []
+            eliminations.append(self)
+
+        def insert(self, vec):
+            lead = super().insert(vec)
+            self.inserted.append(lead)
+            return lead
+
+    monkeypatch.setattr(annular, "rank_mod_p", lambda rows, bound=None: 0)
+    monkeypatch.setattr(annular, "Echelon", Recorded)
+    assert h2_vanishing_check(5) == proved
+    assert eliminations
+    for ech in eliminations:
+        assert ech.inserted[-1] is not None
+    read = sum(len(ech.inserted) for ech in eliminations)
+    blocks = sum(len(annular._codes(k, t)) for k in (2, 3) for t in range(6))
+    assert read < blocks
+
+
+class CountedCodes(list):
+    """A code list that counts the codes iterated out of it."""
+    read = 0
+
+    def __iter__(self):
+        for code in super().__iter__():
+            self.read += 1
+            yield code
+
+
+def test_rank_at_zero_reads_its_block_only_up_to_the_bound():
+    # at N = 8, total 8: rank d3(=8) = 44 is met after 287 of the 825
+    # degree-3 columns; without the stop all 825 are built and read
+    c1, c2 = annular._codes(1, 8), annular._codes(2, 8)
+    row1 = {code: i for i, code in enumerate(c1)}
+    row2 = {code: i for i, code in enumerate(c2)}
+    bound = len(c2) - annular._rank_at_zero(c2, 2, row1)
+    columns = CountedCodes(annular._codes(3, 8))
+    assert len(columns) == 825
+    assert annular._rank_at_zero(columns, 3, row2, bound) == bound == 44
+    assert columns.read < len(columns) // 2
 
 
 def test_h2_refuses_a_column_subset_the_oracle_accepts(monkeypatch):
@@ -566,7 +617,7 @@ def routed_columns(monkeypatch, codes, degree, rows):
     seen = []
     with monkeypatch.context() as m:
         m.setattr(annular, "rank_mod_p",
-                  lambda columns: seen.extend(columns) or 0)
+                  lambda columns, bound=None: seen.extend(columns) or 0)
         assert annular._rank_at_zero(codes, degree, rows, bound=0) == 0
     return seen
 

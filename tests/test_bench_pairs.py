@@ -159,3 +159,47 @@ def test_a_traced_pair_shows_each_side_overhead(tmp_path, monkeypatch,
         "change trace.overhead_s=0.0021\n")
     assert json.loads(out.read_text())["pairs"]["fusion-ladder@2020/trace"][
         "runs"][0]["change"]["metrics"]["trace.overhead_s"]["value"] == 0.0021
+
+
+def test_each_run_keeps_its_smallest_raw_step_times(tmp_path, monkeypatch,
+                                                    capsys):
+    # the samples line before the result lists each pass's raw step
+    # times; the run keeps the smallest per step and the progress line
+    # prints it
+    root = SCRIPT.parents[1]
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        (root / "BENCHMARK.json").read_text())
+    raw = {"parent": [{"h1": 0.0071, "h2": 0.0168},
+                      {"h1": 0.0069, "h2": 0.0201}],
+           "change": [{"h1": 0.0073, "h2": 0.0081},
+                      {"h1": 0.0068, "h2": 0.0074}]}
+
+    def canned(cmd, cwd, **kwargs):
+        info = {"steps": {"step1_s": "h1", "step2_s": "h2"},
+                "samples": {"raw_steps": raw[Path(cwd).name]}}
+        result = _result(step1_s=0.014, step2_s=0.01)
+        stdout = json.dumps(info) + "\n" + json.dumps(result) + "\n"
+        return bench_pairs.subprocess.CompletedProcess(cmd, 0, stdout, "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", canned)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([
+        "--parent", str(tmp_path / "parent"),
+        "--change", str(tmp_path / "change"),
+        "--workload", "annular-homology", "--pairs", "1",
+        "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "annular-homology@2020 pair 1: parent step1_s=0.014 step2_s=0.01 "
+        "min_raw_step1_s=0.0069 min_raw_step2_s=0.0168 change "
+        "step1_s=0.014 step2_s=0.01 min_raw_step1_s=0.0068 "
+        "min_raw_step2_s=0.0074\n")
+    run = json.loads(out.read_text())["pairs"]["annular-homology@2020"][
+        "runs"][0]
+    assert run["change"]["min_raw_steps"] == {"step1_s": 0.0068,
+                                              "step2_s": 0.0074}
+    # a traced run's samples hold no raw step times: nothing is added
+    assert bench_pairs.min_raw_steps({"steps": {}, "samples": {
+        "traced_wall_s": [0.2]}}) == {}

@@ -641,6 +641,34 @@ def test_rank_mod_p_eliminates_over_the_prime_field():
     assert row == {0: 3, 2: 4}
 
 
+int_rows = st.lists(st.dictionaries(st.integers(0, 4), st.integers(-3, 3),
+                                    max_size=5), max_size=7)
+
+
+@given(int_rows, st.integers(0, 8),
+       st.sampled_from([2, 3, 7, exactarith.MODULUS]))
+def test_rank_mod_p_stops_at_its_bound(rows, bound, p):
+    # the bounded rank is min(bound, rank), and no row is read after the
+    # bound-th pivot: none at all for bound 0
+    read = []
+
+    def streamed():
+        for row in rows:
+            read.append(row)
+            yield row
+
+    full = rank_mod_p(rows, p)
+    assert rank_mod_p(streamed(), p, bound=bound) == min(bound, full)
+    if bound == 0:
+        assert read == []
+    elif bound <= full:
+        # the last row read is the one that gave the bound-th pivot
+        assert rank_mod_p(read, p) == bound
+        assert rank_mod_p(read[:-1], p) == bound - 1
+    else:
+        assert read == rows
+
+
 def test_full_rank_is_certified_without_elimination():
     m = _mat([[1, 2, 0], [0, 1, 1], [1, 0, 1], [2, 2, 1]])
     with mock.patch.object(exactarith, "_echelon_of_rows",

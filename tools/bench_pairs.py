@@ -12,7 +12,12 @@ first in even ones, so a drift in host speed falls on both sides alike.
 Every run gets PYTHONDONTWRITEBYTECODE=1, and a checkout that holds a
 `__pycache__` under `src/` is refused: cached bytecode cuts setup_s.
 
-The last stdout line of each run is kept as it is.  The entry
+The last stdout line of each run is kept as it is, with one key added
+from the samples line before it: "min_raw_steps", per step metric the
+smallest raw (not normalised) step time over the run's passes.  The
+progress line prints it, since a step that ends before the first 5 ms
+probe fires aborts the run (perfbench/speed.py); a traced run records
+no raw step times, so it gets no such key.  The entry
 "<workload>@<seed>" of --out (with "/trace" appended under --trace 1)
 gets the command, the runs, and per metric the median and quartiles of
 each side and the number of pairs the change won (the direction read
@@ -54,7 +59,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int,
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         return None, f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"
-    return json.loads(lines[-1]), ""
+    result = json.loads(lines[-1])
+    if len(lines) > 1:
+        fastest = min_raw_steps(json.loads(lines[-2]))
+        if fastest:
+            result["min_raw_steps"] = fastest
+    return result, ""
+
+
+def min_raw_steps(info: dict) -> dict:
+    """Per step metric (step1_s, ...), the smallest raw time of that step
+    over the passes on a run's samples line; empty when it lists none."""
+    raw = info.get("samples", {}).get("raw_steps")
+    if not raw:
+        return {}
+    return {metric: min(p[name] for p in raw)
+            for metric, name in info["steps"].items()}
 
 
 def spread(values: list) -> dict:
@@ -98,14 +118,17 @@ def step_metrics(names) -> list:
 
 def progress(key: str, pair: dict, names) -> str:
     """One line per pair: each side's value of each of the named metrics
-    that it has."""
+    that it has, then the smallest raw time of each step it recorded."""
     sides = []
     for side in SIDES:
         if side in pair:
             metrics = pair[side]["metrics"]
-            sides.append(" ".join([side] + [
-                f"{name}={metrics[name]['value']}"
-                for name in names if name in metrics]))
+            fastest = pair[side].get("min_raw_steps", {})
+            sides.append(" ".join(
+                [side] + [f"{name}={metrics[name]['value']}"
+                          for name in names if name in metrics]
+                + [f"min_raw_{name}={value:.4f}"
+                   for name, value in fastest.items()]))
     return f"{key} pair {pair['pair']}: " + " ".join(sides)
 
 
