@@ -44,7 +44,8 @@ class WeightedFusionGraph:
             if not 0 < self.weight.get(v, 0) < math.inf:
                 raise ValueError(f"weight at {v} is not finite and positive")
         try:
-            self.mu(self.vertices)  # then no sum over a vertex set overflows
+            # then no sum over a vertex set overflows
+            math.fsum(self.weight[v] for v in self.vertices)
         except OverflowError:
             raise ValueError("the total weight overflows") from None
         for v, nbrs in self.adjacency.items():
@@ -55,10 +56,6 @@ class WeightedFusionGraph:
     @property
     def root(self):
         return self.vertices[0]
-
-    def mu(self, F) -> float:
-        """Total weight of F, correctly rounded whatever F's order."""
-        return math.fsum(self.weight[v] for v in F)
 
 
 def from_fusion_ring(ring: FusionRing, generators=None) -> WeightedFusionGraph:

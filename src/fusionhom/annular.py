@@ -37,9 +37,7 @@ filling never raises the total, so each C(<=T) is a subcomplex.
   names the routing: the sums on g vanish exactly when, for each
   routing, the signed terms that take it cancel.  Every code's sums
   are sums of these per-routing totals, so they vanish too, crossing
-  supports included (the simplicial identities, Weibel 8.1).  When
-  the one check fails, each d in C3(<=N) is checked on its own,
-  exactly over Z.  Then
+  supports included (the simplicial identities, Weibel 8.1).  Then
   dim ker d2(<=N) <= |C2(<=N)| - sum rank d2(=t) and
   dim im d3(<=N) >= sum rank d3(=t), so when every graded summand
   |C2(=t)| - rank d2(=t) - rank d3(=t) is 0, H2(C(<=N)) = 0 over
@@ -515,42 +513,62 @@ def h2_vanishing_check(N: int, margin: int = 2,
 
     Containment is proved from the graded ranks (see the module
     docstring): for each total t <= N, the ranks over Q of the delta = 0
-    blocks d2(=t) and d3(=t).  d2 d3 = 0 is first proved for every code
-    at once from one generic code; only when that fails is each
-    degree-3 column checked to satisfy d2(d3(d)) = 0 exactly over Z
-    before it is used.  Each rank is first taken modulo a prime, which
-    never exceeds it, and is accepted when it meets its proven bound:
+    blocks d2(=t) and d3(=t) on the codes of `_codes`; no diagram is
+    built.  d2 d3 = 0 is first proved for every code at once from one
+    generic code.  Each rank is first taken modulo a prime, which never
+    exceeds it, and is accepted when it meets its proven bound:
     rank d2(=t) <= |C1(=t)|, and, because d2 d3 = 0, rank d3(=t) <=
     |C2(=t)| - rank d2(=t).  Otherwise exact elimination over Z gives
     the rank.  Either stops at the bound, which no more columns could
     pass.  The proof needs no kernel basis and no evaluation point, and
     it may read every column of total <= N, which columns_used counts,
     so diagram_cap bounds |C3(<=N)|; C3(<=N+margin) is only counted,
-    as columns_available.  When d2 d3 = 0 fails on a column or a
-    total's ranks do not close, the check raises Inconclusive: no
-    verdict is given without the proof.
+    as columns_available.
 
-    The report's method is "graded", and its "graded" entry holds
-    |C2(=t)|, rank d2(=t) and rank d3(=t) for t = 0..N.  Its "cycles"
-    says how d2 d3 = 0 was proved: "generic" by the one-code check,
-    "per-column" by the fallback.
+    No verdict is given without the proof: the check raises
+    Inconclusive, naming N and the generic code, when d2 d3 = 0 fails on
+    that code, before any rank is taken, and naming N and the total t
+    when rank d2(=t) < |C1(=t)| or |C2(=t)| - rank d2(=t) - rank d3(=t)
+    is not 0.  The report's method is "graded", its "graded" entry holds
+    |C2(=t)|, rank d2(=t) and rank d3(=t) for t = 0..N, and its "cycles"
+    names the proof of d2 d3 = 0: "generic", the one-code check.
     """
     if N < 1 or margin < 0:
         raise ValueError("need N >= 1 and margin >= 0")
     used = _count_diagrams(3, N)
     if used > diagram_cap:
         raise SizeLimit(f"{used} degree-3 diagrams exceed cap {diagram_cap}")
+    if not _dd_vanishes_generically(3):
+        raise Inconclusive(f"h2 at N={N}: d2 d3 != 0 on the generic code "
+                           f"{_generic_code(3)}")
+    graded = {"dim_c2": [], "rank_d2": [], "rank_d3": []}
+    kernel_dim = 0
+    for t in range(N + 1):
+        c1, c2, c3 = (_codes(k, t) for k in (1, 2, 3))
+        row1 = {code: i for i, code in enumerate(c1)}
+        row2 = {code: i for i, code in enumerate(c2)}
+        # d2 d3 = 0 gives rank d3(=t) <= |C2(=t)| - rank d2(=t)
+        rank2 = _rank_at_zero(c2, 2, row1)
+        rank3 = _rank_at_zero(c3, 3, row2, len(c2) - rank2)
+        if rank2 != len(c1) or rank2 + rank3 != len(c2):
+            raise Inconclusive(
+                f"h2 at N={N}, total {t}: graded ranks do not close "
+                f"(|C1| {len(c1)}, |C2| {len(c2)}, rank d2 {rank2}, "
+                f"rank d3 {rank3})")
+        graded["dim_c2"].append(len(c2))
+        graded["rank_d2"].append(rank2)
+        graded["rank_d3"].append(rank3)
+        kernel_dim += len(c2) - len(c1)
     window3 = N + margin
-    kernel_dim, columns_used, graded, cycles = _h2_graded(N)
     return {
         "kernel_dim": kernel_dim,
         "contained": True,
         "failing_vectors": [],
         "columns_available": _count_diagrams(3, window3),
-        "columns_used": columns_used,
+        "columns_used": used,
         "window": window3,
         "method": "graded",
-        "cycles": cycles,
+        "cycles": "generic",
         "graded": graded,
     }
 
@@ -569,11 +587,15 @@ def _dd_vanishes(counts, degree, memo) -> bool:
     return not any(total.values())
 
 
+def _generic_code(degree) -> tuple:
+    """(1, 2, 4, ...): each class of _block_classes(degree) its own bit."""
+    return tuple(1 << n for n in range(len(_block_classes(degree))))
+
+
 def _dd_vanishes_generically(degree) -> bool:
-    """d_{degree-1} d_degree = 0 on every code, decided on the one
-    generic code (1, 2, 4, ...) over _block_classes(degree), whose keys
-    name the routing of every class (see the module docstring)."""
-    generic = tuple(1 << n for n in range(len(_block_classes(degree))))
+    """d_{degree-1} d_degree = 0 on every code, decided on the generic
+    code, whose keys name every class's routing (module docstring)."""
+    generic = _generic_code(degree)
     return _dd_vanishes(_code_counts(generic, degree), degree, {})
 
 
@@ -616,47 +638,3 @@ def _rank_at_zero(columns, degree, row_of, bound=None):
         if len(ech.pivots) == bound:
             break
     return len(ech.pivots)
-
-
-def _h2_graded(N):
-    """The graded proof on C(<=N), on the codes `_codes` lists per total;
-    no diagram is built but the one that names a failing column.
-
-    d2 d3 = 0 is proved once by `_dd_vanishes_generically`; when that
-    fails, each degree-3 code of a total is checked by `_code_counts`
-    before that total's ranks, whose blocks are routed by `_routes`.
-    Returns (kernel_dim, columns_used, per-total ranks, cycles), cycles
-    "generic" or "per-column".  Raises Inconclusive, naming N and the
-    total t, when a degree-3 column is not a cycle, or when the ranks of
-    a total do not close: rank d2(=t) < |C1(=t)|, or a nonzero graded
-    summand |C2(=t)| - rank d2(=t) - rank d3(=t).
-    """
-    generic = _dd_vanishes_generically(3)
-    memo = {}
-    graded = {"dim_c2": [], "rank_d2": [], "rank_d3": []}
-    kernel_dim = columns_used = 0
-    for t in range(N + 1):
-        c1, c2, c3 = (_codes(k, t) for k in (1, 2, 3))
-        for code in () if generic else c3:
-            if not _dd_vanishes(_code_counts(code, 3), 3, memo):
-                raise Inconclusive(
-                    f"h2 at N={N}, total {t}: degree-3 column "
-                    f"{CircleDiagram._trusted(3, code).encode()} is not "
-                    f"a cycle (d2 d3 != 0)")
-        row1 = {code: i for i, code in enumerate(c1)}
-        row2 = {code: i for i, code in enumerate(c2)}
-        # d2 d3 = 0 gives rank d3(=t) <= |C2(=t)| - rank d2(=t)
-        rank2 = _rank_at_zero(c2, 2, row1)
-        rank3 = _rank_at_zero(c3, 3, row2, len(c2) - rank2)
-        if rank2 != len(c1) or rank2 + rank3 != len(c2):
-            raise Inconclusive(
-                f"h2 at N={N}, total {t}: graded ranks do not close "
-                f"(|C1| {len(c1)}, |C2| {len(c2)}, rank d2 {rank2}, "
-                f"rank d3 {rank3})")
-        graded["dim_c2"].append(len(c2))
-        graded["rank_d2"].append(rank2)
-        graded["rank_d3"].append(rank3)
-        kernel_dim += len(c2) - len(c1)
-        columns_used += len(c3)
-    return (kernel_dim, columns_used, graded,
-            "generic" if generic else "per-column")

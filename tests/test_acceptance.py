@@ -1,5 +1,7 @@
 """Acceptance matrix: one test per criterion, run at full tolerances."""
 
+import itertools
+
 import pytest
 
 from fusionhom import acceptance, tube
@@ -75,3 +77,15 @@ def test_tube_homology_lists_each_bar_basis_once(monkeypatch):
     report = acceptance.run_criterion("tube-homology")
     assert report["detail"] == DETAILS["tube-homology"]
     assert sorted(calls) == sorted([0, 1, 2, 3] * 3)
+
+
+@pytest.mark.parametrize("key", ["h1-vanishing", "h2-vanishing"])
+def test_no_verdict_rests_on_wall_clock_time(monkeypatch, key):
+    # a clock that jumps 1000 s per reading, past any time budget: a
+    # correct result still passes on a slow host, and only runtime_ms
+    # records the time
+    clock = itertools.count(0.0, 1000.0)
+    monkeypatch.setattr(acceptance.time, "perf_counter", clock.__next__)
+    report = acceptance.run_criterion(key)
+    assert (report["status"], report["detail"]) == ("PASS", DETAILS[key])
+    assert report["runtime_ms"] >= 1000000

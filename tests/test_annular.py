@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -439,6 +440,10 @@ def test_h2_refuses_a_column_subset_the_oracle_accepts(monkeypatch):
     assert exact["columns_used"] == 133
 
 
+GENERIC_FAILS = (r"^h2 at N={N}: d2 d3 != 0 on the generic code "
+                 r"\(1, 2, 4, 8, 16, 32\)$")
+
+
 def test_h2_certificate_rejects_columns_that_are_not_cycles(monkeypatch):
     # drop the face at infinity from every degree-3 boundary: d2 d3 != 0
     counts_of = annular._code_counts
@@ -450,8 +455,7 @@ def test_h2_certificate_rejects_columns_that_are_not_cycles(monkeypatch):
         return counts
 
     monkeypatch.setattr(annular, "_code_counts", broken)
-    with pytest.raises(Inconclusive, match=r"^h2 at N=3, total 0: degree-3 "
-                                           r"column k=3; - is not a cycle"):
+    with pytest.raises(Inconclusive, match=GENERIC_FAILS.format(N=3)):
         h2_vanishing_check(3)
     # the exact oracle, which checks no column, still gives a verdict
     exact = _h2_exact(3, 5, enumerate_diagrams(3, 5))
@@ -478,9 +482,8 @@ def test_h2_graded_proof_checks_each_column_is_a_cycle(monkeypatch):
     # an extra delta-power face leaves every delta = 0 block, and so every
     # graded rank, as it was; only the exact d2 d3 = 0 check sees it
     add_a_delta_power_face(monkeypatch)
-    with pytest.raises(Inconclusive, match=r"^h2 at N=3, total 0: degree-3 "
-                                           r"column k=3; - is not a cycle"):
-        annular._h2_graded(3)
+    with pytest.raises(Inconclusive, match=GENERIC_FAILS.format(N=3)):
+        h2_vanishing_check(3)
     # the exact oracle, which checks no column, still gives a verdict
     assert _verdict(_h2_exact(3, 5, enumerate_diagrams(3, 5))) == (16, True)
 
@@ -489,7 +492,7 @@ def test_h2_refuses_columns_that_are_not_cycles(monkeypatch):
     # the benchmark size, the CLI and verify-all: no verdict without the
     # d2 d3 = 0 check, where an exact elimination alone would contain
     add_a_delta_power_face(monkeypatch)
-    with pytest.raises(Inconclusive, match=r"^h2 at N=8, total 0: "):
+    with pytest.raises(Inconclusive, match=GENERIC_FAILS.format(N=8)):
         h2_vanishing_check(8)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -498,10 +501,10 @@ def test_h2_refuses_columns_that_are_not_cycles(monkeypatch):
     assert code == 3
     error = json.loads(buf.getvalue())["error"]
     assert error["type"] == "Inconclusive"
-    assert error["message"].startswith("h2 at N=8, total 0: degree-3 column")
+    assert re.match(GENERIC_FAILS.format(N=8), error["message"])
     report = acceptance.run_criterion("h2-vanishing")
     assert report["status"] == "INCONCLUSIVE"
-    assert report["detail"].startswith("Inconclusive: h2 at N=8, total 0: ")
+    assert report["detail"] == f"Inconclusive: {error['message']}"
 
 
 def test_d2_d3_zero_checks_every_power_of_delta(monkeypatch):
@@ -645,10 +648,10 @@ def test_routes_give_the_delta_zero_part_of_every_boundary(monkeypatch,
         assert list(annular._routes(degree)[support]) == kept
 
 
-def test_h2_falls_back_to_each_column_when_the_generic_check_fails(
-        monkeypatch):
+def test_h2_gives_no_verdict_when_the_generic_check_fails(monkeypatch):
     # an extra face on crossing codes alone breaks d2 d3 = 0 on the
-    # generic code but on no diagram, so each column is checked and passes
+    # generic code but on no diagram: every column would pass a check of
+    # its own, yet no rank is taken and no verdict is given
     counts_of = annular._code_counts
     ab, bc = (annular._block_classes(3).index(b) for b in ((1, 2), (2, 3)))
 
@@ -661,13 +664,16 @@ def test_h2_falls_back_to_each_column_when_the_generic_check_fails(
 
     monkeypatch.setattr(annular, "_code_counts", broken)
     assert not annular._dd_vanishes_generically(3)
-    report = h2_vanishing_check(4)
-    assert (report["cycles"], report["kernel_dim"]) == ("per-column", 30)
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        assert cli.main(["homology-tlj", "--h2", "4", "--json"]) == 0
-    diagnostics = json.loads(buf.getvalue())["diagnostics"]
-    assert diagnostics["h2"]["cycles"] == "per-column"
+    memo = {}
+    assert all(annular._dd_vanishes(annular._code_counts(c, 3), 3, memo)
+               for t in range(5) for c in annular._codes(3, t))
+
+    def no_rank(*args):
+        raise AssertionError("_rank_at_zero called")
+
+    monkeypatch.setattr(annular, "_rank_at_zero", no_rank)
+    with pytest.raises(Inconclusive, match=GENERIC_FAILS.format(N=4)):
+        h2_vanishing_check(4)
 
 
 def test_graded_h2_builds_no_diagram(monkeypatch):
@@ -811,11 +817,11 @@ def test_h2_certified_window_stays_inside_the_row_window():
     # while the exact oracle, taking columns in order, uses a total-4
     # generator put ahead of C3(<=3)
     gens = [diagram3(a=1, b=1, c=1, abc=1)] + enumerate_diagrams(3, 3)
-    kernel_dim, columns_used, graded, _ = annular._h2_graded(3)
-    assert columns_used == len(gens) - 1
-    assert len(graded["rank_d3"]) == 4
+    report = h2_vanishing_check(3, margin=0)
+    assert report["columns_used"] == len(gens) - 1
+    assert len(report["graded"]["rank_d3"]) == 4
     exact = _h2_exact(3, 3, gens)
-    assert (kernel_dim, True) == _verdict(exact) == (16, True)
+    assert (report["kernel_dim"], True) == _verdict(exact) == (16, True)
     assert exact["columns_used"] == 70
 
 

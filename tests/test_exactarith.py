@@ -569,7 +569,7 @@ def _augmented(m, b):
 
 
 @given(wide_systems())
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_span_solve_matches_the_rank_oracle_on_wide_systems(system):
     m, targets = system
     solved = span_solve(m, targets)
